@@ -6,6 +6,7 @@ verifying a marked packet end to end, and the topology-bounded O(d)
 variant of Section 7.
 """
 
+import time
 
 import pytest
 
@@ -22,6 +23,21 @@ from tests.conftest import ctx_for
 
 PROVIDER = HmacProvider()
 SCHEME = PNMMarking(mark_prob=1.0)
+
+
+def mean_seconds(benchmark, fn, *args, rounds=5):
+    """Mean seconds per ``fn(*args)`` call from the benchmark's stats.
+
+    Under ``--benchmark-disable`` pytest-benchmark runs the call once and
+    keeps no stats, so the call is timed directly instead and the
+    feasibility gates still run.
+    """
+    if benchmark.stats is not None:
+        return benchmark.stats.stats.mean
+    start = time.perf_counter()
+    for _ in range(rounds):
+        fn(*args)
+    return (time.perf_counter() - start) / rounds
 
 
 def make_marked_packet(keystore, markers):
@@ -44,7 +60,10 @@ class TestResolutionTable:
         assert len(result) <= network_size
         # Feasibility: one table per message must cost well under the
         # inter-packet gap at Mica2 rates (1/50 s).
-        assert benchmark.stats.stats.mean < 1.0 / MICA2_PACKETS_PER_SECOND
+        mean = mean_seconds(
+            benchmark, SCHEME.build_resolution_table, packet, keystore, PROVIDER
+        )
+        assert mean < 1.0 / MICA2_PACKETS_PER_SECOND
 
 
 class TestPacketVerification:
@@ -55,7 +74,8 @@ class TestPacketVerification:
         result = benchmark(verifier.verify, packet)
         assert result.chain_ids == [10, 20, 30]
         # Verification throughput must exceed the radio delivery rate.
-        assert 1.0 / benchmark.stats.stats.mean > MICA2_PACKETS_PER_SECOND
+        mean = mean_seconds(benchmark, verifier.verify, packet)
+        assert 1.0 / mean > MICA2_PACKETS_PER_SECOND
 
     def test_bench_bounded_verify(self, benchmark):
         topo, _source = linear_path_topology(30)

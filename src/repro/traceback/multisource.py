@@ -28,7 +28,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.traceback.localize import SuspectNeighborhood
-from repro.traceback.reconstruct import PrecedenceGraph
 from repro.traceback.sink import TracebackSink
 
 __all__ = ["MultiSourceVerdict", "MultiSourceTracebackSink"]
@@ -115,11 +114,10 @@ class MultiSourceTracebackSink(TracebackSink):
         # Loops are confirmed sources by construction (contradictory
         # orders cannot arise without moles); localize each source-side
         # loop at its line attachment point, like the single-source case.
-        graph = self.precedence.to_networkx()
         for loop in analysis.loops:
             if not (loop & analysis.source_candidates):
                 continue  # the loop has upstream evidence: not a source
-            attachment = PrecedenceGraph._attachment_point(graph, set(loop))
+            attachment = self.precedence._attachment_point(loop)
             if attachment is None:
                 attachment = self._last_delivering_node
             if attachment is None or attachment == self.topology.sink:

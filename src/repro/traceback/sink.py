@@ -16,8 +16,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import MacProvider
 from repro.marking.base import MarkingScheme
@@ -187,17 +185,18 @@ def _tamper_suspect(
     if not tamper_stops:
         return None
     stops = sorted(tamper_stops)
-    graph = precedence.to_networkx()
-
-    def is_downstream_of_another(node: int) -> bool:
-        for other in stops:
-            if other == node or other not in graph or node not in graph:
-                continue
-            if nx.has_path(graph, other, node):
-                return True
-        return False
-
-    most_upstream = [s for s in stops if not is_downstream_of_another(s)]
+    reaches = precedence.reaches
+    most_upstream = [
+        s for s in stops if not any(t != s and reaches(t, s) for t in stops)
+    ]
+    if not most_upstream:
+        # Every stop is reached from another one, which only loops allow:
+        # keep the stops that no stop outside their own loop reaches.
+        most_upstream = [
+            s
+            for s in stops
+            if not any(reaches(t, s) and not reaches(s, t) for t in stops)
+        ]
     # Deterministic choice among incomparable stops: the most frequent,
     # then the smallest ID.
     center = min(
@@ -368,10 +367,9 @@ class TracebackSink:
         export this over the wire (SUMMARY frames) for the cluster
         coordinator to merge.
         """
-        graph = self.precedence.to_networkx()
         return SinkEvidence(
-            nodes=tuple(sorted(graph.nodes)),
-            edges=tuple(sorted(graph.edges)),
+            nodes=tuple(sorted(self.precedence.observed)),
+            edges=tuple(sorted(self.precedence.edges())),
             tamper_stops=tuple(
                 (node, self._tamper_stop_nodes[node])
                 for node in sorted(self._tamper_stop_nodes)

@@ -2,7 +2,8 @@
 
 import json
 
-from repro.cluster.coordinator import merge_evidence, verdict_json
+from repro.cluster.coordinator import ClusterCoordinator, merge_evidence, verdict_json
+from repro.net.topology import linear_path_topology
 from repro.traceback.sink import SinkEvidence
 
 
@@ -156,3 +157,43 @@ class TestCanonicalJson:
         if payload["suspect"] is not None:
             members = payload["suspect"]["members"]
             assert members == sorted(members)
+
+
+class TestCoordinatorVerdict:
+    def test_tamper_stops_inside_one_loop_do_not_crash(self):
+        """Merged evidence can leave every tamper stop in one loop with a
+        second source component beside it and no delivering node: the
+        route is equivocal, each stop reaches the other, and the tamper
+        fallback must still pick a center instead of failing on an empty
+        "most upstream" set."""
+        topology, _ = linear_path_topology(5)
+        merged = evidence(
+            nodes=(1, 2, 3, 4, 5),
+            edges=((3, 4), (4, 3), (4, 2), (5, 2), (2, 1)),
+            stops=((3, 1), (4, 1)),
+            received=5,
+            tampered=2,
+            chains=3,
+        )
+        verdict = ClusterCoordinator(topology).verdict(merged)
+        assert verdict.loop_detected
+        assert verdict.analysis.loops == (frozenset({3, 4}),)
+        assert verdict.analysis.source_candidates == {3, 4, 5}
+        # Equal stop counts: the (-count, id) tie-break picks node 3.
+        assert verdict.identified
+        assert verdict.suspect.center == 3
+        assert verdict.suspect.members == frozenset({2, 3, 4})
+        assert not verdict.suspect.via_loop
+
+    def test_more_frequent_stop_in_the_loop_wins(self):
+        topology, _ = linear_path_topology(5)
+        merged = evidence(
+            nodes=(1, 2, 3, 4, 5),
+            edges=((3, 4), (4, 3), (4, 2), (5, 2), (2, 1)),
+            stops=((2, 5), (3, 1), (4, 2)),
+            received=8,
+            tampered=8,
+        )
+        verdict = ClusterCoordinator(topology).verdict(merged)
+        # Stop 2 lies below the loop, so only the loop's stops remain.
+        assert verdict.suspect.center == 4

@@ -1,5 +1,8 @@
 """Precedence graph and route analysis."""
 
+import subprocess
+import sys
+import textwrap
 
 from repro.traceback.reconstruct import PrecedenceGraph
 
@@ -116,3 +119,47 @@ class TestAnalysisLoops:
         assert a.has_loop
         assert a.loop_attachment is None  # two source components
         assert not a.unequivocal
+
+
+class TestIncrementalState:
+    def test_analysis_is_memoized_until_new_evidence(self):
+        g = PrecedenceGraph()
+        g.add_chain([1, 2, 3])
+        first = g.analyze()
+        assert g.analyze() is first
+        g.add_chain([2, 3])  # nothing new: same snapshot
+        assert g.analyze() is first
+        g.add_chain([0, 1])
+        assert g.analyze() is not first
+        assert g.analyze().most_upstream == 0
+
+
+def test_verdict_path_does_not_import_networkx():
+    """Verdicts, evidence export and the coordinator verdict run on the
+    incremental graph alone; networkx loads only for ``to_networkx``."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from repro.cluster.coordinator import ClusterCoordinator, verdict_json
+        from repro.core.build import build_scenario
+        from repro.core.scenario import Scenario
+
+        for attack in ("identity-swap", "alter", "no-mark"):
+            built = build_scenario(
+                Scenario(n_forwarders=8, scheme="pnm", attack=attack, seed=3)
+            )
+            built.pipeline.push_many(40)
+            live = built.sink.verdict()
+            merged = ClusterCoordinator(built.topology).verdict(
+                built.sink.evidence()
+            )
+            assert verdict_json(live) == verdict_json(merged)
+        assert "networkx" not in sys.modules, "networkx imported"
+        built.sink.precedence.to_networkx()
+        assert "networkx" in sys.modules
+        """
+    )
+    result = subprocess.run(  # noqa: S603
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr

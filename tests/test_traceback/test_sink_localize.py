@@ -234,3 +234,51 @@ class TestEvidenceWeighing:
         verdict = sink.verdict()
         assert verdict.suspect.center == 1
         assert sink.tampered_packets == 0
+
+
+#: ``(n, mark_prob, mole_position, seed)`` reorder draws from
+#: ``test_never_frames``'s distribution that the verdict frames today.
+#: Route evidence stays equivocal (two source candidates), so the tamper
+#: stop decides; it sits 2-3 hops below the mole, outside one-hop range.
+REORDER_FRAMING_DRAWS = [
+    (5, 0.20, 3, 0),
+    (6, 0.20, 3, 700),
+    (8, 0.23, 3, 388),
+    (10, 0.26, 3, 7522),
+]
+
+
+class TestKnownReorderFraming:
+    """Pinned framings behind the occasional ``test_never_frames``
+    failure.  Strict xfail: a verdict-policy fix turns these into
+    XPASS failures, which is the cue to drop the marker."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="low-rate reorder: tamper stop lands 2-3 hops below the mole",
+    )
+    @pytest.mark.parametrize(
+        ("n", "mark_prob", "mole_position", "seed"), REORDER_FRAMING_DRAWS
+    )
+    def test_reorder_low_mark_prob_does_not_frame(
+        self, n, mark_prob, mole_position, seed
+    ):
+        from repro.core.build import build_scenario
+        from repro.core.scenario import Scenario
+
+        sc = Scenario(
+            n_forwarders=n,
+            scheme="pnm",
+            mark_prob=mark_prob,
+            attack="reorder",
+            mole_position=mole_position,
+            seed=seed,
+        )
+        built = build_scenario(sc)
+        built.pipeline.push_many(80)
+        verdict = built.sink.verdict()
+        if verdict.identified:
+            assert verdict.suspect.members & built.mole_ids, (
+                f"framed {sorted(verdict.suspect.members)}, "
+                f"moles {sorted(built.mole_ids)}"
+            )
