@@ -1,6 +1,6 @@
 # Convenience targets for the PNM reproduction.
 
-.PHONY: install test lint bench bench-check experiments experiments-full faults algebraic watchdog obs serve-smoke cluster-smoke telemetry-smoke examples clean
+.PHONY: install test lint loc bench bench-check experiments experiments-full faults algebraic watchdog obs serve-smoke cluster-smoke telemetry-smoke examples clean
 
 install:
 	pip install -e .
@@ -11,6 +11,11 @@ test:
 # Protocol-invariant linter (see docs/lint.md).
 lint:
 	python -m repro.lint src/repro
+
+# Python file count and line count of src/ (the size figure each change
+# reports against the ROADMAP's code-size aim).
+loc:
+	@echo "src/: $$(find src -name '*.py' | wc -l) Python files, $$(find src -name '*.py' -exec cat {} + | wc -l) lines"
 
 bench:
 	pytest benchmarks/ --benchmark-only

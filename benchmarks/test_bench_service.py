@@ -42,10 +42,10 @@ def run_serial(workload) -> TracebackSink:
     return sink
 
 
-def run_service(workload, workers: int) -> TracebackSink:
+def run_service(workload) -> TracebackSink:
     _topology, _keystore, stream, delivering = workload
     sink = make_sink(workload)
-    with SinkIngestService(sink, capacity=len(stream), workers=workers) as service:
+    with SinkIngestService(sink, capacity=len(stream)) as service:
         for packet in stream:
             service.submit(packet, delivering)
         service.flush()
@@ -61,7 +61,7 @@ class TestThroughputGate:
         serial_s = time.perf_counter() - start
 
         start = time.perf_counter()
-        service_sink = run_service(workload, workers=0)
+        service_sink = run_service(workload)
         service_s = time.perf_counter() - start
 
         assert service_sink.verdict() == serial_sink.verdict()
@@ -87,9 +87,5 @@ class TestBenchIngest:
         assert sink.packets_received == PACKETS
 
     def test_bench_cached_service(self, benchmark, workload):
-        sink = benchmark(run_service, workload, 0)
-        assert sink.packets_received == PACKETS
-
-    def test_bench_parallel_service(self, benchmark, workload):
-        sink = benchmark(run_service, workload, 4)
+        sink = benchmark(run_service, workload)
         assert sink.packets_received == PACKETS

@@ -42,7 +42,7 @@ def make_service(workload) -> SinkIngestService:
     sink = TracebackSink(
         PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
     )
-    return SinkIngestService(sink, capacity=len(stream), workers=0)
+    return SinkIngestService(sink, capacity=len(stream))
 
 
 def batches_of(workload):

@@ -80,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="pnm-cluster",
         help="master secret the per-node keys derive from",
     )
-    serve.add_argument("--workers", type=int, default=0)
     serve.add_argument("--capacity", type=int, default=1024)
 
     smoke = sub.add_parser(
@@ -147,10 +146,7 @@ async def _serve(args: argparse.Namespace) -> int:
                 scheme, keystore, HmacProvider(), topology, obs=provider
             )
             service = SinkIngestService(
-                sink,
-                capacity=args.capacity,
-                workers=args.workers,
-                obs=provider,
+                sink, capacity=args.capacity, obs=provider
             )
 
             def owns(packet, sid=shard_id):
@@ -172,7 +168,7 @@ async def _serve(args: argparse.Namespace) -> int:
             )
         print(
             f"pnm-cluster: {args.shards} shards up "
-            f"({args.grid_side}x{args.grid_side} grid, workers={args.workers})"
+            f"({args.grid_side}x{args.grid_side} grid)"
         )
         await asyncio.gather(
             *(server.serve_forever() for server in servers)

@@ -100,7 +100,7 @@ class LocalCluster:
         shard_key: ring key extractor (default: uniform report digest).
         vnodes: ring points per shard.
         service_kwargs: forwarded to every shard's
-            :class:`SinkIngestService` (workers, hot_capacity, ...).
+            :class:`SinkIngestService` (``capacity``, ``hot_capacity``).
         obs: observability provider for router/cluster counters.
         shard_obs_factory: builds one observability provider per shard id
             (fresh registry/tracer per shard, and per replacement after a

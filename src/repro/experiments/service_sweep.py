@@ -10,10 +10,9 @@ topology, and falling back to the exhaustive search on any miss so verdicts
 are unchanged.
 
 This sweep measures packets/second through a grid deployment with the
-exhaustive resolver for: the plain serial sink, the service with caching
-only, and the service with caching plus a parallel verification pool.  The
-headline number is ``speedup`` relative to the serial sink; the service is
-expected to clear 3x on this workload.
+exhaustive resolver for the plain serial sink and for the cached service.
+The headline number is ``speedup`` relative to the serial sink; the
+service is expected to clear 3x on this workload.
 """
 
 from __future__ import annotations
@@ -91,19 +90,19 @@ def _time_serial(topology, keystore, stream, delivering) -> tuple[float, Traceba
 
 
 def _time_service(
-    topology, keystore, stream, delivering, workers: int
+    topology, keystore, stream, delivering
 ) -> tuple[float, TracebackSink, float]:
     sink = _make_sink(topology, keystore)
-    service = SinkIngestService(sink, capacity=len(stream), workers=workers)
+    service = SinkIngestService(sink, capacity=len(stream))
     try:
         start = time.perf_counter()
         for packet in stream:
             service.submit(packet, delivering)
         service.flush()
         elapsed = time.perf_counter() - start
-        cache_stats = service.stats().cache or {}
+        hot_rate = service.stats().cache["hot_hit_rate"]
         service.publish_stats()
-        return elapsed, sink, cache_stats.get("hot_hit_rate", 0.0)
+        return elapsed, sink, hot_rate
     finally:
         service.close(drain=False)
 
@@ -124,22 +123,18 @@ def run(preset: Preset = QUICK) -> FigureResult:
             "-",
         ]
     ]
-    verdicts_match = True
-    for label, workers in (("service-cached", 0), ("service-parallel", 4)):
-        elapsed, sink, hot_rate = _time_service(
-            topology, keystore, stream, delivering, workers
-        )
-        verdicts_match = verdicts_match and sink.verdict() == serial_sink.verdict()
-        rows.append(
-            [
-                label,
-                packets,
-                round(elapsed, 4),
-                round(packets / elapsed, 1),
-                round(serial_s / elapsed, 2),
-                round(hot_rate, 3),
-            ]
-        )
+    elapsed, sink, hot_rate = _time_service(topology, keystore, stream, delivering)
+    verdicts_match = sink.verdict() == serial_sink.verdict()
+    rows.append(
+        [
+            "service-cached",
+            packets,
+            round(elapsed, 4),
+            round(packets / elapsed, 1),
+            round(serial_s / elapsed, 2),
+            round(hot_rate, 3),
+        ]
+    )
     notes = [
         f"preset={preset.name}; {grid_side}x{grid_side} grid "
         f"({len(topology.sensor_nodes())} sensor nodes), exhaustive resolver, "
@@ -148,7 +143,7 @@ def run(preset: Preset = QUICK) -> FigureResult:
     ]
     return FigureResult(
         figure_id="service-sweep",
-        title="Sink ingest throughput: serial vs cached/parallel service",
+        title="Sink ingest throughput: serial sink vs cached service",
         columns=[
             "config",
             "packets",

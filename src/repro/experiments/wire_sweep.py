@@ -43,7 +43,7 @@ def _fresh_service(topology, keystore, capacity: int) -> SinkIngestService:
     sink = TracebackSink(
         PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
     )
-    return SinkIngestService(sink, capacity=capacity, workers=0)
+    return SinkIngestService(sink, capacity=capacity)
 
 
 def _time_in_process(

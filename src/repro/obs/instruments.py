@@ -3,15 +3,15 @@
 The three instrument kinds follow the Prometheus data model closely enough
 that the text exporter is a direct rendering: an instrument owns a metric
 *name* and a fixed tuple of *label names*; each distinct label-value
-combination is one time series.  All instruments are thread-safe -- the
-service layer observes from pool workers -- and all iteration is over
-sorted keys so snapshots and exports are deterministic (the RL004
-contract extends to this package).
+combination is one time series.  All instruments are thread-safe, so any
+thread may observe, and all iteration is over sorted keys so snapshots
+and exports are deterministic (the RL004 contract extends to this
+package).
 
-:class:`HistogramSeries` is the generalization of the ingest service's
-``LatencyHistogram``: the same power-of-two bucket layout, but unit-neutral
-and with an O(1) bucket index (``math.log2`` plus a one-step boundary
-correction) instead of the original linear bound scan.
+:class:`HistogramSeries` is the one distribution type, unit-neutral (the
+ingest service keeps its per-packet verify latency in one, in seconds):
+power-of-two buckets with an O(1) bucket index (``math.log2`` plus a
+one-step boundary correction) instead of a linear bound scan.
 """
 
 from __future__ import annotations

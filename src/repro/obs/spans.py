@@ -2,8 +2,8 @@
 
 A :class:`Span` is one named, timed stage of a packet's life; spans that
 share a ``trace_id`` form one trace, linked by ``parent_id``.  There is
-no ambient "current span" (thread-locals would lie across the service's
-pool workers and the simulator's event callbacks); context moves in one
+no ambient "current span" (thread-locals would lie across interleaved
+asyncio tasks and the simulator's event callbacks); context moves in one
 of two explicit ways:
 
 * pass a :class:`SpanContext` to :meth:`Tracer.start` as the parent, or
@@ -110,7 +110,7 @@ class Tracer:
 
     Ids are deterministic per tracer (``t0000001``/``s0000001``...), so
     equal runs produce identical trace files.  All methods are
-    thread-safe -- the verification pool finishes spans from workers.
+    thread-safe, so any thread may start or finish spans.
 
     Args:
         clock: time source for spans without explicit timestamps; defaults

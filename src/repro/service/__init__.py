@@ -5,34 +5,29 @@ millions of hashes per second against tens of suspicious packets per
 second.  This package turns that arithmetic into an actual service in
 front of :class:`~repro.traceback.sink.TracebackSink`:
 
-* :class:`IngestQueue` -- bounded intake with an explicit drop policy and
-  exact backpressure counters;
-* :class:`VerificationPool` -- chunked batch verification, optionally
-  across worker threads, with a deterministic serial fallback;
+* :class:`IngestQueue` -- bounded intake that sheds whole offers past its
+  capacity (tail drop), with exact backpressure counters;
 * :class:`ResolverCache` / :class:`CachingResolver` -- memoized resolution
   tables plus a hot-set of recent markers, collapsing the exhaustive
   ``O(N)``-hash search to near topology-bounded cost on steady traffic;
-* :class:`ServiceStats` -- counters, latency histograms, cache hit rates
-  and queue depth, exportable as JSON;
-* :class:`SinkIngestService` -- the pipeline tying them together, with
-  verdicts identical to serial ``sink.receive`` processing.
+* :class:`ServiceStats` -- counters, the verify-latency histogram, cache
+  hit rates and queue depth, exportable as JSON;
+* :class:`SinkIngestService` -- the pipeline tying them together: serial,
+  cache-accelerated verification with verdicts identical to serial
+  ``sink.receive`` processing.
 
 See ``docs/service.md`` for the architecture and contracts.
 """
 
 from repro.service.cache import CachingResolver, ResolverCache
 from repro.service.ingest import SinkIngestService
-from repro.service.pool import VerificationPool
-from repro.service.queue import DropPolicy, IngestQueue
-from repro.service.stats import LatencyHistogram, ServiceStats
+from repro.service.queue import IngestQueue
+from repro.service.stats import ServiceStats
 
 __all__ = [
     "SinkIngestService",
     "IngestQueue",
-    "DropPolicy",
-    "VerificationPool",
     "ResolverCache",
     "CachingResolver",
     "ServiceStats",
-    "LatencyHistogram",
 ]

@@ -43,10 +43,11 @@ __all__ = ["ResolverCache", "CachingResolver"]
 class ResolverCache:
     """LRU-bounded memoization for the sink's anonymous-ID resolution.
 
-    Thread-safety: all public methods may be called concurrently; table
-    construction happens outside the lock, so two workers racing on the
-    same new report may both build the (identical) table -- wasted work,
-    never wrong results.
+    Thread-safety: all public methods may be called concurrently.  The
+    ingest service verifies on one thread, but revocation and the fault
+    injector may invalidate from another.  Table construction happens
+    outside the lock, so two callers racing on the same new report may
+    both build the (identical) table -- wasted work, never wrong results.
 
     Args:
         scheme: the deployed marking scheme.

@@ -3,33 +3,33 @@
 Wraps a :class:`~repro.traceback.sink.TracebackSink` with the pipeline a
 production deployment needs::
 
-    submit() ──▶ IngestQueue ──▶ VerificationPool ──▶ sink.ingest()
-                 (backpressure)   (cache-accelerated,  (arrival order,
-                                   optionally parallel) single thread)
+    submit_batch() ──▶ IngestQueue ──▶ PacketVerifier ──▶ sink.ingest()
+                       (tail drop,      (cache-accelerated) (arrival order)
+                        all or nothing)
 
-Verification is the expensive, stateless half of packet processing and
-runs out of line through a :class:`~repro.service.pool.VerificationPool`
-whose verifier shares the sink's scheme/keys but resolves through a
-:class:`~repro.service.cache.ResolverCache`.  Merging results into the
-precedence graph is cheap and stateful and always happens serially in
-arrival order, so the service's verdicts are identical to feeding the
-same stream through ``sink.receive`` one packet at a time.
+Verification is the expensive, stateless half of packet processing; the
+service's verifier shares the sink's scheme/keys but resolves through a
+:class:`~repro.service.cache.ResolverCache`.  Each packet verifies and
+merges into the precedence graph in turn, in arrival order, so the
+service's verdicts are identical to feeding the same stream through
+``sink.receive`` one packet at a time.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 
 from repro.isolation.revocation import RevocationList, RevocationRecord
+from repro.obs.instruments import HistogramSeries
 from repro.obs.profiling import NoopObsProvider, ObsProvider, resolve_provider
 from repro.obs.spans import Span, report_key
 from repro.packets.packet import MarkedPacket
 from repro.service.cache import CachingResolver, ResolverCache
-from repro.service.pool import VerificationPool
-from repro.service.queue import DropPolicy, IngestQueue
-from repro.service.stats import LatencyHistogram, ServiceStats
+from repro.service.queue import IngestQueue
+from repro.service.stats import ServiceStats
 from repro.traceback.sink import TracebackSink, TracebackVerdict
-from repro.traceback.verify import PacketVerification, PacketVerifier
+from repro.traceback.verify import PacketVerifier
 
 __all__ = ["SinkIngestService"]
 
@@ -42,15 +42,10 @@ class SinkIngestService:
             resolver are reused; the sink itself is only ever touched from
             :meth:`process_batch`'s merge step, in arrival order.
         capacity: ingest queue bound (see :class:`IngestQueue`).
-        drop_policy: what a full queue sheds (see :class:`DropPolicy`).
-        workers: verification pool threads; ``0`` (default) is serial.
-        chunk_size: packets per pool work item.
-        enable_cache: memoize resolution tables and keep the marker
-            hot-set (see :class:`ResolverCache`).  The hot-set engages
-            only when the sink's verifier has its exhaustive fallback (the
-            default), which is what keeps cached verdicts identical to
-            serial ones.
-        table_capacity / hot_capacity: cache bounds.
+        hot_capacity: marker hot-set bound (see :class:`ResolverCache`).
+            The hot-set engages only when the sink's verifier has its
+            exhaustive fallback (the default), which is what keeps cached
+            verdicts identical to serial ones.
         revocations: when given, the service subscribes to it and
             invalidates cached state for every newly revoked node.
         obs: observability provider; ``None`` inherits the sink's, so the
@@ -64,37 +59,25 @@ class SinkIngestService:
         self,
         sink: TracebackSink,
         capacity: int = 1024,
-        drop_policy: DropPolicy = DropPolicy.DROP_NEWEST,
-        workers: int = 0,
-        chunk_size: int = 32,
-        enable_cache: bool = True,
-        table_capacity: int = 256,
         hot_capacity: int = 256,
         revocations: RevocationList | None = None,
         obs: ObsProvider | NoopObsProvider | None = None,
     ):
         self.sink = sink
         self.obs = sink.obs if obs is None else resolve_provider(obs)
-        self._open_queue_spans: dict[bytes, Span] = {}
+        # Open ``queue`` spans per report key, oldest first: the same
+        # report may be queued more than once before the first is taken.
+        self._open_queue_spans: dict[bytes, deque[Span]] = {}
         base = sink.verifier
-        self.cache: ResolverCache | None = (
-            ResolverCache(
-                base.scheme,
-                base.keystore,
-                base.provider,
-                table_capacity=table_capacity,
-                hot_capacity=hot_capacity,
-            )
-            if enable_cache
-            else None
+        self.cache = ResolverCache(
+            base.scheme, base.keystore, base.provider, hot_capacity=hot_capacity
         )
         # The hot-set narrows the search space, which is only sound under
         # the exhaustive-fallback safety net; without it, keep the sink's
         # resolver untouched and use the cache for table memoization only.
-        use_hot_set = self.cache is not None and base.exhaustive_fallback
         resolver = (
             CachingResolver(base.resolver, self.cache)
-            if use_hot_set
+            if base.exhaustive_fallback
             else base.resolver
         )
         self.verifier = PacketVerifier(
@@ -103,18 +86,11 @@ class SinkIngestService:
             base.provider,
             resolver=resolver,
             exhaustive_fallback=base.exhaustive_fallback,
-            table_factory=(
-                self.cache.resolution_table if self.cache is not None else None
-            ),
+            table_factory=self.cache.resolution_table,
             obs=self.obs,
         )
-        self.queue: IngestQueue[tuple[MarkedPacket, int]] = IngestQueue(
-            capacity=capacity, policy=drop_policy
-        )
-        self.pool = VerificationPool(
-            self.verifier, workers=workers, chunk_size=chunk_size
-        )
-        self.verify_latency = LatencyHistogram()
+        self.queue: IngestQueue[tuple[MarkedPacket, int]] = IngestQueue(capacity)
+        self.verify_latency = HistogramSeries()
         self.processed = 0
         self.batches = 0
         self._closed = False
@@ -124,7 +100,7 @@ class SinkIngestService:
     # Intake ------------------------------------------------------------------
 
     def submit(self, packet: MarkedPacket, delivering_node: int) -> bool:
-        """Offer one suspicious packet to the pipeline.
+        """Offer one suspicious packet: :meth:`submit_batch` of one.
 
         Returns:
             True if the packet was queued; False if backpressure shed it.
@@ -132,20 +108,7 @@ class SinkIngestService:
         Raises:
             RuntimeError: if the service has been closed.
         """
-        if self._closed:
-            raise RuntimeError("cannot submit to a closed SinkIngestService")
-        accepted = self.queue.offer((packet, delivering_node))
-        self.obs.inc("ingest_submitted_total")
-        if not accepted:
-            self.obs.inc("ingest_dropped_total")
-        self.obs.set_gauge("ingest_queue_depth", self.queue.depth)
-        tracer = self.obs.tracer
-        if tracer is not None and accepted:
-            key = report_key(packet.report)
-            self._open_queue_spans[key] = tracer.chain(
-                key, "queue", depth=self.queue.depth
-            )
-        return accepted
+        return self.submit_batch((packet,), delivering_node)
 
     def submit_batch(
         self,
@@ -183,8 +146,8 @@ class SinkIngestService:
             depth = self.queue.depth
             for packet in packets:
                 key = report_key(packet.report)
-                self._open_queue_spans[key] = tracer.chain(
-                    key, "queue", depth=depth
+                self._open_queue_spans.setdefault(key, deque()).append(
+                    tracer.chain(key, "queue", depth=depth)
                 )
         return accepted
 
@@ -193,12 +156,8 @@ class SinkIngestService:
     def process_batch(self, max_packets: int | None = None) -> int:
         """Drain up to ``max_packets`` queued packets through verification.
 
-        With pool workers, verification fans out in chunks and the results
-        merge into the sink serially in arrival order afterwards; the
-        cache's hot-set learns newly verified markers between batches,
-        never during one (the pool's thread-safety contract).  Serially
-        (``workers`` 0/1) each packet verifies and merges in turn, so the
-        hot-set warms after the very first packet of a stream.
+        Each packet verifies and merges in turn, so the cache's hot-set
+        warms after the very first packet of a stream.
 
         Returns:
             The number of packets processed.
@@ -212,26 +171,11 @@ class SinkIngestService:
             for packet, _ in items:
                 self._close_queue_span(packet)
         start = time.perf_counter()
-        if self.pool.is_parallel:
-            if (
-                self.cache is not None
-                and len(items) > 1
-                and self.cache.hot_ids() is None
-            ):
-                # Cold hot-set: verify the first packet serially so the
-                # rest of the batch fans out with a warm search space.
-                packet, delivering_node = items.pop(0)
-                self._merge(self.verifier.verify(packet), delivering_node)
-            verifications = self.pool.verify_batch(
-                [packet for packet, _ in items]
-            )
-            for (_, delivering_node), verification in zip(
-                items, verifications, strict=True
-            ):
-                self._merge(verification, delivering_node)
-        else:
-            for packet, delivering_node in items:
-                self._merge(self.verifier.verify(packet), delivering_node)
+        for packet, delivering_node in items:
+            verification = self.verifier.verify(packet)
+            self.sink.ingest(verification, delivering_node)
+            if verification.chain_ids:
+                self.cache.touch(verification.chain_ids)
         elapsed = time.perf_counter() - start
         self.verify_latency.observe(elapsed / total, times=total)
         self.obs.observe("ingest_verify_seconds", elapsed / total, times=total)
@@ -245,19 +189,16 @@ class SinkIngestService:
         tracer = self.obs.tracer
         if tracer is None:
             return
-        span = self._open_queue_spans.pop(report_key(packet.report), None)
-        if span is not None:
-            if dropped:
-                span.attrs["dropped"] = True
-            tracer.finish(span)
-
-    def _merge(
-        self, verification: PacketVerification, delivering_node: int
-    ) -> None:
-        """Fold one verification into the sink and teach the hot-set."""
-        self.sink.ingest(verification, delivering_node)
-        if self.cache is not None and verification.chain_ids:
-            self.cache.touch(verification.chain_ids)
+        key = report_key(packet.report)
+        spans = self._open_queue_spans.get(key)
+        if not spans:
+            return
+        span = spans.popleft()
+        if not spans:
+            del self._open_queue_spans[key]
+        if dropped:
+            span.attrs["dropped"] = True
+        tracer.finish(span)
 
     def flush(self) -> int:
         """Process until the queue is empty; returns packets processed."""
@@ -293,15 +234,14 @@ class SinkIngestService:
                 self._close_queue_span(packet, dropped=True)
         tracer = self.obs.tracer
         if tracer is not None:
-            # Spans for packets shed by DROP_OLDEST (or never drained)
-            # would otherwise stay open and unrecorded.
+            # A submit racing this close can open a span after its packet
+            # was taken; finish every span still open so none is lost.
             for key in sorted(self._open_queue_spans):
-                span = self._open_queue_spans[key]
-                span.attrs["dropped"] = True
-                tracer.finish(span)
+                for span in self._open_queue_spans[key]:
+                    span.attrs["dropped"] = True
+                    tracer.finish(span)
             self._open_queue_spans.clear()
         self.queue.close()
-        self.pool.shutdown()
         self._closed = True
         return drained
 
@@ -322,10 +262,8 @@ class SinkIngestService:
         subscribed revocation log) and node death (the fault injector,
         :mod:`repro.faults` -- a crashed node's packets stop mid-stream
         and its memoized tables and hot-set slot must not linger).
-        No-op when caching is disabled.
         """
-        if self.cache is not None:
-            self.cache.invalidate_node(node_id)
+        self.cache.invalidate_node(node_id)
 
     def invalidate_all(self) -> None:
         """Purge every memoized table and the whole marker hot-set.
@@ -334,11 +272,9 @@ class SinkIngestService:
         cluster shard's key range changes (a peer died or joined), the
         routes it will see shift wholesale and per-node purges would have
         to enumerate the world.  Verification correctness never depends
-        on the cache, so the only cost is re-warming.  No-op when caching
-        is disabled.
+        on the cache, so the only cost is re-warming.
         """
-        if self.cache is not None:
-            self.cache.clear()
+        self.cache.clear()
 
     # Observability -----------------------------------------------------------
 
@@ -351,12 +287,11 @@ class SinkIngestService:
         return ServiceStats(
             submitted=queue_stats["offered"],
             accepted=queue_stats["accepted"],
-            dropped=queue_stats["dropped_newest"] + queue_stats["dropped_oldest"],
+            dropped=queue_stats["dropped"],
             processed=self.processed,
             batches=self.batches,
-            workers=self.pool.workers,
             queue=queue_stats,
-            cache=self.cache.stats() if self.cache is not None else None,
+            cache=self.cache.stats(),
             verify_latency=self.verify_latency.as_dict(),
         )
 
@@ -376,12 +311,10 @@ class SinkIngestService:
             value = queue_stats[name]
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 self.obs.set_gauge(f"ingest_queue_{name}", value)
-        if self.cache is not None:
-            self.cache.publish(self.obs)
+        self.cache.publish(self.obs)
 
     def __repr__(self) -> str:
         return (
             f"SinkIngestService(queue={self.queue.depth}/{self.queue.capacity}, "
-            f"processed={self.processed}, workers={self.pool.workers}, "
-            f"cache={'on' if self.cache is not None else 'off'})"
+            f"processed={self.processed})"
         )

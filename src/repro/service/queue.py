@@ -3,100 +3,54 @@
 A production sink cannot buffer unboundedly: when suspicious traffic
 arrives faster than verification drains it, something must give, and the
 operator must be able to see exactly how much gave.  The queue therefore
-has a hard capacity, a drop policy chosen at construction, and exact
-counters for every shed packet.
+has a hard capacity, sheds whole offers that would exceed it (tail drop:
+the sink keeps the oldest evidence, preserving arrival order for what it
+already accepted), and counts every shed item exactly.
 """
 
 from __future__ import annotations
 
-import enum
 import threading
 from collections import deque
 from typing import Any, Generic, TypeVar
 
-__all__ = ["DropPolicy", "IngestQueue"]
+__all__ = ["IngestQueue"]
 
 T = TypeVar("T")
 
 
-class DropPolicy(enum.Enum):
-    """What a full queue does with the next offered item.
-
-    ``DROP_NEWEST`` rejects the incoming item (tail drop): the sink keeps
-    the oldest evidence, which preserves arrival-order semantics for what
-    it has already accepted.  ``DROP_OLDEST`` evicts the head to admit the
-    newcomer: the sink tracks the freshest traffic, useful when moles are
-    expected to move and stale packets lose value.
-    """
-
-    DROP_NEWEST = "drop-newest"
-    DROP_OLDEST = "drop-oldest"
-
-
 class IngestQueue(Generic[T]):
-    """A thread-safe bounded FIFO with drop-policy backpressure.
+    """A thread-safe bounded FIFO with all-or-nothing tail drop.
 
     Args:
-        capacity: maximum queued items; offers beyond it invoke ``policy``.
-        policy: see :class:`DropPolicy`.
+        capacity: maximum queued items; an offer that would exceed it is
+            shed whole.
     """
 
-    def __init__(
-        self, capacity: int = 1024, policy: DropPolicy = DropPolicy.DROP_NEWEST
-    ):
+    def __init__(self, capacity: int = 1024):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.policy = policy
         self._items: deque[T] = deque()  # guarded-by: _lock
         self._lock = threading.Lock()
         self._closed = False  # guarded-by: _lock
         # Exact backpressure accounting.
         self.offered = 0  # guarded-by: _lock
         self.accepted = 0  # guarded-by: _lock
-        self.dropped_newest = 0  # guarded-by: _lock
-        self.dropped_oldest = 0  # guarded-by: _lock
+        self.dropped = 0  # guarded-by: _lock
         self.taken = 0  # guarded-by: _lock
         self.high_water = 0  # guarded-by: _lock
-
-    def offer(self, item: T) -> bool:
-        """Enqueue ``item``, applying the drop policy when full.
-
-        Returns:
-            True if ``item`` entered the queue (under ``DROP_OLDEST`` this
-            may have evicted the head), False if it was shed.
-
-        Raises:
-            RuntimeError: if the queue has been closed.
-        """
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("cannot offer to a closed IngestQueue")
-            self.offered += 1
-            if len(self._items) >= self.capacity:
-                if self.policy is DropPolicy.DROP_NEWEST:
-                    self.dropped_newest += 1
-                    return False
-                self._items.popleft()
-                self.dropped_oldest += 1
-            self._items.append(item)
-            self.accepted += 1
-            self.high_water = max(self.high_water, len(self._items))
-            return True
 
     def offer_all(self, items: list[T]) -> bool:
         """Atomically enqueue every item of ``items``, or none of them.
 
-        The batch form of :meth:`offer` for senders that retry whole
-        batches: under ``DROP_NEWEST`` the batch is admitted only when
-        the queue has room for all of it -- a False return guarantees
-        nothing entered the queue, so a resend cannot double-count the
-        accepted prefix.  Under ``DROP_OLDEST`` admission never fails;
-        the head is evicted as needed, exactly as per-item offers would.
+        The batch is admitted only when the queue has room for all of it:
+        a False return guarantees nothing entered the queue, so a sender
+        that retries whole batches cannot double-count an accepted prefix.
 
         Returns:
             True if every item entered the queue, False if the whole
-            batch was shed (``DROP_NEWEST`` only).
+            batch was shed.
 
         Raises:
             RuntimeError: if the queue has been closed.
@@ -105,17 +59,10 @@ class IngestQueue(Generic[T]):
             if self._closed:
                 raise RuntimeError("cannot offer to a closed IngestQueue")
             self.offered += len(items)
-            if self.policy is DropPolicy.DROP_NEWEST:
-                if len(self._items) + len(items) > self.capacity:
-                    self.dropped_newest += len(items)
-                    return False
-                self._items.extend(items)
-            else:
-                for item in items:
-                    if len(self._items) >= self.capacity:
-                        self._items.popleft()
-                        self.dropped_oldest += 1
-                    self._items.append(item)
+            if len(self._items) + len(items) > self.capacity:
+                self.dropped += len(items)
+                return False
+            self._items.extend(items)
             self.accepted += len(items)
             self.high_water = max(self.high_water, len(self._items))
             return True
@@ -139,11 +86,6 @@ class IngestQueue(Generic[T]):
             return len(self._items)
 
     @property
-    def dropped(self) -> int:
-        """Total items shed by backpressure, either policy."""
-        return self.dropped_newest + self.dropped_oldest
-
-    @property
     def closed(self) -> bool:
         return self._closed
 
@@ -158,13 +100,11 @@ class IngestQueue(Generic[T]):
             depth = len(self._items)
         return {
             "capacity": self.capacity,
-            "policy": self.policy.value,
             "depth": depth,
             "high_water": self.high_water,
             "offered": self.offered,
             "accepted": self.accepted,
-            "dropped_newest": self.dropped_newest,
-            "dropped_oldest": self.dropped_oldest,
+            "dropped": self.dropped,
             "taken": self.taken,
             "closed": self._closed,
         }
@@ -175,5 +115,5 @@ class IngestQueue(Generic[T]):
     def __repr__(self) -> str:
         return (
             f"IngestQueue(depth={self.depth}/{self.capacity}, "
-            f"policy={self.policy.value}, dropped={self.dropped})"
+            f"dropped={self.dropped})"
         )

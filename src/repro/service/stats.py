@@ -2,64 +2,17 @@
 
 Every component of the pipeline keeps its own counters; the service
 assembles them into a single :class:`ServiceStats` snapshot that renders
-to JSON for dashboards and the throughput bench.  Latencies go into a
-fixed-bucket logarithmic histogram -- constant memory no matter how many
-packets flow through, which is the point of running as a service.
+to JSON for dashboards and the throughput bench.  Per-packet verify
+latency is a :class:`repro.obs.HistogramSeries` summary (seconds).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.obs.instruments import HistogramSeries
-
-__all__ = ["LatencyHistogram", "ServiceStats"]
-
-#: Default histogram range: 1 microsecond to ~16 seconds in powers of two.
-_MIN_BUCKET = 1e-6
-_NUM_BUCKETS = 24
-
-
-class LatencyHistogram(HistogramSeries):
-    """A log-bucketed latency histogram (seconds).
-
-    The seconds-flavored face of :class:`repro.obs.HistogramSeries`: same
-    power-of-two buckets and O(1) bucket assignment, but the JSON summary
-    keeps this module's historical ``_s``-suffixed keys, so dashboards and
-    tests reading ``mean_s``/``p99_s`` are unaffected by the move.
-    """
-
-    def __init__(
-        self, min_bucket: float = _MIN_BUCKET, num_buckets: int = _NUM_BUCKETS
-    ):
-        super().__init__(min_bucket=min_bucket, num_buckets=num_buckets)
-
-    def observe(self, seconds: float, times: int = 1) -> None:
-        """Record ``times`` observations of ``seconds`` each."""
-        super().observe(seconds, times=times)
-
-    def as_dict(self) -> dict[str, Any]:
-        """Summary plus the non-empty buckets (``le_s`` upper bounds)."""
-        with self._lock:
-            counts = list(self._counts)
-            count = self.count
-        return {
-            "count": count,
-            "mean_s": self.mean,
-            "min_s": self.min if count else 0.0,
-            "max_s": self.max,
-            "p50_s": self.quantile(0.5),
-            "p90_s": self.quantile(0.9),
-            "p99_s": self.quantile(0.99),
-            "buckets": [
-                {"le_s": self._bounds[i] if i < len(self._bounds) else None,
-                 "count": c}
-                for i, c in enumerate(counts)
-                if c
-            ],
-        }
+__all__ = ["ServiceStats"]
 
 
 @dataclass(frozen=True)
@@ -69,12 +22,11 @@ class ServiceStats:
     Attributes:
         submitted: packets offered to the service.
         accepted: packets that entered the queue.
-        dropped: packets shed by backpressure (any policy).
+        dropped: packets shed by backpressure.
         processed: packets verified and merged into the sink.
         batches: number of verification batches executed.
-        workers: verification pool size (0 = serial).
         queue: the ingest queue's counters.
-        cache: the resolver cache's counters (``None`` when disabled).
+        cache: the resolver cache's counters.
         verify_latency: per-packet verification latency histogram summary.
     """
 
@@ -83,24 +35,13 @@ class ServiceStats:
     dropped: int
     processed: int
     batches: int
-    workers: int
     queue: dict[str, Any]
-    cache: dict[str, Any] | None
+    cache: dict[str, Any]
     verify_latency: dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
         """The snapshot as a JSON-ready dict."""
-        return {
-            "submitted": self.submitted,
-            "accepted": self.accepted,
-            "dropped": self.dropped,
-            "processed": self.processed,
-            "batches": self.batches,
-            "workers": self.workers,
-            "queue": self.queue,
-            "cache": self.cache,
-            "verify_latency": self.verify_latency,
-        }
+        return asdict(self)
 
     def to_json(self, indent: int | None = None) -> str:
         """The snapshot as a JSON document."""

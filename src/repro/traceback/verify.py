@@ -17,7 +17,7 @@ Two policies, selected by the scheme:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.crypto.keys import KeyStore
@@ -189,19 +189,6 @@ class PacketVerifier:
                 # bounded search should still anchor on the last *verified*
                 # marker, which prev_verified already holds.
         return result
-
-    def verify_batch(
-        self, packets: Sequence[MarkedPacket]
-    ) -> list[PacketVerification]:
-        """Verify many packets; results are returned in input order.
-
-        The entry point batch processors parallelize over: per-packet
-        verification reads only immutable state (scheme, key table,
-        provider), so distinct packets may be verified concurrently as
-        long as the resolver and ``table_factory`` tolerate concurrent
-        calls (see :mod:`repro.service`).
-        """
-        return [self.verify(packet) for packet in packets]
 
     def _table_for(
         self,

@@ -2,7 +2,7 @@
 
 Examples::
 
-    pnm-serve serve --grid-side 16 --port 7440 --workers 4
+    pnm-serve serve --grid-side 16 --port 7440
     pnm-serve smoke                   # loopback end-to-end check (CI)
 
 ``serve`` builds a PNM deployment (grid topology, per-node keys derived
@@ -36,7 +36,6 @@ def build_deployment(
     grid_side: int,
     master_secret: bytes,
     mark_prob: float = 1.0,
-    workers: int = 0,
     capacity: int = 1024,
 ) -> tuple[SinkIngestService, PNMMarking]:
     """A PNM grid deployment wrapped in an ingest service.
@@ -49,7 +48,7 @@ def build_deployment(
     topology = grid_topology(grid_side, grid_side)
     keystore = KeyStore.from_master_secret(master_secret, topology.sensor_nodes())
     sink = TracebackSink(scheme, keystore, HmacProvider(), topology)
-    service = SinkIngestService(sink, capacity=capacity, workers=workers)
+    service = SinkIngestService(sink, capacity=capacity)
     return service, scheme
 
 
@@ -70,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="pnm-serve",
         help="master secret the per-node keys derive from",
     )
-    serve.add_argument("--workers", type=int, default=0)
     serve.add_argument("--capacity", type=int, default=1024)
     serve.add_argument(
         "--retry-after-ms", type=int, default=DEFAULT_RETRY_AFTER_MS
@@ -89,7 +87,6 @@ async def _serve(args: argparse.Namespace) -> int:
         args.grid_side,
         args.master_secret.encode("utf-8"),
         mark_prob=args.mark_prob,
-        workers=args.workers,
         capacity=args.capacity,
     )
     server = SinkServer(
@@ -102,7 +99,7 @@ async def _serve(args: argparse.Namespace) -> int:
     await server.start()
     print(
         f"pnm-serve: listening on {args.host}:{server.port} "
-        f"({args.grid_side}x{args.grid_side} grid, workers={args.workers})"
+        f"({args.grid_side}x{args.grid_side} grid)"
     )
     try:
         await server.serve_forever()

@@ -15,13 +15,15 @@ queue cannot take a batch whole, the reply is an ERROR frame with code
 Admission is all-or-nothing (:meth:`SinkIngestService.submit_batch`):
 a BACKPRESSURE reply guarantees *nothing* from the batch was ingested,
 so clients may safely resend the batch verbatim -- the same
-reject-before-submit contract ``WRONG_SHARD`` rejections follow.
+reject-before-submit contract ``WRONG_SHARD`` rejections follow.  A
+batch larger than the queue's whole capacity could never be admitted, so
+it is answered ``OVERSIZED`` instead -- also before anything is
+submitted, and not worth retrying.
 
 Verification runs inline in the event loop, one batch at a time.  That
-is deliberate: the service's own :class:`~repro.service.pool.VerificationPool`
-parallelizes *within* a batch, and the sink's merge step is serial by
-contract anyway, so a second event-loop thread would buy nothing but
-reordering hazards.
+is deliberate: the pure-Python HMACs hold the GIL, and the sink's merge
+step is serial by contract anyway, so a second thread would buy nothing
+but reordering hazards.
 """
 
 from __future__ import annotations
@@ -342,6 +344,20 @@ class SinkServer:
                     ),
                 )
                 return
+        if len(batch.packets) > self.service.queue.capacity:
+            self.batches_rejected += 1
+            await self._send_error(
+                writer,
+                WireErrorInfo(
+                    code=ErrorCode.OVERSIZED,
+                    message=(
+                        f"batch of {len(batch.packets)} packets exceeds the "
+                        f"ingest queue capacity {self.service.queue.capacity}; "
+                        "split it"
+                    ),
+                ),
+            )
+            return
         tracer = self.obs.tracer
         if tracer is not None:
             for packet in batch.packets:

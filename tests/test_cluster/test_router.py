@@ -17,7 +17,12 @@ from repro.marking.pnm import PNMMarking
 from repro.service import SinkIngestService
 from repro.traceback.sink import TracebackSink
 from repro.wire.client import SinkClient
-from repro.wire.errors import BackpressureError, WrongShardError
+from repro.wire.errors import (
+    BackpressureError,
+    ErrorCode,
+    RemoteError,
+    WrongShardError,
+)
 from repro.wire.server import SinkServer
 
 GRID_SIDE = 10
@@ -71,9 +76,11 @@ class TestBackpressure:
 
         async def scenario():
             sink = make_sink(workload)
-            # Capacity below the batch size: every send is shed, so the
-            # router must exhaust its retries and surface the error.
-            with SinkIngestService(sink, capacity=2, workers=0) as service:
+            # One slot stays occupied and nothing drains: every send is
+            # shed, so the router must exhaust its retries and surface
+            # the error.
+            with SinkIngestService(sink, capacity=len(packets)) as service:
+                service.submit(packets[0], 1)
                 async with SinkServer(
                     service, FMT, retry_after_ms=1
                 ) as server:
@@ -97,8 +104,44 @@ class TestBackpressure:
         stats, received = asyncio.run(scenario())
         assert stats["backpressure_retries"] == 2
         # Atomic admission: every rejected attempt ingested nothing, so
-        # the retries did not double-count an accepted prefix.
-        assert received == 0
+        # the retries did not double-count an accepted prefix; only the
+        # packet that occupied the slot was ingested.
+        assert received == 1
+
+    def test_oversized_batch_fails_fast_without_retries(self):
+        """A batch larger than the shard's whole queue can never be
+        admitted, so the shard answers OVERSIZED and the router raises it
+        at once instead of sleeping through its backpressure retries."""
+        topology, keystore, batches, _sources = build_cluster_workload(
+            8, 16, sources=1, batch_size=16
+        )
+        packets, delivering = batches[0]
+        assert len(packets) == 16
+
+        async def scenario():
+            async with LocalCluster(
+                make_sink_factory(topology, keystore),
+                FMT,
+                [0],
+                service_kwargs={"capacity": 8},
+            ) as cluster:
+                with pytest.raises(RemoteError) as excinfo:
+                    await cluster.router.send_batch(packets, delivering)
+                handle = cluster.handles[0]
+                return (
+                    excinfo.value,
+                    cluster.router.backpressure_retries,
+                    handle.server.stats(),
+                    handle.service.stats(),
+                )
+
+        error, retries, server_stats, service_stats = asyncio.run(scenario())
+        assert error.error_code is ErrorCode.OVERSIZED
+        assert not isinstance(error, BackpressureError)
+        assert retries == 0
+        assert server_stats["batches_rejected"] == 1
+        assert server_stats["packets_shed"] == 0
+        assert service_stats.submitted == 0
 
     def test_retry_after_drain_ingests_exactly_once(self, workload):
         """The double-ingest regression the atomic admission fix closes.
@@ -113,9 +156,7 @@ class TestBackpressure:
 
         async def scenario():
             sink = make_sink(workload)
-            with SinkIngestService(
-                sink, capacity=len(packets), workers=0
-            ) as service:
+            with SinkIngestService(sink, capacity=len(packets)) as service:
                 service.submit(packets[0], 1)  # occupy one slot
                 async with SinkServer(
                     service, FMT, retry_after_ms=20

@@ -1,12 +1,17 @@
 """Property: the ingest service is observationally identical to the sink.
 
 For any packet stream — arbitrary path lengths, arbitrary per-packet mark
-tampering — feeding the packets through ``SinkIngestService`` (with the
-resolver cache and with or without a parallel verification pool) must
-produce byte-identical results to calling ``TracebackSink.receive``
-serially: same ``TracebackVerdict``, same precedence edge set, same
-per-packet accounting.  This is the contract that makes the service a
-drop-in replacement rather than an approximation.
+tampering — feeding the packets through ``SinkIngestService`` (with its
+resolver cache) must produce byte-identical results to calling
+``TracebackSink.receive`` serially: same ``TracebackVerdict``, same
+precedence edge set, same per-packet accounting.  This is the contract
+that makes the service a drop-in replacement rather than an
+approximation.
+
+Under backpressure the contract narrows to what was admitted: a queue
+smaller than the stream sheds whole batches, and the service must equal
+a serial sink fed exactly the accepted batches, with every shed packet
+counted.
 """
 
 from hypothesis import given, settings
@@ -64,10 +69,32 @@ def packet_streams(draw):
     return topology, store, packets, n_forwarders
 
 
+@st.composite
+def backpressured_schedules(draw):
+    """A stream cut into batches, a queue smaller than the stream, and
+    how many packets to process after each batch (``None``: all)."""
+    topology, store, packets, n_forwarders = draw(packet_streams())
+    capacity = draw(st.integers(min_value=1, max_value=max(1, len(packets) - 1)))
+    batches = []
+    start = 0
+    while start < len(packets):
+        size = draw(st.integers(min_value=1, max_value=len(packets) - start))
+        batches.append(packets[start : start + size])
+        start += size
+    drains = draw(
+        st.lists(
+            st.one_of(st.none(), st.integers(min_value=0, max_value=capacity)),
+            min_size=len(batches),
+            max_size=len(batches),
+        )
+    )
+    return topology, store, batches, drains, capacity, n_forwarders
+
+
 class TestServiceEquivalence:
-    @given(scenario=packet_streams(), workers=st.sampled_from([0, 2]))
+    @given(scenario=packet_streams())
     @settings(max_examples=25, deadline=None)
-    def test_service_matches_serial_sink(self, scenario, workers):
+    def test_service_matches_serial_sink(self, scenario):
         topology, store, packets, n_forwarders = scenario
         delivering = n_forwarders
 
@@ -76,9 +103,7 @@ class TestServiceEquivalence:
             serial.receive(packet, delivering)
 
         sink = TracebackSink(SCHEME, store, PROVIDER, topology)
-        service = SinkIngestService(
-            sink, capacity=len(packets), workers=workers, chunk_size=2
-        )
+        service = SinkIngestService(sink, capacity=len(packets))
         try:
             for packet in packets:
                 assert service.submit(packet, delivering)
@@ -94,3 +119,38 @@ class TestServiceEquivalence:
         assert sink.tampered_packets == serial.tampered_packets
         assert sink.chains_with_marks == serial.chains_with_marks
         assert service.stats().processed == len(packets)
+
+    @given(schedule=backpressured_schedules())
+    @settings(max_examples=25, deadline=None)
+    def test_backpressure_matches_sink_fed_accepted_batches(self, schedule):
+        topology, store, batches, drains, capacity, delivering = schedule
+
+        sink = TracebackSink(SCHEME, store, PROVIDER, topology)
+        service = SinkIngestService(sink, capacity=capacity)
+        accepted = []
+        rejected = 0
+        try:
+            for batch, drain in zip(batches, drains, strict=True):
+                if service.submit_batch(batch, delivering):
+                    accepted.append(batch)
+                else:
+                    rejected += len(batch)
+                service.process_batch(drain)
+            verdict = service.verdict()
+        finally:
+            service.close()
+
+        serial = TracebackSink(SCHEME, store, PROVIDER, topology)
+        for batch in accepted:
+            for packet in batch:
+                serial.receive(packet, delivering)
+
+        assert verdict == serial.verdict()
+        assert set(sink.precedence.to_networkx().edges) == set(
+            serial.precedence.to_networkx().edges
+        )
+        assert sink.packets_received == serial.packets_received
+        assert sink.tampered_packets == serial.tampered_packets
+        stats = service.stats()
+        assert stats.dropped == rejected
+        assert stats.processed == sum(len(batch) for batch in accepted)

@@ -10,10 +10,12 @@ from repro.crypto.mac import HmacProvider
 from repro.isolation import RevocationList
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import linear_path_topology
+from repro.obs.profiling import ObsProvider
+from repro.obs.spans import Tracer
 from repro.packets.packet import MarkedPacket
 from repro.packets.report import Report
 from repro.routing.tree import build_routing_tree
-from repro.service import DropPolicy, SinkIngestService
+from repro.service import SinkIngestService
 from repro.sim.behaviors import HonestForwarder
 from repro.sim.network import NetworkSimulation
 from repro.sim.sources import BogusReportSource
@@ -59,8 +61,7 @@ def make_sink(deployment):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_verdicts_match_serial_sink(self, deployment, workers):
+    def test_verdicts_match_serial_sink(self, deployment):
         packets = stream(deployment[1], 12, tamper_indices={3, 7})
         delivering = N_FORWARDERS
 
@@ -69,7 +70,7 @@ class TestEquivalence:
             serial.receive(packet, delivering)
 
         sink = make_sink(deployment)
-        service = SinkIngestService(sink, capacity=64, workers=workers)
+        service = SinkIngestService(sink, capacity=64)
         try:
             for packet in packets:
                 assert service.submit(packet, delivering)
@@ -82,17 +83,6 @@ class TestEquivalence:
         assert sink.packets_received == serial.packets_received
         assert sink.tampered_packets == serial.tampered_packets
         assert sink.chains_with_marks == serial.chains_with_marks
-
-    def test_cache_disabled_still_matches(self, deployment):
-        packets = stream(deployment[1], 6)
-        serial = make_sink(deployment)
-        sink = make_sink(deployment)
-        service = SinkIngestService(sink, enable_cache=False)
-        for packet in packets:
-            serial.receive(packet, N_FORWARDERS)
-            service.submit(packet, N_FORWARDERS)
-        assert service.verdict() == serial.verdict()
-        assert service.cache is None
 
     def test_cache_actually_engages(self, deployment):
         packets = stream(deployment[1], 8)
@@ -116,23 +106,11 @@ class TestBackpressure:
         assert outcomes == [True] * 3 + [False] * 5
         stats = service.stats()
         assert stats.dropped == 5
-        assert stats.queue["dropped_newest"] == 5
+        assert stats.queue["dropped"] == 5
         assert service.flush() == 3
         assert service.sink.packets_received == 3
         # The three oldest packets survived (arrival order preserved).
         assert service.sink.packets_received == service.stats().processed
-
-    def test_drop_oldest_keeps_freshest(self, deployment):
-        service = SinkIngestService(
-            make_sink(deployment),
-            capacity=3,
-            drop_policy=DropPolicy.DROP_OLDEST,
-        )
-        packets = stream(deployment[1], 8)
-        assert all(service.submit(p, N_FORWARDERS) for p in packets)
-        stats = service.stats()
-        assert stats.queue["dropped_oldest"] == 5
-        assert service.flush() == 3
 
     def test_queue_depth_visible_in_stats(self, deployment):
         service = SinkIngestService(make_sink(deployment), capacity=10)
@@ -188,7 +166,7 @@ class TestObservability:
         assert payload["queue"]["capacity"] == 8
         assert payload["cache"]["hot_size"] == N_FORWARDERS
         assert payload["verify_latency"]["count"] == 4
-        assert payload["verify_latency"]["mean_s"] > 0
+        assert payload["verify_latency"]["mean"] > 0
 
     def test_latency_histogram_percentiles(self, deployment):
         service = SinkIngestService(make_sink(deployment))
@@ -198,6 +176,23 @@ class TestObservability:
         latency = service.verify_latency
         assert latency.count == 6
         assert 0 < latency.quantile(0.5) <= latency.quantile(0.99)
+
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_duplicate_submissions_each_get_a_queue_span(self, deployment, drain):
+        """A report queued twice before the first copy is taken keeps one
+        open ``queue`` span per copy, and every one of them is finished."""
+        tracer = Tracer()
+        service = SinkIngestService(
+            make_sink(deployment), obs=ObsProvider(tracer=tracer)
+        )
+        first, second = stream(deployment[1], 2)
+        for packet in (first, first, second):
+            assert service.submit(packet, N_FORWARDERS)
+        service.close(drain=drain)
+        assert service.sink.packets_received == (3 if drain else 0)
+        queue_spans = [s for s in tracer.finished if s.name == "queue"]
+        assert len(queue_spans) == 3
+        assert all(s.attrs.get("dropped", False) is not drain for s in queue_spans)
 
 
 class TestRevocationInvalidation:
@@ -231,11 +226,6 @@ class TestFaultInvalidation:
         assert service.cache.stats()["tables_cached"] == 0
         assert service.cache.invalidations == 1
         assert service.stats().cache["invalidations"] == 1
-
-    def test_invalidate_node_without_cache_is_noop(self, deployment):
-        service = SinkIngestService(make_sink(deployment), enable_cache=False)
-        service.invalidate_node(3)  # no raise
-        assert service.cache is None
 
     def test_crash_mid_stream_keeps_verdict_equal_to_serial(self, deployment):
         """Regression: a node crashing mid-run (fault injector calls

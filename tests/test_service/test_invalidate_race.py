@@ -3,9 +3,9 @@
 The cache is an accelerator, not an oracle: the verifier's exhaustive
 fallback guarantees a purged hot-set or table memo only costs re-warming.
 These tests exercise the claim under real concurrency -- an invalidator
-thread hammering :meth:`SinkIngestService.invalidate_node` while a
-parallel verification pool drains the stream -- and pin the service's
-verdict to a serial, cache-free reference sink.
+thread hammering :meth:`SinkIngestService.invalidate_node` while the
+service drains the stream -- and pin the service's verdict to a serial,
+cache-free reference sink.
 """
 
 import threading
@@ -63,11 +63,11 @@ def serial_verdict(deployment, packets):
     return sink.verdict()
 
 
-def drain_with_invalidator(deployment, packets, workers):
+def drain_with_invalidator(deployment, packets):
     """Drain ``packets`` while a thread purges every node's cached state.
 
     The invalidator cycles through all forwarder IDs continuously until
-    the drain finishes, so purges land during pool verification, between
+    the drain finishes, so purges land during verification, between
     batches, and mid-hot-set-warmup -- every window the pipeline has.
     """
     topology, store = deployment
@@ -75,9 +75,7 @@ def drain_with_invalidator(deployment, packets, workers):
     stop = threading.Event()
     purges = 0
 
-    with SinkIngestService(
-        sink, capacity=len(packets), workers=workers, chunk_size=4
-    ) as service:
+    with SinkIngestService(sink, capacity=len(packets)) as service:
 
         def invalidator():
             nonlocal purges
@@ -107,22 +105,20 @@ def drain_with_invalidator(deployment, packets, workers):
 
 
 class TestInvalidateRace:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_honest_stream_verdict_unchanged(self, deployment, workers):
+    def test_honest_stream_verdict_unchanged(self, deployment):
         _topology, store = deployment
         packets = stream(store, PACKETS)
         reference = serial_verdict(deployment, packets)
 
         verdict, purges, cache_stats = drain_with_invalidator(
-            deployment, packets, workers
+            deployment, packets
         )
         assert purges > 0  # the race actually happened
         assert cache_stats["invalidations"] == purges
         assert verdict == reference
         assert verdict.packets_used == PACKETS
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_tampered_stream_verdict_unchanged(self, deployment, workers):
+    def test_tampered_stream_verdict_unchanged(self, deployment):
         _topology, store = deployment
         tampered = set(range(0, PACKETS, 5))
         packets = stream(store, PACKETS, tamper_indices=tampered)
@@ -130,7 +126,7 @@ class TestInvalidateRace:
         assert reference.identified  # the tamper evidence is real
 
         verdict, purges, _stats = drain_with_invalidator(
-            deployment, packets, workers
+            deployment, packets
         )
         assert purges > 0
         assert verdict == reference
@@ -142,7 +138,7 @@ class TestInvalidateRace:
         reference = serial_verdict(deployment, packets)
 
         sink = TracebackSink(SCHEME, store, PROVIDER, topology)
-        with SinkIngestService(sink, capacity=16, workers=0) as service:
+        with SinkIngestService(sink, capacity=16) as service:
             for index, packet in enumerate(packets):
                 assert service.submit(packet, N_FORWARDERS)
                 service.process_batch()

@@ -1,21 +1,21 @@
-"""IngestQueue: bounded capacity, drop policies, exact backpressure counters."""
+"""IngestQueue: bounded capacity, all-or-nothing tail drop, exact counters."""
 
 import pytest
 
-from repro.service import DropPolicy, IngestQueue
+from repro.service import IngestQueue
 
 
 class TestBasics:
     def test_fifo_order(self):
         queue = IngestQueue(capacity=10)
         for item in ["a", "b", "c"]:
-            assert queue.offer(item)
+            assert queue.offer_all([item])
         assert queue.take() == ["a", "b", "c"]
 
     def test_take_max_items(self):
         queue = IngestQueue(capacity=10)
         for item in range(5):
-            queue.offer(item)
+            queue.offer_all([item])
         assert queue.take(2) == [0, 1]
         assert queue.depth == 3
         assert queue.take() == [2, 3, 4]
@@ -33,58 +33,38 @@ class TestBasics:
 
 
 class TestDropNewest:
+    """Tail drop: a full queue sheds the incoming offer, never its head."""
+
     def test_full_queue_rejects_offer(self):
-        queue = IngestQueue(capacity=4, policy=DropPolicy.DROP_NEWEST)
-        results = [queue.offer(i) for i in range(10)]
+        queue = IngestQueue(capacity=4)
+        results = [queue.offer_all([i]) for i in range(10)]
         assert results == [True] * 4 + [False] * 6
         # The oldest four survive.
         assert queue.take() == [0, 1, 2, 3]
 
     def test_exact_counters(self):
-        queue = IngestQueue(capacity=4, policy=DropPolicy.DROP_NEWEST)
+        queue = IngestQueue(capacity=4)
         for i in range(10):
-            queue.offer(i)
+            queue.offer_all([i])
         assert queue.offered == 10
         assert queue.accepted == 4
-        assert queue.dropped_newest == 6
-        assert queue.dropped_oldest == 0
         assert queue.dropped == 6
         assert queue.depth == 4
         assert queue.high_water == 4
 
     def test_drains_then_accepts_again(self):
-        queue = IngestQueue(capacity=2, policy=DropPolicy.DROP_NEWEST)
-        queue.offer(1)
-        queue.offer(2)
-        assert not queue.offer(3)
+        queue = IngestQueue(capacity=2)
+        queue.offer_all([1])
+        queue.offer_all([2])
+        assert not queue.offer_all([3])
         queue.take()
-        assert queue.offer(4)
+        assert queue.offer_all([4])
         assert queue.take() == [4]
-
-
-class TestDropOldest:
-    def test_full_queue_evicts_head(self):
-        queue = IngestQueue(capacity=4, policy=DropPolicy.DROP_OLDEST)
-        results = [queue.offer(i) for i in range(10)]
-        assert all(results)  # the offered item always enters
-        # The newest four survive.
-        assert queue.take() == [6, 7, 8, 9]
-
-    def test_exact_counters(self):
-        queue = IngestQueue(capacity=4, policy=DropPolicy.DROP_OLDEST)
-        for i in range(10):
-            queue.offer(i)
-        assert queue.offered == 10
-        assert queue.accepted == 10
-        assert queue.dropped_oldest == 6
-        assert queue.dropped_newest == 0
-        assert queue.dropped == 6
-        assert queue.depth == 4
 
 
 class TestOfferAll:
     def test_drop_newest_is_all_or_nothing(self):
-        queue = IngestQueue(capacity=4, policy=DropPolicy.DROP_NEWEST)
+        queue = IngestQueue(capacity=4)
         assert queue.offer_all([0, 1, 2])
         # Room for one more item, but not for the whole batch: nothing
         # from the batch may enter, or a retrying sender double-counts
@@ -95,22 +75,13 @@ class TestOfferAll:
         assert queue.take() == [3, 4]
 
     def test_drop_newest_rejection_counts_whole_batch(self):
-        queue = IngestQueue(capacity=2, policy=DropPolicy.DROP_NEWEST)
-        queue.offer(0)
+        queue = IngestQueue(capacity=2)
+        queue.offer_all([0])
         assert not queue.offer_all([1, 2, 3])
         assert queue.offered == 4
         assert queue.accepted == 1
-        assert queue.dropped_newest == 3
+        assert queue.dropped == 3
         assert queue.depth == 1
-
-    def test_drop_oldest_always_admits_evicting_heads(self):
-        queue = IngestQueue(capacity=3, policy=DropPolicy.DROP_OLDEST)
-        queue.offer(0)
-        queue.offer(1)
-        assert queue.offer_all([2, 3, 4])
-        assert queue.take() == [2, 3, 4]
-        assert queue.dropped_oldest == 2
-        assert queue.accepted == 5
 
     def test_empty_batch_is_a_noop(self):
         queue = IngestQueue(capacity=1)
@@ -134,27 +105,28 @@ class TestOfferAll:
 class TestLifecycle:
     def test_close_rejects_offers_but_allows_take(self):
         queue = IngestQueue(capacity=4)
-        queue.offer("x")
+        queue.offer_all(["x"])
         queue.close()
         assert queue.closed
         with pytest.raises(RuntimeError):
-            queue.offer("y")
+            queue.offer_all(["y"])
         assert queue.take() == ["x"]
 
     def test_high_water_tracks_peak_not_current(self):
         queue = IngestQueue(capacity=10)
         for i in range(7):
-            queue.offer(i)
+            queue.offer_all([i])
         queue.take()
         assert queue.depth == 0
         assert queue.high_water == 7
 
     def test_stats_dict(self):
-        queue = IngestQueue(capacity=3, policy=DropPolicy.DROP_OLDEST)
-        queue.offer(1)
+        queue = IngestQueue(capacity=3)
+        queue.offer_all([1])
+        assert not queue.offer_all([2, 3, 4])
         stats = queue.stats()
         assert stats["capacity"] == 3
-        assert stats["policy"] == "drop-oldest"
         assert stats["depth"] == 1
-        assert stats["offered"] == 1
+        assert stats["offered"] == 4
+        assert stats["dropped"] == 3
         assert not stats["closed"]

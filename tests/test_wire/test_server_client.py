@@ -42,7 +42,7 @@ def make_service(workload, capacity: int | None = None) -> SinkIngestService:
         PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
     )
     return SinkIngestService(
-        sink, capacity=len(stream) if capacity is None else capacity, workers=0
+        sink, capacity=len(stream) if capacity is None else capacity
     )
 
 
@@ -123,7 +123,9 @@ class TestBackpressure:
         _topology, _keystore, stream, delivering = workload
 
         async def scenario():
-            with make_service(workload, capacity=2) as service:
+            with make_service(workload) as service:
+                # Occupy one queue slot so the full batch cannot fit.
+                service.submit(stream[0], delivering)
                 server = SinkServer(service, FMT, retry_after_ms=123)
                 async with server:
                     async with SinkClient("127.0.0.1", server.port) as client:
@@ -150,7 +152,9 @@ class TestBackpressure:
         _topology, _keystore, stream, delivering = workload
 
         async def scenario():
-            with make_service(workload, capacity=2) as service:
+            with make_service(workload) as service:
+                # Occupy one queue slot so the full batch cannot fit.
+                service.submit(stream[0], delivering)
                 async with SinkServer(service, FMT) as server:
                     async with SinkClient("127.0.0.1", server.port) as client:
                         with pytest.raises(BackpressureError):
@@ -161,8 +165,9 @@ class TestBackpressure:
                 return depth, service.sink.packets_received
 
         depth, received = asyncio.run(scenario())
-        assert depth == 0
-        assert received == 0
+        # Only the slot-occupying packet: nothing from the batch entered.
+        assert depth == 1
+        assert received == 1
 
     def test_verbatim_resend_after_drain_counts_once(self, workload):
         """The retry contract end to end: reject, drain, resend, no dupes."""

@@ -42,7 +42,7 @@ def make_service(workload) -> SinkIngestService:
     sink = TracebackSink(
         PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
     )
-    return SinkIngestService(sink, capacity=len(stream), workers=0)
+    return SinkIngestService(sink, capacity=len(stream))
 
 
 def sample_evidence(delivering: int | None = 7) -> SinkEvidence:
