@@ -1,6 +1,6 @@
 # Convenience targets for the PNM reproduction.
 
-.PHONY: install test lint loc bench bench-check experiments experiments-full faults algebraic watchdog obs serve-smoke cluster-smoke telemetry-smoke examples clean
+.PHONY: install test lint loc bench bench-check experiments experiments-full faults algebraic watchdog obs smoke examples clean
 
 install:
 	pip install -e .
@@ -54,21 +54,12 @@ obs:
 	python -m repro.experiments.cli service-sweep --preset ci --obs-dir obs-artifacts
 	python -m repro.obs report obs-artifacts
 
-# Loopback wire-protocol check: server + client + verdict parity
-# against an in-process sink (docs/wire.md).
-serve-smoke:
-	python -m repro.wire smoke
-
-# Sharded cluster check: 2 shards + coordinator merge, verdict and
-# report byte-identical to a single sink (docs/cluster.md).
-cluster-smoke:
+# Networked-tier check: a bare and a telemetry-attached 2-shard loopback
+# cluster must each merge to a verdict and report byte-identical to one
+# in-process sink, the federated snapshot must cover every shard, and no
+# shard may be failed over (docs/cluster.md).
+smoke:
 	python -m repro.cluster smoke
-
-# Telemetry federation check: 2-shard cluster with per-shard registries;
-# the federated snapshot must cover every shard and the verdict must be
-# byte-identical to a telemetry-disabled run (docs/observability.md).
-telemetry-smoke:
-	python -m repro.cluster telemetry-smoke
 
 examples:
 	python examples/quickstart.py

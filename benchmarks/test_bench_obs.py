@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.crypto.mac import HmacProvider
-from repro.experiments.service_sweep import build_workload
+from repro.experiments.cluster_sweep import build_cluster_workload
 from repro.marking.pnm import PNMMarking
 from repro.obs import NOOP, ObsProvider, Tracer, federate_snapshots
 from repro.traceback.sink import TracebackSink
@@ -32,7 +32,14 @@ MAX_OVERHEAD = 1.15
 
 @pytest.fixture(scope="module")
 def workload():
-    return build_workload(GRID_SIDE, PACKETS)
+    topology, keystore, [(stream, delivering)], _ = build_cluster_workload(
+        GRID_SIDE,
+        PACKETS,
+        sources=1,
+        batch_size=PACKETS,
+        master_secret=b"service-sweep",
+    )
+    return topology, keystore, stream, delivering
 
 
 def run_sink(workload, obs) -> float:

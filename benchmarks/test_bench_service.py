@@ -12,11 +12,9 @@ import time
 
 import pytest
 
-from repro.experiments.service_sweep import build_workload
+from repro.experiments.cluster_sweep import build_cluster_workload, make_sink_factory
 from repro.service import SinkIngestService
 from repro.traceback.sink import TracebackSink
-from repro.crypto.mac import HmacProvider
-from repro.marking.pnm import PNMMarking
 
 GRID_SIDE = 20
 PACKETS = 150
@@ -24,14 +22,19 @@ PACKETS = 150
 
 @pytest.fixture(scope="module")
 def workload():
-    return build_workload(GRID_SIDE, PACKETS)
+    topology, keystore, [(stream, delivering)], _ = build_cluster_workload(
+        GRID_SIDE,
+        PACKETS,
+        sources=1,
+        batch_size=PACKETS,
+        master_secret=b"service-sweep",
+    )
+    return topology, keystore, stream, delivering
 
 
 def make_sink(workload) -> TracebackSink:
     topology, keystore, _stream, _delivering = workload
-    return TracebackSink(
-        PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
-    )
+    return make_sink_factory(topology, keystore)()
 
 
 def run_serial(workload) -> TracebackSink:

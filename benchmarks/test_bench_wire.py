@@ -16,11 +16,10 @@ import time
 
 import pytest
 
-from repro.experiments.service_sweep import build_workload
+from repro.experiments.cluster_sweep import build_cluster_workload, make_sink_factory
 from repro.marking.pnm import PNMMarking
 from repro.service import SinkIngestService
 from repro.traceback.sink import TracebackSink
-from repro.crypto.mac import HmacProvider
 from repro.wire.codec import decode_packet, encode_packet
 from repro.wire.frames import FrameType, decode_frame, encode_frame
 from repro.wire.loopback import run_loopback
@@ -34,14 +33,19 @@ MIN_WIRE_RATIO = 0.5
 
 @pytest.fixture(scope="module")
 def workload():
-    return build_workload(GRID_SIDE, PACKETS)
+    topology, keystore, [(stream, delivering)], _ = build_cluster_workload(
+        GRID_SIDE,
+        PACKETS,
+        sources=1,
+        batch_size=PACKETS,
+        master_secret=b"service-sweep",
+    )
+    return topology, keystore, stream, delivering
 
 
 def make_service(workload) -> SinkIngestService:
     topology, keystore, stream, _delivering = workload
-    sink = TracebackSink(
-        PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
-    )
+    sink = make_sink_factory(topology, keystore)()
     return SinkIngestService(sink, capacity=len(stream))
 
 
@@ -65,9 +69,7 @@ def run_in_process(workload) -> TracebackSink:
 def run_wire(workload) -> TracebackSink:
     fmt = PNMMarking(mark_prob=1.0).fmt
     with make_service(workload) as service:
-        result = run_loopback(
-            service, fmt, batches_of(workload), ping=False, pipelined=True
-        )
+        result = run_loopback(service, fmt, batches_of(workload), ping=False)
         assert result.final_verdict is not None
         return service.sink
 

@@ -37,7 +37,6 @@ from repro.cluster.harness import (
     JournalEntry,
     LocalCluster,
     ShardHandle,
-    drive_cluster,
     run_cluster,
 )
 from repro.cluster.ring import (
@@ -64,6 +63,5 @@ __all__ = [
     "JournalEntry",
     "LocalCluster",
     "ClusterResult",
-    "drive_cluster",
     "run_cluster",
 ]

@@ -1,26 +1,24 @@
-"""``pnm-cluster``: run (or smoke-test) the sharded sink cluster.
+"""``pnm-cluster``: serve, smoke-test or poll the sharded sink cluster.
 
 Examples::
 
     pnm-cluster serve --shards 4 --port 7450 --grid-side 16
-    pnm-cluster smoke                  # 2-shard loopback vs single sink
+    pnm-cluster serve --shards 1       # the single-sink server
+    pnm-cluster smoke                  # loopback clusters vs single sink
     pnm-cluster status --port 7450 --shards 4
-    pnm-cluster telemetry-smoke        # federation covers every shard
 
 ``serve`` builds one PNM deployment (grid topology, keys derived from
 ``--master-secret``) and serves ``--shards`` sink shards on consecutive
 TCP ports, each owning its :class:`~repro.cluster.ring.ShardRing` slice,
-until interrupted.  ``smoke`` proves the cluster invariant in one
-process: it drives the same interleaved multi-source stream through a
-2-shard loopback cluster and through a plain in-process
-:class:`~repro.traceback.sink.TracebackSink`, and exits 0 iff the merged
-verdict and accusation report are byte-identical to the single sink's
-(canonical JSON).  ``status`` polls a live cluster's TELEMETRY frames,
-federates the snapshots and prints the paper-metric SLO view
-(docs/observability.md); ``telemetry-smoke`` runs a 2-shard loopback
-cluster with per-shard registries and exits 0 iff the federated snapshot
-carries every shard label *and* the verdict is byte-identical to a
-telemetry-disabled run.
+until interrupted.  ``smoke`` proves the networked tier in one process:
+it drives the same interleaved multi-source stream through a bare
+loopback cluster, a cluster with per-shard telemetry, and a plain
+in-process :class:`~repro.traceback.sink.TracebackSink`, and exits 0 iff
+both clusters' merged verdict and accusation report are byte-identical
+to the single sink's (canonical JSON), the federated snapshot carries
+every shard label, and no shard was failed over.  ``status`` polls a
+live cluster's TELEMETRY frames, federates the snapshots and prints the
+paper-metric SLO view (docs/observability.md).
 """
 
 from __future__ import annotations
@@ -29,22 +27,27 @@ import argparse
 import asyncio
 import json
 import sys
+from collections.abc import Callable
 
 from repro.cluster.coordinator import (
     ClusterCoordinator,
     report_json,
     verdict_json,
 )
-from repro.cluster.harness import run_cluster
+from repro.cluster.harness import ClusterResult, run_cluster
 from repro.cluster.ring import ShardRing, region_shard_key, report_shard_key
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import HmacProvider
+from repro.experiments.cluster_sweep import (
+    build_cluster_workload,
+    make_sink_factory,
+)
 from repro.faults.attribution import DropAttribution, build_accusation_report
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import grid_topology
 from repro.obs.profiling import ObsProvider
+from repro.obs.spans import Tracer
 from repro.obs.telemetry import (
-    SHARD_LABEL,
     compute_cluster_slo,
     federate_snapshots,
     format_status,
@@ -84,7 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     smoke = sub.add_parser(
         "smoke",
-        help="2-shard loopback vs single sink; exit 0 iff byte-identical",
+        help=(
+            "bare and telemetry-attached loopback clusters vs one sink; "
+            "exit 0 iff byte-identical, every shard reports, no failover"
+        ),
     )
     # Grid 10 with 4 source regions splits traffic 16/16 across the two
     # default shards (sha256 placement is deterministic), so the smoke
@@ -109,17 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit the SLO payload as canonical JSON",
     )
 
-    tsmoke = sub.add_parser(
-        "telemetry-smoke",
-        help=(
-            "2-shard loopback with per-shard registries; exit 0 iff the "
-            "federated snapshot covers every shard AND the verdict is "
-            "byte-identical to a telemetry-disabled run"
-        ),
-    )
-    tsmoke.add_argument("--grid-side", type=int, default=10)
-    tsmoke.add_argument("--packets", type=int, default=32)
-    tsmoke.add_argument("--shards", type=int, default=2)
     return parser
 
 
@@ -184,64 +179,98 @@ async def _serve(args: argparse.Namespace) -> int:
 
 
 def _smoke(args: argparse.Namespace) -> int:
-    # Local import: experiments depend on cluster (cluster_sweep), so the
-    # CLI pulls the workload builder lazily to keep imports acyclic.
-    from repro.experiments.cluster_sweep import (
-        build_cluster_workload,
-        make_sink_factory,
-    )
-
     topology, keystore, batches, _sources = build_cluster_workload(
         args.grid_side, args.packets, sources=4
     )
-    scheme = PNMMarking(mark_prob=1.0)
+    sink_factory = make_sink_factory(topology, keystore)
     attribution = DropAttribution()
+    coordinator = ClusterCoordinator(topology)
 
     # Reference: one plain in-process sink fed the identical stream.
-    reference = TracebackSink(scheme, keystore, HmacProvider(), topology)
+    reference = sink_factory()
     for chunk, delivering in batches:
         for packet in chunk:
             reference.receive(packet, delivering)
-    expected_verdict = verdict_json(reference.verdict())
-    expected_report = report_json(
-        build_accusation_report(
-            verdict=None,
-            tampered_packets=reference.tampered_packets,
-            topology=topology,
-            attribution=attribution,
-            moles=frozenset(),
+    expected = (
+        verdict_json(reference.verdict()),
+        report_json(
+            build_accusation_report(
+                verdict=None,
+                tampered_packets=reference.tampered_packets,
+                topology=topology,
+                attribution=attribution,
+                moles=frozenset(),
+            )
+        ),
+    )
+
+    def cluster(
+        shard_obs_factory: Callable[[int], ObsProvider] | None = None,
+    ) -> ClusterResult:
+        return run_cluster(
+            sink_factory,
+            PNMMarking(mark_prob=1.0).fmt,
+            topology,
+            batches,
+            shard_ids=range(args.shards),
+            shard_key=region_shard_key(cell_size=1.0),
+            shard_obs_factory=shard_obs_factory,
         )
-    )
 
-    result = run_cluster(
-        make_sink_factory(topology, keystore),
-        scheme.fmt,
-        topology,
-        batches,
-        shard_ids=range(args.shards),
-        shard_key=region_shard_key(cell_size=1.0),
-    )
-    coordinator = ClusterCoordinator(topology)
-    got_verdict = verdict_json(result.verdict)
-    got_report = report_json(
-        coordinator.accusation(result.evidence, attribution)
-    )
+    # Same schedule twice: bare, then with a per-shard provider (own
+    # registry, own tracer with a shard-unique span-id prefix).
+    runs = {
+        "bare": cluster(),
+        "observed": cluster(
+            lambda sid: ObsProvider(tracer=Tracer(id_prefix=f"sh{sid}-"))
+        ),
+    }
+    failures = []
+    for name, result in runs.items():
+        got = (
+            verdict_json(result.verdict),
+            report_json(coordinator.accusation(result.evidence, attribution)),
+        )
+        if got != expected:
+            failures.append(
+                f"{name} cluster diverged from the single sink: "
+                f"verdict {got[0]} vs {expected[0]}, "
+                f"report {got[1]} vs {expected[1]}"
+            )
+        # collect() PINGs every shard; a shard that missed it was failed
+        # over and its journal replayed, which still merges to the right
+        # verdict, so only these counters show it.
+        churn = {
+            "failovers": result.stats["router"]["failovers"],
+            "shards_lost": result.stats["shards_lost"],
+            "replayed_batches": result.stats["replayed_batches"],
+        }
+        if any(churn.values()):
+            failures.append(f"{name} cluster failed a shard over: {churn}")
 
-    ok = got_verdict == expected_verdict and got_report == expected_report
-    status = "OK" if ok else "MISMATCH"
+    observed = runs["observed"]
+    slo = compute_cluster_slo(
+        federate_snapshots(observed.telemetry),
+        verdict=observed.verdict,
+        router_stats=observed.stats["router"],
+    )
+    print(format_status(slo))
+    missing = {str(sid) for sid in range(args.shards)} - {
+        shard.shard_id for shard in slo.shards
+    }
+    if missing:
+        failures.append(
+            f"federated snapshot misses shard labels {sorted(missing)}"
+        )
+
     total = sum(len(chunk) for chunk, _ in batches)
     print(
-        f"cluster-smoke: {status} -- {total} packets over {args.shards} "
-        f"shards, merged verdict byte-identical={got_verdict == expected_verdict}, "
-        f"report byte-identical={got_report == expected_report}, "
-        f"stats={result.stats}"
+        f"smoke: {'FAIL' if failures else 'OK'} -- {total} packets over "
+        f"{args.shards} shards, bare and observed clusters vs one sink"
     )
-    if not ok:
-        print(f"cluster-smoke: expected verdict {expected_verdict}", file=sys.stderr)
-        print(f"cluster-smoke:      got verdict {got_verdict}", file=sys.stderr)
-        print(f"cluster-smoke: expected report {expected_report}", file=sys.stderr)
-        print(f"cluster-smoke:      got report {got_report}", file=sys.stderr)
-    return 0 if ok else 1
+    for failure in failures:
+        print(f"smoke: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 async def _status(args: argparse.Namespace) -> int:
@@ -288,83 +317,6 @@ async def _status(args: argparse.Namespace) -> int:
     return 0 if all(health.values()) else 1
 
 
-def _telemetry_smoke(args: argparse.Namespace) -> int:
-    """Observation-only proof: federation covers every shard, verdict parity.
-
-    Runs the same schedule twice through identical loopback clusters --
-    once bare, once with a per-shard ``ObsProvider`` (own registry, own
-    tracer with a shard-unique span-id prefix) -- then checks that (a)
-    the federated snapshot carries every shard's label and (b) the
-    observed run's merged verdict is byte-identical to the bare run's.
-    """
-    from repro.experiments.cluster_sweep import (
-        build_cluster_workload,
-        make_sink_factory,
-    )
-    from repro.obs.spans import Tracer
-
-    topology, keystore, batches, _sources = build_cluster_workload(
-        args.grid_side, args.packets, sources=4
-    )
-    scheme = PNMMarking(mark_prob=1.0)
-    shard_key = region_shard_key(cell_size=1.0)
-
-    baseline = run_cluster(
-        make_sink_factory(topology, keystore),
-        scheme.fmt,
-        topology,
-        batches,
-        shard_ids=range(args.shards),
-        shard_key=shard_key,
-    )
-    observed = run_cluster(
-        make_sink_factory(topology, keystore),
-        scheme.fmt,
-        topology,
-        batches,
-        shard_ids=range(args.shards),
-        shard_key=shard_key,
-        shard_obs_factory=lambda sid: ObsProvider(
-            tracer=Tracer(id_prefix=f"sh{sid}-")
-        ),
-    )
-
-    federated = federate_snapshots(observed.telemetry)
-    seen: set[str] = set()
-    for entry in federated.snapshot()["metrics"]:
-        if entry["label_names"] and entry["label_names"][0] == SHARD_LABEL:
-            for series in entry["series"]:
-                seen.add(series["labels"][0])
-    expected = {str(sid) for sid in range(args.shards)}
-    labels_ok = expected <= seen
-    parity = verdict_json(observed.verdict) == verdict_json(baseline.verdict)
-
-    slo = compute_cluster_slo(
-        federated,
-        verdict=observed.verdict,
-        router_stats=observed.stats["router"],
-    )
-    print(format_status(slo))
-    status = "OK" if labels_ok and parity else "FAIL"
-    print(
-        f"telemetry-smoke: {status} -- shards_in_snapshot="
-        f"{sorted(seen)} expected={sorted(expected)}, "
-        f"verdict byte-identical={parity}"
-    )
-    if not labels_ok:
-        print(
-            f"telemetry-smoke: missing shard labels {sorted(expected - seen)}",
-            file=sys.stderr,
-        )
-    if not parity:
-        print(
-            "telemetry-smoke: telemetry perturbed the verdict "
-            "(observation-only contract broken)",
-            file=sys.stderr,
-        )
-    return 0 if labels_ok and parity else 1
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     args = _build_parser().parse_args(argv)
@@ -372,8 +324,6 @@ def main(argv: list[str] | None = None) -> int:
         return asyncio.run(_serve(args))
     if args.command == "status":
         return asyncio.run(_status(args))
-    if args.command == "telemetry-smoke":
-        return _telemetry_smoke(args)
     return _smoke(args)
 
 

@@ -55,6 +55,7 @@ from repro.service.ingest import SinkIngestService
 from repro.traceback.sink import SinkEvidence, TracebackSink, TracebackVerdict
 from repro.wire.client import SinkClient
 from repro.wire.errors import ConnectError
+from repro.wire.loopback import Batch
 from repro.wire.server import SinkServer
 
 __all__ = [
@@ -62,12 +63,8 @@ __all__ = [
     "LocalCluster",
     "ClusterResult",
     "JournalEntry",
-    "drive_cluster",
     "run_cluster",
 ]
-
-#: One scheduled send: ``(packets, delivering_node)`` -- the loopback shape.
-Batch = tuple[list[MarkedPacket], int]
 
 #: One journaled acknowledgment: the sub-batch, its delivering node, and
 #: the trace context it was sent under (``None`` for untraced sends), so
@@ -454,7 +451,7 @@ class ClusterResult:
     telemetry: dict[int, dict[str, Any]] = field(default_factory=dict)
 
 
-async def drive_cluster(
+def run_cluster(
     sink_factory: Callable[[], TracebackSink],
     fmt: MarkFormat,
     topology: Topology,
@@ -470,69 +467,42 @@ async def drive_cluster(
 ) -> ClusterResult:
     """Run a batch schedule through a fresh loopback cluster.
 
-    The cluster analogue of :func:`repro.wire.loopback.drive_loopback`:
+    The cluster analogue of :func:`repro.wire.loopback.run_loopback`:
     start shards, stream the schedule (with optional churn), collect and
     merge evidence, and tear everything down.  With ``shard_obs_factory``
     each shard reports into its own provider and the result carries the
     final per-shard telemetry snapshots; the packet/verdict path is
     untouched either way.
     """
-    coordinator = ClusterCoordinator(topology, obs=obs)
-    cluster = LocalCluster(
-        sink_factory,
-        fmt,
-        shard_ids,
-        shard_key=shard_key,
-        service_kwargs=service_kwargs,
-        obs=obs,
-        shard_obs_factory=shard_obs_factory,
-    )
-    async with cluster:
-        replies = await cluster.run_schedule(batches, churn=churn)
-        summaries = await cluster.collect()
-        telemetry = (
-            await cluster.fetch_telemetry()
-            if shard_obs_factory is not None
-            else {}
-        )
-        stats = cluster.stats()
-    evidence = coordinator.merge(summaries)
-    return ClusterResult(
-        summaries=summaries,
-        evidence=evidence,
-        verdict=coordinator.verdict(evidence),
-        replies=replies,
-        stats=stats,
-        telemetry=telemetry,
-    )
 
-
-def run_cluster(
-    sink_factory: Callable[[], TracebackSink],
-    fmt: MarkFormat,
-    topology: Topology,
-    batches: list[Batch],
-    shard_ids: Iterable[int],
-    shard_key: Callable[[MarkedPacket], bytes] = report_shard_key,
-    churn: FaultSchedule | None = None,
-    service_kwargs: Mapping[str, object] | None = None,
-    obs: ObsProvider | NoopObsProvider | None = None,
-    shard_obs_factory: (
-        Callable[[int], ObsProvider | NoopObsProvider] | None
-    ) = None,
-) -> ClusterResult:
-    """Synchronous wrapper: :func:`drive_cluster` under ``asyncio.run``."""
-    return asyncio.run(
-        drive_cluster(
+    async def drive() -> ClusterResult:
+        coordinator = ClusterCoordinator(topology, obs=obs)
+        cluster = LocalCluster(
             sink_factory,
             fmt,
-            topology,
-            batches,
             shard_ids,
             shard_key=shard_key,
-            churn=churn,
             service_kwargs=service_kwargs,
             obs=obs,
             shard_obs_factory=shard_obs_factory,
         )
-    )
+        async with cluster:
+            replies = await cluster.run_schedule(batches, churn=churn)
+            summaries = await cluster.collect()
+            telemetry = (
+                await cluster.fetch_telemetry()
+                if shard_obs_factory is not None
+                else {}
+            )
+            stats = cluster.stats()
+        evidence = coordinator.merge(summaries)
+        return ClusterResult(
+            summaries=summaries,
+            evidence=evidence,
+            verdict=coordinator.verdict(evidence),
+            replies=replies,
+            stats=stats,
+            telemetry=telemetry,
+        )
+
+    return asyncio.run(drive())

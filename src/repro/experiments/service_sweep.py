@@ -17,72 +17,26 @@ service is expected to clear 3x on this workload.
 
 from __future__ import annotations
 
-import random
 import time
 
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.experiments.cluster_sweep import (
+    build_cluster_workload,
+    make_sink_factory,
+)
 from repro.experiments.presets import QUICK, Preset
 from repro.experiments.tables import FigureResult
-from repro.marking.base import NodeContext
-from repro.marking.pnm import PNMMarking
-from repro.net.topology import Topology, grid_topology
-from repro.packets.packet import MarkedPacket
-from repro.packets.report import Report
-from repro.routing.tree import build_routing_tree
 from repro.service import SinkIngestService
 from repro.traceback.sink import TracebackSink
 
-__all__ = ["run", "build_workload", "main"]
+__all__ = ["run", "main"]
 
 # (grid side, packet count) per preset: the serial baseline pays a full
 # O(N) table build per distinct report, so even the CI size shows the gap.
 _WORKLOADS = {"ci": (12, 60), "quick": (16, 120), "full": (24, 240)}
 
 
-def build_workload(
-    grid_side: int, packets: int
-) -> tuple[Topology, KeyStore, list[MarkedPacket], int]:
-    """A grid deployment plus ``packets`` distinct marked reports.
-
-    Routes every report along the path from the corner opposite the sink,
-    so each packet carries one mark per forwarder on that path.  Returns
-    ``(topology, keystore, packets, delivering_node)``.
-    """
-    scheme = PNMMarking(mark_prob=1.0)
-    provider = HmacProvider()
-    topology = grid_topology(grid_side, grid_side)
-    keystore = KeyStore.from_master_secret(b"service-sweep", topology.sensor_nodes())
-    routing = build_routing_tree(topology)
-    source = max(
-        topology.sensor_nodes(), key=lambda node: routing.hop_count(node)
-    )
-    forwarders = routing.forwarders_between(source)
-    stream = []
-    for t in range(packets):
-        packet = MarkedPacket(
-            report=Report(event=b"sweep", location=(1.0, 1.0), timestamp=t)
-        )
-        for node_id in forwarders:
-            context = NodeContext(
-                node_id=node_id,
-                key=keystore[node_id],
-                provider=provider,
-                rng=random.Random(f"sweep:{node_id}"),
-            )
-            packet = scheme.on_forward(context, packet)
-        stream.append(packet)
-    return topology, keystore, stream, forwarders[-1]
-
-
-def _make_sink(topology: Topology, keystore: KeyStore) -> TracebackSink:
-    return TracebackSink(
-        PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
-    )
-
-
 def _time_serial(topology, keystore, stream, delivering) -> tuple[float, TracebackSink]:
-    sink = _make_sink(topology, keystore)
+    sink = make_sink_factory(topology, keystore)()
     start = time.perf_counter()
     for packet in stream:
         sink.receive(packet, delivering)
@@ -92,7 +46,7 @@ def _time_serial(topology, keystore, stream, delivering) -> tuple[float, Traceba
 def _time_service(
     topology, keystore, stream, delivering
 ) -> tuple[float, TracebackSink, float]:
-    sink = _make_sink(topology, keystore)
+    sink = make_sink_factory(topology, keystore)()
     service = SinkIngestService(sink, capacity=len(stream))
     try:
         start = time.perf_counter()
@@ -110,7 +64,15 @@ def _time_service(
 def run(preset: Preset = QUICK) -> FigureResult:
     """Sweep ingest configurations and tabulate throughput and speedup."""
     grid_side, packets = _WORKLOADS.get(preset.name, _WORKLOADS["quick"])
-    topology, keystore, stream, delivering = build_workload(grid_side, packets)
+    # One route: every report marked along the path from the grid node
+    # farthest from the sink, sent as a single batch.
+    topology, keystore, [(stream, delivering)], _ = build_cluster_workload(
+        grid_side,
+        packets,
+        sources=1,
+        batch_size=packets,
+        master_secret=b"service-sweep",
+    )
 
     serial_s, serial_sink = _time_serial(topology, keystore, stream, delivering)
     rows = [

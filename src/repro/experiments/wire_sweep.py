@@ -21,15 +21,17 @@ from __future__ import annotations
 
 import time
 
-from repro.crypto.mac import HmacProvider
+from repro.experiments.cluster_sweep import (
+    build_cluster_workload,
+    make_sink_factory,
+)
 from repro.experiments.presets import QUICK, Preset
-from repro.experiments.service_sweep import build_workload
+from repro.experiments.service_sweep import _time_service
 from repro.experiments.tables import FigureResult
 from repro.marking.pnm import PNMMarking
-from repro.packets.packet import MarkedPacket
 from repro.service import SinkIngestService
 from repro.traceback.sink import TracebackSink
-from repro.wire.loopback import run_loopback
+from repro.wire.loopback import Batch, run_loopback
 from repro.wire.messages import WireVerdict
 
 __all__ = ["run", "main", "measure_wire_overhead"]
@@ -39,39 +41,16 @@ __all__ = ["run", "main", "measure_wire_overhead"]
 _WORKLOADS = {"ci": (10, 60, 20), "quick": (12, 120, 30), "full": (16, 360, 60)}
 
 
-def _fresh_service(topology, keystore, capacity: int) -> SinkIngestService:
-    sink = TracebackSink(
-        PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
-    )
-    return SinkIngestService(sink, capacity=capacity)
-
-
-def _time_in_process(
-    topology, keystore, stream: list[MarkedPacket], delivering: int
-) -> tuple[float, TracebackSink]:
-    service = _fresh_service(topology, keystore, len(stream))
-    try:
-        start = time.perf_counter()
-        for packet in stream:
-            service.submit(packet, delivering)
-        service.flush()
-        return time.perf_counter() - start, service.sink
-    finally:
-        service.close(drain=False)
-
-
 def _time_loopback(
-    topology, keystore, stream: list[MarkedPacket], delivering: int, batch_size: int
+    topology, keystore, batches: list[Batch], capacity: int
 ) -> tuple[float, TracebackSink, WireVerdict]:
-    service = _fresh_service(topology, keystore, len(stream))
+    service = SinkIngestService(
+        make_sink_factory(topology, keystore)(), capacity=capacity
+    )
     fmt = PNMMarking(mark_prob=1.0).fmt
-    batches = [
-        (stream[i : i + batch_size], delivering)
-        for i in range(0, len(stream), batch_size)
-    ]
     try:
         start = time.perf_counter()
-        result = run_loopback(service, fmt, batches, ping=False, pipelined=True)
+        result = run_loopback(service, fmt, batches, ping=False)
         elapsed = time.perf_counter() - start
         return elapsed, service.sink, result.final_verdict
     finally:
@@ -86,18 +65,26 @@ def measure_wire_overhead(
     Returns in-process and loopback elapsed seconds plus a ``parity`` flag
     asserting both paths reproduced the serial sink's verdict.
     """
-    topology, keystore, stream, delivering = build_workload(grid_side, packets)
-
-    reference = TracebackSink(
-        PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
+    # One route, cut into ``batch_size`` wire batches; the in-process
+    # path gets the same packets as one stream.
+    topology, keystore, batches, _ = build_cluster_workload(
+        grid_side,
+        packets,
+        sources=1,
+        batch_size=batch_size,
+        master_secret=b"service-sweep",
     )
+    stream = [packet for chunk, _ in batches for packet in chunk]
+    delivering = batches[0][1]
+
+    reference = make_sink_factory(topology, keystore)()
     for packet in stream:
         reference.receive(packet, delivering)
     expected = reference.verdict()
 
-    inproc_s, inproc_sink = _time_in_process(topology, keystore, stream, delivering)
+    inproc_s, inproc_sink, _ = _time_service(topology, keystore, stream, delivering)
     wire_s, wire_sink, wire_verdict = _time_loopback(
-        topology, keystore, stream, delivering, batch_size
+        topology, keystore, batches, len(stream)
     )
     parity = (
         inproc_sink.verdict() == expected

@@ -40,7 +40,7 @@ from repro.wire.frames import (
     decode_frame,
     encode_frame,
 )
-from repro.wire.loopback import LoopbackResult, drive_loopback, run_loopback
+from repro.wire.loopback import LoopbackResult, run_loopback
 from repro.wire.messages import (
     WireBatch,
     WireErrorInfo,
@@ -97,6 +97,5 @@ __all__ = [
     "SinkServer",
     "SinkClient",
     "LoopbackResult",
-    "drive_loopback",
     "run_loopback",
 ]

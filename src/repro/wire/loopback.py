@@ -1,10 +1,10 @@
 """Loopback driver: a server and client paired in one event loop.
 
 The shared harness behind the ``wire-sweep`` experiment, the throughput
-benchmark, the ``pnm-serve smoke`` CLI and the integration tests: start a
+benchmark and the integration tests: start a
 :class:`~repro.wire.server.SinkServer` on an ephemeral loopback port,
 drive a :class:`~repro.wire.client.SinkClient` through a batch schedule,
-and return every reply plus the server's transport counters.
+and return every reply.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from repro.packets.marks import MarkFormat
 from repro.packets.packet import MarkedPacket
 from repro.service.ingest import SinkIngestService
 from repro.wire.client import SinkClient
-from repro.wire.errors import RemoteError
 from repro.wire.messages import WireErrorInfo, WireVerdict
 from repro.wire.server import SinkServer
 
-__all__ = ["LoopbackResult", "drive_loopback", "run_loopback"]
+__all__ = ["Batch", "LoopbackResult", "run_loopback"]
 
 #: One scheduled send: ``(packets, delivering_node)``.
 Batch = tuple[list[MarkedPacket], int]
@@ -34,12 +33,10 @@ class LoopbackResult:
         replies: one entry per batch, in order: the verdict, or the
             server's error info for batches it rejected.
         ping_echo: the PING echo payload (``None`` when pinging was off).
-        server_stats: the server's transport counters at shutdown.
     """
 
     replies: list[WireVerdict | WireErrorInfo] = field(default_factory=list)
     ping_echo: bytes | None = None
-    server_stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def verdicts(self) -> list[WireVerdict]:
@@ -59,15 +56,17 @@ class LoopbackResult:
         return verdicts[-1]
 
 
-async def drive_loopback(
+def run_loopback(
     service: SinkIngestService,
     fmt: MarkFormat,
     batches: list[Batch],
     ping: bool = True,
-    pipelined: bool = True,
-    retry_after_ms: int = 0,
 ) -> LoopbackResult:
     """Run the batch schedule through a fresh loopback server/client pair.
+
+    The client pipelines every batch (:meth:`SinkClient.send_batches`:
+    all writes before any read); a rejected batch comes back as its
+    :class:`WireErrorInfo` in ``replies``.
 
     Args:
         service: the ingest pipeline the server feeds (caller owns its
@@ -75,57 +74,16 @@ async def drive_loopback(
         fmt: the deployment mark layout.
         batches: the send schedule.
         ping: probe the server once before sending (version handshake).
-        pipelined: use :meth:`SinkClient.send_batches` (all writes before
-            any read); sequential ping-pong otherwise.
-        retry_after_ms: server backpressure hint override (0 keeps the
-            server default).
     """
-    server = SinkServer(service, fmt)
-    if retry_after_ms:
-        server.retry_after_ms = retry_after_ms
-    result = LoopbackResult()
-    async with server:
-        client = SinkClient("127.0.0.1", server.port)
-        async with client:
-            if ping:
-                result.ping_echo = await client.ping()
-            if pipelined:
+
+    async def drive() -> LoopbackResult:
+        result = LoopbackResult()
+        async with SinkServer(service, fmt) as server:
+            async with SinkClient("127.0.0.1", server.port) as client:
+                if ping:
+                    result.ping_echo = await client.ping()
                 result.replies = await client.send_batches(batches, fmt)
-            else:
-                for packets, delivering_node in batches:
-                    try:
-                        result.replies.append(
-                            await client.send_batch(packets, delivering_node, fmt)
-                        )
-                    except RemoteError as exc:
-                        result.replies.append(
-                            WireErrorInfo(
-                                code=exc.error_code,
-                                retry_after_ms=exc.retry_after_ms,
-                                message=str(exc),
-                            )
-                        )
-        await server.wait_idle()
-    result.server_stats = server.stats()
-    return result
+            await server.wait_idle()
+        return result
 
-
-def run_loopback(
-    service: SinkIngestService,
-    fmt: MarkFormat,
-    batches: list[Batch],
-    ping: bool = True,
-    pipelined: bool = True,
-    retry_after_ms: int = 0,
-) -> LoopbackResult:
-    """Synchronous wrapper: :func:`drive_loopback` under ``asyncio.run``."""
-    return asyncio.run(
-        drive_loopback(
-            service,
-            fmt,
-            batches,
-            ping=ping,
-            pipelined=pipelined,
-            retry_after_ms=retry_after_ms,
-        )
-    )
+    return asyncio.run(drive())

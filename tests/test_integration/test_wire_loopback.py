@@ -18,8 +18,7 @@ import random
 
 import pytest
 
-from repro.crypto.mac import HmacProvider
-from repro.experiments.service_sweep import build_workload
+from repro.experiments.cluster_sweep import build_cluster_workload, make_sink_factory
 from repro.marking.pnm import PNMMarking
 from repro.service import SinkIngestService
 from repro.traceback.sink import TracebackSink
@@ -42,14 +41,19 @@ FMT = PNMMarking(mark_prob=1.0).fmt
 
 @pytest.fixture(scope="module")
 def workload():
-    return build_workload(GRID_SIDE, PACKETS)
+    topology, keystore, [(stream, delivering)], _ = build_cluster_workload(
+        GRID_SIDE,
+        PACKETS,
+        sources=1,
+        batch_size=PACKETS,
+        master_secret=b"service-sweep",
+    )
+    return topology, keystore, stream, delivering
 
 
 def make_sink(workload) -> TracebackSink:
     topology, keystore, _stream, _delivering = workload
-    return TracebackSink(
-        PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
-    )
+    return make_sink_factory(topology, keystore)()
 
 
 def in_process_verdict(workload):
@@ -93,7 +97,7 @@ class TestVerdictParity:
         sink = make_sink(workload)
         batches = [(stream[i : i + 6], delivering) for i in range(0, PACKETS, 6)]
         with SinkIngestService(sink, capacity=len(stream)) as service:
-            result = run_loopback(service, FMT, batches, pipelined=True)
+            result = run_loopback(service, FMT, batches)
 
         verdicts = result.verdicts
         assert len(verdicts) == len(batches)

@@ -2,19 +2,17 @@
 
 Each test spins an ephemeral-port :class:`SinkServer` inside its own
 ``asyncio.run``; the workload is a small grid deployment from
-``service_sweep.build_workload`` so verdicts are meaningful, not mocked.
+``cluster_sweep.build_cluster_workload`` so verdicts are meaningful, not mocked.
 """
 
 import asyncio
 
 import pytest
 
-from repro.experiments.service_sweep import build_workload
-from repro.crypto.mac import HmacProvider
+from repro.experiments.cluster_sweep import build_cluster_workload, make_sink_factory
 from repro.marking.pnm import PNMMarking
 from repro.packets.marks import MarkFormat
 from repro.service import SinkIngestService
-from repro.traceback.sink import TracebackSink
 from repro.wire.client import SinkClient
 from repro.wire.errors import (
     BackpressureError,
@@ -33,14 +31,19 @@ PACKETS = 12
 
 @pytest.fixture(scope="module")
 def workload():
-    return build_workload(GRID_SIDE, PACKETS)
+    topology, keystore, [(stream, delivering)], _ = build_cluster_workload(
+        GRID_SIDE,
+        PACKETS,
+        sources=1,
+        batch_size=PACKETS,
+        master_secret=b"service-sweep",
+    )
+    return topology, keystore, stream, delivering
 
 
 def make_service(workload, capacity: int | None = None) -> SinkIngestService:
     topology, keystore, stream, _delivering = workload
-    sink = TracebackSink(
-        PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
-    )
+    sink = make_sink_factory(topology, keystore)()
     return SinkIngestService(
         sink, capacity=len(stream) if capacity is None else capacity
     )
@@ -65,9 +68,7 @@ class TestPing:
 class TestBatchIngest:
     def test_verdict_matches_in_process(self, workload):
         topology, keystore, stream, delivering = workload
-        reference = TracebackSink(
-            PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
-        )
+        reference = make_sink_factory(topology, keystore)()
         for packet in stream:
             reference.receive(packet, delivering)
         expected = reference.verdict()

@@ -12,11 +12,10 @@ import asyncio
 
 import pytest
 
-from repro.experiments.service_sweep import build_workload
-from repro.crypto.mac import HmacProvider
+from repro.experiments.cluster_sweep import build_cluster_workload, make_sink_factory
 from repro.marking.pnm import PNMMarking
 from repro.service import SinkIngestService
-from repro.traceback.sink import SinkEvidence, TracebackSink
+from repro.traceback.sink import SinkEvidence
 from repro.wire.client import SinkClient
 from repro.wire.errors import (
     BadFrameError,
@@ -34,14 +33,19 @@ FMT = PNMMarking(mark_prob=1.0).fmt
 
 @pytest.fixture(scope="module")
 def workload():
-    return build_workload(GRID_SIDE, PACKETS)
+    topology, keystore, [(stream, delivering)], _ = build_cluster_workload(
+        GRID_SIDE,
+        PACKETS,
+        sources=1,
+        batch_size=PACKETS,
+        master_secret=b"service-sweep",
+    )
+    return topology, keystore, stream, delivering
 
 
 def make_service(workload) -> SinkIngestService:
     topology, keystore, stream, _delivering = workload
-    sink = TracebackSink(
-        PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
-    )
+    sink = make_sink_factory(topology, keystore)()
     return SinkIngestService(sink, capacity=len(stream))
 
 
