@@ -169,5 +169,21 @@ class MarkingScheme(abc.ABC):
         as received (over the exact wire prefix the mark claims to protect).
         """
 
+    def verify_candidate(
+        self,
+        packet: MarkedPacket,
+        mark_index: int,
+        node_id: int,
+        key: bytes,
+        provider: MacProvider,
+    ) -> bool:
+        """:meth:`verify_mark_as` for an ID :meth:`candidate_marker_ids`
+        returned for this mark.
+
+        Schemes whose candidate search already matched the ID field (the
+        anonymous-ID table) override this to check only the MAC.
+        """
+        return self.verify_mark_as(packet, mark_index, node_id, key, provider)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(p={self.mark_prob}, fmt={self.fmt})"

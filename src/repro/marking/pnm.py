@@ -134,6 +134,29 @@ class PNMMarking(MarkingScheme):
         )
         if mark.id_field != expected_anon:
             return False
+        return self._mac_valid(packet, mark_index, key, provider)
+
+    def verify_candidate(
+        self,
+        packet: MarkedPacket,
+        mark_index: int,
+        node_id: int,
+        key: bytes,
+        provider: MacProvider,
+    ) -> bool:
+        # The resolution table matched this candidate's anonymous ID (and
+        # the mark's format) already; hashing it again cannot change that.
+        return self._mac_valid(packet, mark_index, key, provider)
+
+    def _mac_valid(
+        self,
+        packet: MarkedPacket,
+        mark_index: int,
+        key: bytes,
+        provider: MacProvider,
+    ) -> bool:
+        """Whether ``key`` validates the nested MAC of mark ``mark_index``."""
+        mark = packet.marks[mark_index]
         prefix = packet.prefix_wire(mark_index)
         expected_mac = provider.mac(key, prefix + mark.id_field)
         return constant_time_equal(expected_mac, mark.mac)

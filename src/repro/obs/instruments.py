@@ -77,6 +77,8 @@ class _Instrument:
 
     def _label_key(self, labels: dict[str, Any]) -> LabelValues:
         """Validate ``labels`` against the declared names; return the key."""
+        if not labels and not self.label_names:
+            return ()
         if tuple(sorted(labels)) != tuple(sorted(self.label_names)):
             raise ValueError(
                 f"metric {self.name!r} declares labels {self.label_names}, "

@@ -27,7 +27,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from typing import Any
 
-from repro.obs.instruments import HistogramSeries
+from repro.obs.instruments import Counter, HistogramSeries
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Tracer
 
@@ -101,14 +101,24 @@ class ObsProvider:
 
             clock = time.perf_counter
         self.clock = clock
+        # Unlabeled instruments by name, so the per-packet hooks skip the
+        # registry's get-or-create (and its lock) after first use.
+        self._counters: dict[str, Counter] = {}
+        self._timed: dict[str, HistogramSeries] = {}
 
     # Metrics shortcuts -------------------------------------------------------
 
     def inc(self, name: str, amount: float = 1.0, **labels: Any) -> None:
         """Increment the counter ``name`` (created on first use)."""
-        self.registry.counter(name, label_names=tuple(sorted(labels))).inc(
-            amount, **labels
-        )
+        if labels:
+            self.registry.counter(name, label_names=tuple(sorted(labels))).inc(
+                amount, **labels
+            )
+            return
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.registry.counter(name)
+        counter.inc(amount)
 
     def set_gauge(self, name: str, value: float, **labels: Any) -> None:
         """Set the gauge ``name`` (created on first use)."""
@@ -124,10 +134,15 @@ class ObsProvider:
 
     def timer(self, name: str, **labels: Any) -> _Timer:
         """A context manager timing its block into histogram ``name``."""
-        series = self.registry.histogram(
-            name, label_names=tuple(sorted(labels))
-        ).data(**labels)
-        return _Timer(series, self.clock)
+        if labels:
+            series = self.registry.histogram(
+                name, label_names=tuple(sorted(labels))
+            ).data(**labels)
+            return _Timer(series, self.clock)
+        plain = self._timed.get(name)
+        if plain is None:
+            plain = self._timed[name] = self.registry.histogram(name).data()
+        return _Timer(plain, self.clock)
 
     def __repr__(self) -> str:
         tracing = "tracing" if self.tracer is not None else "no tracer"

@@ -168,7 +168,21 @@ class Tracer:
         roots a new trace (or the explicitly supplied ``trace_id``).
         ``time`` defaults to the tracer's clock.
         """
+        return self._open(name, parent, trace_id, time, attrs)
+
+    def _open(
+        self,
+        name: str,
+        parent: SpanContext | None,
+        trace_id: str | None,
+        time: float | None,
+        attrs: dict[str, Any],
+        bind_key: bytes | None = None,
+    ) -> Span:
+        """:meth:`start`; with ``bind_key``, :meth:`chain` under one lock."""
         with self._lock:
+            if bind_key is not None:
+                parent = self._bindings.get(bind_key)
             self._span_seq += 1
             span_id = f"{self.id_prefix}s{self._span_seq:07d}"
             if parent is not None:
@@ -178,13 +192,15 @@ class Tracer:
             else:
                 self._trace_seq += 1
                 tid = f"{self.id_prefix}t{self._trace_seq:07d}"
+            if bind_key is not None:
+                self._bindings[bind_key] = SpanContext(trace_id=tid, span_id=span_id)
         return Span(
             trace_id=tid,
             span_id=span_id,
             parent_id=parent.span_id if parent is not None else None,
             name=name,
             start=self.clock() if time is None else time,
-            attrs=dict(attrs),
+            attrs=attrs,
         )
 
     def finish(self, span: Span, time: float | None = None) -> Span:
@@ -244,9 +260,7 @@ class Tracer:
         still owns finishing the span (or use :meth:`event` for
         instantaneous stages).
         """
-        span = self.start(name, parent=self.lookup(key), time=time, **attrs)
-        self.bind(key, span.context)
-        return span
+        return self._open(name, None, None, time, attrs, bind_key=key)
 
     def event(self, key: bytes, name: str, time: float | None = None, **attrs: Any) -> Span:
         """A zero-duration chained span (simulation lifecycle events)."""

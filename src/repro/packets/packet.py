@@ -13,6 +13,7 @@ moles) produces new packets via :meth:`with_mark` / :meth:`with_marks`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.packets.marks import Mark, MarkFormat
 from repro.packets.report import Report
@@ -54,18 +55,36 @@ class MarkedPacket:
             raise ValueError(
                 f"num_marks={num_marks} out of range 0..{len(self.marks)}"
             )
-        parts = [self.report_wire]
-        parts.extend(mark.encode() for mark in self.marks[:num_marks])
-        return b"".join(parts)
+        wire, ends = self._layout
+        return wire[: ends[num_marks]]
 
     def wire(self) -> bytes:
         """Full wire bytes of the packet as currently marked."""
-        return self.prefix_wire(len(self.marks))
+        return self._layout[0]
 
     @property
     def wire_len(self) -> int:
         """Total transmitted size in bytes (report + all marks)."""
-        return self.report.wire_len + sum(m.wire_len for m in self.marks)
+        return len(self._layout[0])
+
+    @cached_property
+    def _layout(self) -> tuple[bytes, tuple[int, ...]]:
+        """The wire bytes, encoded once, and where each prefix ends.
+
+        ``ends[i]`` is the length of ``prefix_wire(i)``.  The offsets are
+        summed mark by mark, not ``i * mark_len``: a mole may put marks of
+        the wrong length on the wire.  Not a field, so equality, hashing
+        and repr ignore it, and ``with_mark``/``replace`` copies start
+        afresh.
+        """
+        report_wire = self.report.encode()
+        parts = [report_wire]
+        ends = [len(report_wire)]
+        for mark in self.marks:
+            encoded = mark.encode()
+            parts.append(encoded)
+            ends.append(ends[-1] + len(encoded))
+        return b"".join(parts), tuple(ends)
 
     @property
     def num_marks(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = ["Report", "MAX_EVENT_LEN"]
 
@@ -58,6 +59,13 @@ class Report:
 
     def encode(self) -> bytes:
         """Serialize to canonical wire bytes ``E | L | T``."""
+        return self._wire
+
+    @cached_property
+    def _wire(self) -> bytes:
+        # Encoded once per report: every mark's MAC and every anonymous ID
+        # is computed over these bytes.  Not a field, so equality, hashing
+        # and repr ignore it, and ``dataclasses.replace`` starts afresh.
         x_mm, y_mm = self._location_mm()
         return (
             _HEADER.pack(len(self.event))

@@ -143,21 +143,22 @@ class PrecedenceGraph:
         True when a directed path leads from ``source`` to ``target``
         (a node reaches itself); False when either node is unobserved.
         """
+        return target in self.descendants(source)
+
+    def descendants(self, source: int) -> set[int]:
+        """Every node ``source`` reaches, itself included (empty when
+        ``source`` is unobserved)."""
         succ = self._succ
-        if source not in succ or target not in succ:
-            return False
-        if source == target:
-            return True
+        if source not in succ:
+            return set()
         seen = {source}
         frontier = [source]
         while frontier:
             for nxt in succ[frontier.pop()]:
-                if nxt == target:
-                    return True
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-        return False
+        return seen
 
     def analyze(self) -> RouteAnalysis:
         """Interpret the current evidence (see :class:`RouteAnalysis`).

@@ -185,9 +185,11 @@ def _tamper_suspect(
     if not tamper_stops:
         return None
     stops = sorted(tamper_stops)
-    reaches = precedence.reaches
+    # One reachability search per stop: ``s in below[t]`` is
+    # ``precedence.reaches(t, s)``.
+    below = {t: precedence.descendants(t) for t in stops}
     most_upstream = [
-        s for s in stops if not any(t != s and reaches(t, s) for t in stops)
+        s for s in stops if not any(t != s and s in below[t] for t in stops)
     ]
     if not most_upstream:
         # Every stop is reached from another one, which only loops allow:
@@ -195,7 +197,7 @@ def _tamper_suspect(
         most_upstream = [
             s
             for s in stops
-            if not any(reaches(t, s) and not reaches(s, t) for t in stops)
+            if not any(s in below[t] and t not in below[s] for t in stops)
         ]
     # Deterministic choice among incomparable stops: the most frequent,
     # then the smallest ID.

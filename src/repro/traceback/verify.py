@@ -253,7 +253,7 @@ class PacketVerifier:
         return [
             node_id
             for node_id in candidates
-            if self.scheme.verify_mark_as(
+            if self.scheme.verify_candidate(
                 packet, index, node_id, self.keystore[node_id], self.provider
             )
         ]

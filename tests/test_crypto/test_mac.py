@@ -1,6 +1,13 @@
 """MAC providers: lengths, domain separation, tamper sensitivity."""
 
+import hashlib
+import hmac
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.mac import (
     HmacProvider,
@@ -86,3 +93,94 @@ class TestConstantTimeEqual:
 
     def test_length_mismatch(self):
         assert not constant_time_equal(b"abc", b"abcd")
+
+
+def _reference(key: bytes, domain: bytes, data: bytes, out_len: int) -> bytes:
+    return hmac.new(key, domain + data, hashlib.sha256).digest()[:out_len]
+
+
+class TestHmacProviderEquivalence:
+    """The pad-state provider gives exactly ``hmac.new``'s bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        key=st.binary(min_size=0, max_size=130),
+        data=st.binary(max_size=200),
+        mac_len=st.integers(1, 32),
+        anon_id_len=st.integers(1, 32),
+    )
+    def test_matches_hmac_new(self, key, data, mac_len, anon_id_len):
+        p = HmacProvider(mac_len=mac_len, anon_id_len=anon_id_len)
+        assert p.mac(key, data) == _reference(key, b"pnm-mac\x00", data, mac_len)
+        assert p.anon_id(key, data) == _reference(
+            key, b"pnm-anon\x00", data, anon_id_len
+        )
+
+    @pytest.mark.parametrize("key_len", [0, 1, 31, 32, 63, 64, 65, 127, 128, 129, 130])
+    def test_block_boundary_key_lengths(self, key_len):
+        # Keys longer than the 64-byte SHA-256 block are hashed first;
+        # shorter ones (the empty key too) are zero-padded.
+        key = bytes(range(key_len))
+        p = HmacProvider(mac_len=32, anon_id_len=32)
+        for data in (b"", b"d", bytes(100)):
+            assert p.mac(key, data) == _reference(key, b"pnm-mac\x00", data, 32)
+            assert p.anon_id(key, data) == _reference(key, b"pnm-anon\x00", data, 32)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        calls=st.lists(
+            st.tuples(st.integers(0, 7), st.booleans(), st.binary(max_size=40)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_many_keys_interleaved(self, calls):
+        keys = [bytes([i]) * (i * 19) for i in range(8)]  # lengths 0..133
+        p = HmacProvider(mac_len=8, anon_id_len=6)
+        for key_index, use_mac, data in calls:
+            key = keys[key_index]
+            if use_mac:
+                assert p.mac(key, data) == _reference(key, b"pnm-mac\x00", data, 8)
+            else:
+                assert p.anon_id(key, data) == _reference(
+                    key, b"pnm-anon\x00", data, 6
+                )
+
+    @settings(max_examples=50, deadline=None)
+    @given(key=st.binary(max_size=130), data=st.binary(max_size=60))
+    def test_domain_separation_holds(self, key, data):
+        p = HmacProvider(mac_len=32, anon_id_len=32)
+        assert p.mac(key, data) != p.anon_id(key, data)
+
+    def test_threads_sharing_one_provider_agree(self):
+        p = HmacProvider(mac_len=4, anon_id_len=4)
+        keys = [bytes([i]) * (i % 70) for i in range(40)]
+        work = [(key, bytes([j]) * j) for key in keys for j in range(12)]
+        expected = [
+            (_reference(k, b"pnm-mac\x00", d, 4), _reference(k, b"pnm-anon\x00", d, 4))
+            for k, d in work
+        ]
+
+        def run(offset: int) -> list[tuple[bytes, bytes]]:
+            # Each thread starts at a different point, so first uses of a
+            # key (pad builds) race with other threads' copies.
+            order = work[offset:] + work[:offset]
+            results = [(p.mac(k, d), p.anon_id(k, d)) for k, d in order]
+            return results[len(work) - offset :] + results[: len(work) - offset]
+
+        # More threads than cores and a short switch interval, so first
+        # uses and copies of one key's pads interleave between threads.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(run, offset)
+                    for offset in range(0, len(work), len(work) // 8)
+                ]
+                outcomes = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(outcomes) >= 8
+        for outcome in outcomes:
+            assert outcome == expected
