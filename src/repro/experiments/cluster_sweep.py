@@ -1,8 +1,8 @@
 """Cluster scale-out: sharded sink throughput vs a single shard.
 
-The :mod:`repro.service` hot-set resolver works only while a shard's
-*working set* -- the distinct markers of the routes it serves -- fits its
-``hot_capacity``.  One sink serving many source regions interleaved
+The :mod:`repro.service` learned-route resolver, filtered by the marker
+hot-set, works only while a shard's *working set* -- the distinct
+markers of the routes it serves -- fits its ``hot_capacity``.  One sink serving many source regions interleaved
 round-robin thrashes: every packet's route was evicted since its last
 visit, so the verifier pays the exhaustive brute-force table (all ``N``
 keys, Section 4.2) per packet.  Region-sharding the same stream across a

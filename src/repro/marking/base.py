@@ -156,6 +156,26 @@ class MarkingScheme(abc.ABC):
         :meth:`verify_mark_as`.
         """
 
+    def bounded_candidates(
+        self,
+        packet: MarkedPacket,
+        mark_index: int,
+        keystore: KeyStore,
+        provider: MacProvider,
+        search_ids: list[int],
+        memo: dict[int, bytes],
+    ) -> list[int]:
+        """:meth:`candidate_marker_ids` over ``search_ids`` only.
+
+        ``memo`` is per-packet scratch: the caller passes the same dict,
+        empty at first, for every mark of one packet.  Anonymous-ID
+        schemes keep each searched node's anonymous ID in it, so a node is
+        hashed at most once per packet however many marks search it.
+        """
+        return self.candidate_marker_ids(
+            packet, mark_index, keystore, provider, search_ids=search_ids
+        )
+
     @abc.abstractmethod
     def verify_mark_as(
         self,

@@ -118,6 +118,36 @@ class PNMMarking(MarkingScheme):
         assert isinstance(table, dict)
         return list(table.get(mark.id_field, ()))
 
+    def bounded_candidates(
+        self,
+        packet: MarkedPacket,
+        mark_index: int,
+        keystore: KeyStore,
+        provider: MacProvider,
+        search_ids: list[int],
+        memo: dict[int, bytes],
+    ) -> list[int]:
+        mark = packet.marks[mark_index]
+        if not mark.matches_format(self.fmt):
+            return []
+        id_field = mark.id_field
+        found = []
+        for node_id in search_ids:
+            anon = memo.get(node_id)
+            if anon is None:
+                key = keystore.get(node_id)
+                # A keyless node (see build_resolution_table) matches nothing.
+                anon = memo[node_id] = (
+                    b""
+                    if key is None
+                    else provider.anon_id(
+                        key, _anon_input(packet.report_wire, node_id)
+                    )
+                )
+            if anon == id_field:
+                found.append(node_id)
+        return found
+
     def verify_mark_as(
         self,
         packet: MarkedPacket,

@@ -8,8 +8,10 @@ front of :class:`~repro.traceback.sink.TracebackSink`:
 * :class:`IngestQueue` -- bounded intake that sheds whole offers past its
   capacity (tail drop), with exact backpressure counters;
 * :class:`ResolverCache` / :class:`CachingResolver` -- memoized resolution
-  tables plus a hot-set of recent markers, collapsing the exhaustive
-  ``O(N)``-hash search to near topology-bounded cost on steady traffic;
+  tables plus a search along the route the sink's precedence graph has
+  learned, filtered by a hot-set of recent markers, collapsing the
+  exhaustive ``O(N)``-hash search to about one hash per mark on steady
+  traffic;
 * :class:`ServiceStats` -- counters, the verify-latency histogram, cache
   hit rates and queue depth, exportable as JSON;
 * :class:`SinkIngestService` -- the pipeline tying them together: serial,

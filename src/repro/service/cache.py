@@ -1,23 +1,25 @@
-"""Resolver caching: memoized resolution tables plus a marker hot-set.
+"""Resolver caching: memoized resolution tables and a learned search space.
 
-Two observations make the exhaustive anonymous-ID search (Section 4.2)
-cheap at service scale:
+Two observations make the anonymous-ID search (Section 4.2) cheap at
+service scale:
 
 1. A resolution table depends only on the report bytes ``M`` (anonymous
    IDs are ``H'_{k_i}(M | i)``), so duplicate deliveries of the same
    report -- retransmissions, multi-path -- can share one table.
    :meth:`ResolverCache.resolution_table` memoizes tables in an LRU keyed
    by the report digest.
-2. Steady-state traffic keeps traversing the same routes, so the nodes
-   that marked recent packets will mark the next ones too.  The cache
-   maintains that *hot-set* of recently verified markers;
-   :class:`CachingResolver` offers it as the search space before the full
-   key table, degrading :class:`~repro.traceback.resolver.ExhaustiveResolver`
-   cost from ``O(N)`` hashes per packet to roughly
-   ``O(|route|)`` -- near :class:`~repro.traceback.resolver.TopologyBoundedResolver`
-   cost without knowing the topology.  The verifier's exhaustive fallback
-   guarantees a hot-set miss never changes the outcome, exactly as for
-   topology-bounded search.
+2. Steady-state traffic keeps traversing the same routes, and the sink's
+   :class:`~repro.traceback.reconstruct.PrecedenceGraph` already records
+   them as MAC-verified consecutive pairs.  :class:`CachingResolver`
+   searches mark ``i`` among the precedence predecessors of the node that
+   verified mark ``i+1``, and the most downstream mark among the last-hop
+   markers seen so far -- Section 7's ``O(d)`` neighbour search with a
+   learned route instead of the topology.  Each set is intersected with
+   the cache's *hot-set* of recently verified markers, which ages LRU and
+   which revocation and rebalance purge, so stale edges and revoked nodes
+   stay out of the search.  An empty set searches every key through the
+   memoized table, and the verifier's exhaustive fallback guarantees a
+   wrong guess costs hashes, never a verdict.
 
 Both structures invalidate on key revocation: once
 :meth:`ResolverCache.invalidate_node` runs (wired to
@@ -30,12 +32,14 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
+from collections.abc import Set
 from typing import Any
 
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import MacProvider
 from repro.marking.base import MarkingScheme
 from repro.packets.packet import MarkedPacket
+from repro.traceback.reconstruct import PrecedenceGraph
 
 __all__ = ["ResolverCache", "CachingResolver"]
 
@@ -54,7 +58,8 @@ class ResolverCache:
         keystore: the sink's key table.
         provider: MAC provider matching the deployment.
         table_capacity: distinct reports whose tables are retained.
-        hot_capacity: recently seen marker IDs retained in the hot-set.
+        hot_capacity: recently seen marker IDs retained in the hot-set,
+            the recency filter on :class:`CachingResolver`'s search sets.
     """
 
     def __init__(
@@ -76,7 +81,11 @@ class ResolverCache:
         self.hot_capacity = hot_capacity
         self._tables: OrderedDict[bytes, object | None] = OrderedDict()  # guarded-by: _lock
         self._hot: OrderedDict[int, None] = OrderedDict()  # guarded-by: _lock
-        self._hot_snapshot: list[int] | None = None  # guarded-by: _lock
+        self._last_hops: set[int] = set()  # guarded-by: _lock
+        # Bumped whenever hot-set membership or the last-hop set changes.
+        # CachingResolver reads it without the lock: a stale read costs
+        # one stale search set, which the exhaustive fallback covers.
+        self.epoch = 0  # guarded-by: _lock
         self._lock = threading.Lock()
         # Counters (read without the lock for display only).
         self.table_hits = 0  # guarded-by: _lock
@@ -115,40 +124,42 @@ class ResolverCache:
 
     # Marker hot-set ----------------------------------------------------------
 
-    def hot_ids(self) -> list[int] | None:
-        """A sorted snapshot of the hot-set, or ``None`` when empty.
+    def touch(self, chain_ids: list[int]) -> None:
+        """Record one verified chain (upstream first).
 
-        The snapshot is cached between membership changes -- callers hit
-        this once per mark, so rebuilding it lazily keeps the hot path at
-        dictionary-read cost.  Callers must not mutate the returned list.
+        Its markers join the hot-set (an LRU refresh for members already
+        in it) and its most downstream marker joins the last-hop set.
         """
         with self._lock:
-            if not self._hot:
-                return None
-            if self._hot_snapshot is None:
-                self._hot_snapshot = sorted(self._hot)
-            return self._hot_snapshot
+            changed = chain_ids[-1] not in self._last_hops
+            self._last_hops.add(chain_ids[-1])
+            hot = self._hot
+            for node_id in chain_ids:
+                if node_id in hot:
+                    hot.move_to_end(node_id)
+                else:
+                    hot[node_id] = None
+                    changed = True
+            while len(hot) > self.hot_capacity:
+                hot.popitem(last=False)
+            if changed:
+                self.epoch += 1
 
-    def touch(self, node_ids: list[int]) -> None:
-        """Mark ``node_ids`` as recently verified markers (LRU refresh)."""
+    def hot_members(self, node_ids: Set[int] | None) -> list[int]:
+        """The hot members of ``node_ids`` (``None``: of the last-hop set),
+        sorted."""
         with self._lock:
-            members_before = len(self._hot)
-            for node_id in node_ids:
-                self._hot[node_id] = None
-                self._hot.move_to_end(node_id)
-            while len(self._hot) > self.hot_capacity:
-                self._hot.popitem(last=False)
-                members_before = -1  # evicted: membership changed
-            if len(self._hot) != members_before:
-                self._hot_snapshot = None
+            hot = self._hot
+            pool = self._last_hops if node_ids is None else node_ids
+            return sorted(node for node in pool if node in hot)
 
     def record_hot_search(self) -> None:
-        """Count one mark search answered from the hot-set."""
+        """Count one mark offered a learned search set."""
         with self._lock:
             self.hot_searches += 1
 
     def record_hot_miss(self) -> None:
-        """Count one hot-set search that needed the exhaustive fallback."""
+        """Count one learned search that needed the exhaustive fallback."""
         with self._lock:
             self.hot_misses += 1
 
@@ -158,22 +169,26 @@ class ResolverCache:
         """Drop all cached state derived from ``node_id``'s key.
 
         Called on key revocation (:mod:`repro.isolation`).  The node
-        leaves the hot-set, and every memoized table is purged -- tables
-        embed the node's anonymous IDs and must not resolve to a revoked
-        key on the next lookup.
+        leaves the hot-set and the last-hop set, so no learned search
+        offers it although the precedence graph keeps its edges, and every
+        memoized table is purged -- tables embed the node's anonymous IDs
+        and must not resolve to a revoked key on the next lookup.
         """
         with self._lock:
             self._hot.pop(node_id, None)
-            self._hot_snapshot = None
+            self._last_hops.discard(node_id)
+            self.epoch += 1
             self._tables.clear()
             self.invalidations += 1
 
     def clear(self) -> None:
-        """Empty both the table memo and the hot-set (counters survive)."""
+        """Empty the table memo, the hot-set and the last-hop set
+        (counters survive)."""
         with self._lock:
             self._tables.clear()
             self._hot.clear()
-            self._hot_snapshot = None
+            self._last_hops.clear()
+            self.epoch += 1
 
     def stats(self) -> dict[str, Any]:
         """The cache's counters as a JSON-ready dict."""
@@ -220,36 +235,55 @@ class ResolverCache:
 
 
 class CachingResolver:
-    """Resolver adapter that tries the cache's hot-set before everything.
+    """Resolver adapter that searches the learned route before everything.
 
     Wraps an inner resolver: bounded inner searches pass through
-    untouched; when the inner resolver would search exhaustively (returns
-    ``None``) and the hot-set is non-empty, the hot-set is offered
-    instead.  Requires the verifier's ``exhaustive_fallback`` so a cold
-    hot-set can never change verification results -- the same contract
-    topology-bounded search already relies on.
+    untouched.  When the inner resolver would search exhaustively
+    (returns ``None``), mark ``i`` is offered the precedence predecessors
+    of the node that verified mark ``i+1`` -- the last-hop markers for the
+    most downstream mark -- intersected with the cache's hot-set, or
+    ``None`` (everything) when that set is empty.  Requires the
+    verifier's ``exhaustive_fallback`` so a wrong guess can never change
+    verification results -- the same contract topology-bounded search
+    already relies on.
 
-    ``notify_miss`` feedback is attributed to the hot-set (the common case
-    with an exhaustive inner resolver) and forwarded to adaptive inner
-    resolvers.
+    Search sets are memoized per node until the graph's version or the
+    cache's epoch moves.  ``notify_miss`` feedback is counted as a
+    learned-search miss and forwarded to adaptive inner resolvers.
     """
 
-    def __init__(self, inner: object, cache: ResolverCache):
+    def __init__(
+        self, inner: object, cache: ResolverCache, precedence: PrecedenceGraph
+    ):
         self.inner = inner
         self.cache = cache
+        self.precedence = precedence
+        self._sets: dict[int | None, list[int]] = {}
+        self._sets_key = (-1, -1)
 
     def search_ids(
         self, packet: MarkedPacket, prev_verified: int | None
     ) -> list[int] | None:
-        """The inner search space, with the hot-set replacing 'everything'."""
+        """The inner search space, with the learned route replacing
+        'everything' where it is known.  Callers must not mutate it."""
         search = self.inner.search_ids(packet, prev_verified)
         if search is not None:
             return search
-        hot = self.cache.hot_ids()
-        if hot is None:
+        key = (self.precedence.version, self.cache.epoch)
+        if key != self._sets_key:
+            self._sets.clear()
+            self._sets_key = key
+        learned = self._sets.get(prev_verified)
+        if learned is None:
+            learned = self._sets[prev_verified] = self.cache.hot_members(
+                None
+                if prev_verified is None
+                else self.precedence.predecessors(prev_verified)
+            )
+        if not learned:
             return None
         self.cache.record_hot_search()
-        return hot
+        return learned
 
     def notify_miss(self) -> None:
         """Verifier feedback: the offered search space missed a mark."""

@@ -9,7 +9,9 @@ production deployment needs::
 
 Verification is the expensive, stateless half of packet processing; the
 service's verifier shares the sink's scheme/keys but resolves through a
-:class:`~repro.service.cache.ResolverCache`.  Each packet verifies and
+:class:`~repro.service.cache.ResolverCache` and searches each mark's
+anonymous ID along the route the sink's precedence graph has learned
+(:class:`~repro.service.cache.CachingResolver`).  Each packet verifies and
 merges into the precedence graph in turn, in arrival order, so the
 service's verdicts are identical to feeding the same stream through
 ``sink.receive`` one packet at a time.
@@ -42,10 +44,11 @@ class SinkIngestService:
             resolver are reused; the sink itself is only ever touched from
             :meth:`process_batch`'s merge step, in arrival order.
         capacity: ingest queue bound (see :class:`IngestQueue`).
-        hot_capacity: marker hot-set bound (see :class:`ResolverCache`).
-            The hot-set engages only when the sink's verifier has its
-            exhaustive fallback (the default), which is what keeps cached
-            verdicts identical to serial ones.
+        hot_capacity: marker hot-set bound (see :class:`ResolverCache`),
+            the recency filter on the learned search sets.  Learned search
+            engages only when the sink's verifier has its exhaustive
+            fallback (the default), which is what keeps cached verdicts
+            identical to serial ones.
         revocations: when given, the service subscribes to it and
             invalidates cached state for every newly revoked node.
         obs: observability provider; ``None`` inherits the sink's, so the
@@ -72,11 +75,12 @@ class SinkIngestService:
         self.cache = ResolverCache(
             base.scheme, base.keystore, base.provider, hot_capacity=hot_capacity
         )
-        # The hot-set narrows the search space, which is only sound under
-        # the exhaustive-fallback safety net; without it, keep the sink's
-        # resolver untouched and use the cache for table memoization only.
+        # The learned route narrows the search space, which is only sound
+        # under the exhaustive-fallback safety net; without it, keep the
+        # sink's resolver untouched and use the cache for table
+        # memoization only.
         resolver = (
-            CachingResolver(base.resolver, self.cache)
+            CachingResolver(base.resolver, self.cache, sink.precedence)
             if base.exhaustive_fallback
             else base.resolver
         )
@@ -156,7 +160,7 @@ class SinkIngestService:
     def process_batch(self, max_packets: int | None = None) -> int:
         """Drain up to ``max_packets`` queued packets through verification.
 
-        Each packet verifies and merges in turn, so the cache's hot-set
+        Each packet verifies and merges in turn, so the learned route
         warms after the very first packet of a stream.
 
         Returns:
@@ -261,18 +265,21 @@ class SinkIngestService:
         Two callers: key revocation (:mod:`repro.isolation`, via the
         subscribed revocation log) and node death (the fault injector,
         :mod:`repro.faults` -- a crashed node's packets stop mid-stream
-        and its memoized tables and hot-set slot must not linger).
+        and its memoized tables, hot-set slot and last-hop entry must not
+        linger).  The node's precedence edges stay, but no search set
+        offers it again until it verifies anew.
         """
         self.cache.invalidate_node(node_id)
 
     def invalidate_all(self) -> None:
-        """Purge every memoized table and the whole marker hot-set.
+        """Purge every memoized table, the hot-set and the last hops.
 
         The rebalance-scale form of :meth:`invalidate_node`: when a
         cluster shard's key range changes (a peer died or joined), the
         routes it will see shift wholesale and per-node purges would have
-        to enumerate the world.  Verification correctness never depends
-        on the cache, so the only cost is re-warming.
+        to enumerate the world.  The next packet searches exhaustively.
+        Verification correctness never depends on the cache, so the only
+        cost is re-warming.
         """
         self.cache.clear()
 

@@ -127,9 +127,15 @@ class PrecedenceGraph:
         """Whether a direct upstream->downstream observation exists."""
         return downstream in self._succ.get(upstream, ())
 
-    def upstream_of(self, node: int) -> set[int]:
-        """Direct upstream neighbors recorded for ``node``."""
-        return set(self._pred[node])
+    @property
+    def version(self) -> int:
+        """A counter bumped on every new node or edge."""
+        return self._version
+
+    def predecessors(self, node: int) -> Set[int]:
+        """Direct upstream neighbors recorded for ``node`` (empty when
+        unobserved): a live view, not a copy; callers must not mutate it."""
+        return self._pred.get(node, frozenset())
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Every ``(upstream, downstream)`` observation."""

@@ -112,9 +112,11 @@ class PacketVerifier:
             provider)`` would.
         obs: observability provider; ``None`` resolves to the process
             default (the no-op provider unless one was installed).  Feeds
-            the ``verify_packet_seconds`` / ``resolution_table_seconds``
-            profiles, mark counters, and -- when the provider carries a
-            tracer -- a chained ``verify`` span per packet.
+            the ``verify_packet_seconds`` profile, the
+            ``resolution_table_seconds`` one (table builds plus bounded
+            anonymous-ID search, one observation per packet), mark
+            counters, and -- when the provider carries a tracer -- a
+            chained ``verify`` span per packet.
     """
 
     def __init__(
@@ -156,17 +158,12 @@ class PacketVerifier:
 
     def _verify(self, packet: MarkedPacket) -> PacketVerification:
         result = PacketVerification(packet=packet)
-        # A resolution table depends only on the packet and the searched ID
-        # set, so each distinct search set's table is built at most once and
-        # shared across this packet's marks (the exhaustive table under the
-        # ``None`` key, bounded-search tables under their ID tuple).
-        tables: dict[tuple[int, ...] | None, object | None] = {}
-
+        resolution = _Resolution(self.obs)
         prev_verified: int | None = None
         for index in range(len(packet.marks) - 1, -1, -1):
             search = self.resolver.search_ids(packet, prev_verified)
             valid_ids, used_fallback = self._validate_mark(
-                packet, index, search, tables
+                packet, index, search, resolution
             )
             if used_fallback:
                 result.fallback_searches += 1
@@ -188,45 +185,25 @@ class PacketVerifier:
                 # "independent": skip this mark, keep scanning.  The next
                 # bounded search should still anchor on the last *verified*
                 # marker, which prev_verified already holds.
+        if resolution.seconds:
+            self.obs.observe("resolution_table_seconds", resolution.seconds)
         return result
-
-    def _table_for(
-        self,
-        packet: MarkedPacket,
-        search: list[int] | None,
-        tables: dict[tuple[int, ...] | None, object | None],
-    ) -> object | None:
-        """The memoized resolution table for one search set (or ``None``)."""
-        key = None if search is None else tuple(search)
-        if key not in tables:
-            with self.obs.timer("resolution_table_seconds"):
-                if search is None and self.table_factory is not None:
-                    tables[key] = self.table_factory(packet)
-                else:
-                    tables[key] = self.scheme.build_resolution_table(
-                        packet, self.keystore, self.provider, search_ids=search
-                    )
-        return tables[key]
 
     def _validate_mark(
         self,
         packet: MarkedPacket,
         index: int,
         search: list[int] | None,
-        tables: dict[tuple[int, ...] | None, object | None],
+        resolution: _Resolution,
     ) -> tuple[list[int], bool]:
         """Find every node ID whose key validates mark ``index``.
 
-        Returns ``(valid_ids, used_fallback)``; resolution tables are
-        memoized in ``tables`` across this packet's marks.
+        Returns ``(valid_ids, used_fallback)``.
         """
-        table = self._table_for(packet, search, tables)
-        valid = self._validate_within(packet, index, search, table)
+        valid = self._validate_within(packet, index, search, resolution)
         if search is None or valid or not self.exhaustive_fallback:
             return valid, False
-        valid = self._validate_within(
-            packet, index, None, self._table_for(packet, None, tables)
-        )
+        valid = self._validate_within(packet, index, None, resolution)
         if valid:
             # The bounded search missed a mark the exhaustive one found:
             # adaptive resolvers use this to widen their ball.
@@ -240,16 +217,30 @@ class PacketVerifier:
         packet: MarkedPacket,
         index: int,
         search: list[int] | None,
-        table: object | None,
+        resolution: _Resolution,
     ) -> list[int]:
-        candidates = self.scheme.candidate_marker_ids(
-            packet,
-            index,
-            self.keystore,
-            self.provider,
-            search_ids=search,
-            table=table,
-        )
+        """The IDs in ``search`` (``None``: every key) that validate mark
+        ``index``, resolved through the packet's shared ``resolution``."""
+        clock = resolution.clock
+        start = clock() if clock is not None else 0.0
+        if search is not None:
+            candidates = self.scheme.bounded_candidates(
+                packet, index, self.keystore, self.provider, search, resolution.memo
+            )
+        else:
+            if resolution.exhaustive is _UNBUILT:
+                resolution.exhaustive = (
+                    self.table_factory(packet)
+                    if self.table_factory is not None
+                    else self.scheme.build_resolution_table(
+                        packet, self.keystore, self.provider
+                    )
+                )
+            candidates = self.scheme.candidate_marker_ids(
+                packet, index, self.keystore, self.provider, table=resolution.exhaustive
+            )
+        if clock is not None:
+            resolution.seconds += clock() - start
         return [
             node_id
             for node_id in candidates
@@ -257,3 +248,26 @@ class PacketVerifier:
                 packet, index, node_id, self.keystore[node_id], self.provider
             )
         ]
+
+
+#: ``_Resolution.exhaustive`` before the packet's table is built.
+_UNBUILT = object()
+
+
+class _Resolution:
+    """Resolution work one packet's marks share.
+
+    The exhaustive table is built at most once per packet.  Bounded
+    searches read ``memo``, the scheme's ``node ID -> anonymous ID``
+    scratch (see :meth:`MarkingScheme.bounded_candidates`), so a node is
+    hashed at most once per packet.  ``seconds`` totals the resolution
+    time on the enabled provider's ``clock``, observed once per packet.
+    """
+
+    __slots__ = ("exhaustive", "memo", "seconds", "clock")
+
+    def __init__(self, obs: ObsProvider | NoopObsProvider):
+        self.exhaustive: object | None = _UNBUILT
+        self.memo: dict[int, bytes] = {}
+        self.seconds = 0.0
+        self.clock = obs.clock if isinstance(obs, ObsProvider) else None

@@ -1,4 +1,5 @@
-"""ResolverCache: table memoization, hot-set learning, invalidation."""
+"""ResolverCache: table memoization, hot-set learning, learned search sets,
+invalidation."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.marking.pnm import PNMMarking
 from repro.packets.packet import MarkedPacket
 from repro.packets.report import Report
 from repro.service import CachingResolver, ResolverCache
+from repro.traceback.reconstruct import PrecedenceGraph
 from repro.traceback.resolver import ExhaustiveResolver, TopologyBoundedResolver
 from repro.net.topology import linear_path_topology
 
@@ -57,25 +59,34 @@ class TestTableMemo:
 
 class TestHotSet:
     def test_empty_hot_set_is_none(self, cache):
-        assert cache.hot_ids() is None
+        assert cache.hot_members({1, 2}) == []
+        assert cache.hot_members(None) == []
 
     def test_touch_and_snapshot(self, cache):
         cache.touch([5, 3, 9])
-        assert cache.hot_ids() == [3, 5, 9]
+        assert cache.hot_members({9, 3, 5, 11}) == [3, 5, 9]
+        # The chain's most downstream marker is its last hop.
+        assert cache.hot_members(None) == [9]
 
     def test_snapshot_reused_until_membership_changes(self, cache):
-        cache.touch([1, 2])
-        first = cache.hot_ids()
-        cache.touch([2, 1])  # LRU refresh only, same membership
-        assert cache.hot_ids() is first
-        cache.touch([7])
-        assert cache.hot_ids() == [1, 2, 7]
+        graph = PrecedenceGraph()
+        graph.add_chain([1, 2, 3])
+        resolver = CachingResolver(ExhaustiveResolver(), cache, graph)
+        packet = packet_for(1)
+        cache.touch([1, 2, 3])
+        first = resolver.search_ids(packet, 3)
+        assert first == [2]
+        cache.touch([2, 1, 3])  # LRU refresh only, same membership
+        assert resolver.search_ids(packet, 3) is first
+        graph.add_chain([7, 3])  # new evidence: the set is recomputed
+        cache.touch([7, 3])
+        assert resolver.search_ids(packet, 3) == [2, 7]
 
     def test_lru_eviction_of_cold_markers(self, keystore):
         cache = ResolverCache(SCHEME, keystore, PROVIDER, hot_capacity=3)
         cache.touch([1, 2, 3])
         cache.touch([4])  # evicts 1, the least recently seen
-        assert cache.hot_ids() == [2, 3, 4]
+        assert cache.hot_members({1, 2, 3, 4}) == [2, 3, 4]
 
 
 class TestInvalidation:
@@ -83,7 +94,8 @@ class TestInvalidation:
         cache.resolution_table(packet_for(1))
         cache.touch([2, 5])
         cache.invalidate_node(5)
-        assert cache.hot_ids() == [2]
+        assert cache.hot_members({2, 5}) == [2]
+        assert cache.hot_members(None) == []  # 5 was the last hop
         assert cache.invalidations == 1
         # Tables were purged: same report misses again.
         cache.resolution_table(packet_for(1))
@@ -96,7 +108,7 @@ class TestInvalidation:
         )
         cache.touch([4, 8])
         revocations.revoke(8, reason="test evidence")
-        assert cache.hot_ids() == [4]
+        assert cache.hot_members({4, 8}) == [4]
         revocations.revoke(8, reason="again")  # re-revocation: no re-fire
         assert cache.invalidations == 1
 
@@ -104,7 +116,8 @@ class TestInvalidation:
         cache.resolution_table(packet_for(1))
         cache.touch([1])
         cache.clear()
-        assert cache.hot_ids() is None
+        assert cache.hot_members({1}) == []
+        assert cache.hot_members(None) == []
         cache.resolution_table(packet_for(1))
         assert cache.table_misses == 2
 
@@ -122,18 +135,32 @@ class TestCachingResolver:
     def test_passes_bounded_inner_through(self, cache):
         topo, _source = linear_path_topology(5)
         inner = TopologyBoundedResolver(topo, radius=1)
-        resolver = CachingResolver(inner, cache)
+        resolver = CachingResolver(inner, cache, PrecedenceGraph())
         cache.touch([99])
         packet = packet_for(1)
         assert resolver.search_ids(packet, 3) == inner.search_ids(packet, 3)
 
-    def test_offers_hot_set_for_exhaustive_inner(self, cache):
-        resolver = CachingResolver(ExhaustiveResolver(), cache)
+    def test_offers_learned_route_for_exhaustive_inner(self, cache):
+        graph = PrecedenceGraph()
+        resolver = CachingResolver(ExhaustiveResolver(), cache, graph)
         packet = packet_for(1)
         assert resolver.search_ids(packet, None) is None  # cold
-        cache.touch([7, 2])
+        graph.add_chain([1, 2, 7])
+        graph.add_chain([4, 2])
+        cache.touch([1, 2, 7])
+        # Most downstream mark: the last hops seen so far.
+        assert resolver.search_ids(packet, None) == [7]
+        # Mark i: the hot predecessors of mark i+1's verifier; 4 is an
+        # upstream of 2 in the graph but has not verified recently.
+        assert resolver.search_ids(packet, 2) == [1]
+        assert resolver.search_ids(packet, 7) == [2]
+        # No hot predecessor (or an unobserved node): search everything.
+        assert resolver.search_ids(packet, 1) is None
+        assert resolver.search_ids(packet, 42) is None
+        assert cache.hot_searches == 3
+        cache.touch([4, 2])
+        assert resolver.search_ids(packet, 2) == [1, 4]
         assert resolver.search_ids(packet, None) == [2, 7]
-        assert cache.hot_searches == 1
 
     def test_notify_miss_counts_and_forwards(self, cache):
         class Recorder:
@@ -146,7 +173,7 @@ class TestCachingResolver:
                 self.notified += 1
 
         inner = Recorder()
-        resolver = CachingResolver(inner, cache)
+        resolver = CachingResolver(inner, cache, PrecedenceGraph())
         resolver.notify_miss()
         assert cache.hot_misses == 1
         assert inner.notified == 1

@@ -21,6 +21,7 @@ from repro.sim.network import NetworkSimulation
 from repro.sim.sources import BogusReportSource
 from repro.traceback.sink import TracebackSink
 from tests.conftest import ctx_for, mark_through_path
+from tests.test_service.test_learned_route import offered_ids
 
 PROVIDER = HmacProvider()
 SCHEME = PNMMarking(mark_prob=1.0)
@@ -91,8 +92,8 @@ class TestEquivalence:
             service.submit(packet, N_FORWARDERS)
             service.process_batch()
         stats = service.stats()
-        # After the first packet warms the hot-set, every mark of every
-        # later packet resolves from it without falling back.
+        # After the first packet teaches the route, every mark of every
+        # later packet resolves from its learned set without falling back.
         assert stats.cache["hot_searches"] == (len(packets) - 1) * N_FORWARDERS
         assert stats.cache["hot_misses"] == 0
         assert stats.cache["hot_hit_rate"] == 1.0
@@ -204,9 +205,9 @@ class TestRevocationInvalidation:
         for packet in stream(deployment[1], 3):
             service.submit(packet, N_FORWARDERS)
         service.flush()
-        assert service.cache.hot_ids() is not None
+        assert 3 in offered_ids(service)
         revocations.revoke(3, reason="identified mole")
-        assert 3 not in (service.cache.hot_ids() or [])
+        assert 3 not in offered_ids(service)
         assert service.cache.stats()["tables_cached"] == 0
         assert service.cache.invalidations == 1
 
@@ -220,9 +221,9 @@ class TestFaultInvalidation:
             service.submit(packet, N_FORWARDERS)
         service.flush()
         assert service.cache.stats()["tables_cached"] > 0
-        assert 3 in (service.cache.hot_ids() or [])
+        assert 3 in offered_ids(service)
         service.invalidate_node(3)
-        assert 3 not in (service.cache.hot_ids() or [])
+        assert 3 not in offered_ids(service)
         assert service.cache.stats()["tables_cached"] == 0
         assert service.cache.invalidations == 1
         assert service.stats().cache["invalidations"] == 1
@@ -247,7 +248,7 @@ class TestFaultInvalidation:
                 # Mid-stream crash of forwarder 3: the injector purges
                 # its cached resolver state exactly like this.
                 service.invalidate_node(crashed)
-                assert crashed not in (service.cache.hot_ids() or [])
+                assert crashed not in offered_ids(service)
         processed = service.flush()
         assert processed >= 0
         stats = service.stats()

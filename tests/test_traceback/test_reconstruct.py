@@ -12,7 +12,8 @@ class TestChains:
         g = PrecedenceGraph()
         g.add_chain([5])
         assert g.observed == {5}
-        assert g.upstream_of(5) == set()
+        assert g.predecessors(5) == set()
+        assert g.predecessors(6) == set()  # unobserved
 
     def test_pair_adds_edge(self):
         g = PrecedenceGraph()

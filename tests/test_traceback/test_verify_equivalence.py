@@ -1,17 +1,24 @@
-"""The verifier's MAC-only check of table candidates changes no result.
+"""The verifier's resolution shortcuts change no result.
 
 ``PacketVerifier`` asks ``scheme.verify_candidate`` about each candidate
-``candidate_marker_ids`` returned; for PNM that skips the anonymous-ID
-hash the resolution table already matched.  A reference verifier that
-runs the full ``scheme.verify_mark_as`` on every candidate (the check
-before that shortcut) must reach the same ``PacketVerification`` on
-every packet the security matrix delivers -- every scheme, every attack
--- with inline tables, with :class:`ResolverCache` tables, and under a
+the resolution found; for PNM that skips the anonymous-ID hash the
+resolution already matched, and bounded searches resolve through a
+per-packet ``node -> anonymous ID`` memo rather than a table.  A
+reference verifier that finds candidates with a table of its own and
+runs the full ``scheme.verify_mark_as`` on every one (the check before
+those shortcuts) must reach the same ``PacketVerification`` on every
+packet the security matrix delivers -- every scheme, every attack --
+with inline tables, with :class:`ResolverCache` tables, and under a
 topology-bounded resolver with exhaustive fallback.
+
+The ingest service's learned-route search is checked the same way: every
+cell streamed through :class:`SinkIngestService` verifies and judges
+exactly as one sink with an exhaustive full-check verifier.
 """
 
 import pytest
 
+from repro.cluster.coordinator import verdict_json
 from repro.core.build import build_scenario
 from repro.core.scenario import Scenario
 from repro.experiments.presets import CI
@@ -19,8 +26,9 @@ from repro.experiments.security_matrix import ATTACKS, SCHEMES
 from repro.marking.pnm import PNMMarking
 from repro.packets.marks import Mark
 from repro.packets.packet import MarkedPacket
-from repro.service import ResolverCache
+from repro.service import ResolverCache, SinkIngestService
 from repro.traceback.resolver import TopologyBoundedResolver
+from repro.traceback.sink import TracebackSink
 from repro.traceback.verify import PacketVerification, PacketVerifier
 from tests.conftest import ctx_for, mark_through_path
 
@@ -28,16 +36,27 @@ PACKETS_PER_CELL = 40
 
 
 class ReferenceVerifier(PacketVerifier):
-    """Confirms every candidate with the scheme's full mark check."""
+    """Finds candidates with its own table, ignoring the verifier's
+    per-packet resolution state, and confirms each with the scheme's full
+    mark check."""
 
-    def _validate_within(self, packet, index, search, table):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._tables = {}
+
+    def _validate_within(self, packet, index, search, resolution):
+        key = (packet.report_wire, None if search is None else tuple(search))
+        if key not in self._tables:
+            self._tables[key] = self.scheme.build_resolution_table(
+                packet, self.keystore, self.provider, search_ids=search
+            )
         candidates = self.scheme.candidate_marker_ids(
             packet,
             index,
             self.keystore,
             self.provider,
             search_ids=search,
-            table=table,
+            table=self._tables[key],
         )
         return [
             node_id
@@ -53,7 +72,10 @@ def outcome(result: PacketVerification) -> tuple:
     return result.verified, result.invalid_indices, result.fallback_searches
 
 
-def delivered_packets(scheme: str, attack: str) -> tuple[object, list[MarkedPacket]]:
+def delivered_packets(
+    scheme: str, attack: str
+) -> tuple[object, list[tuple[MarkedPacket, int]]]:
+    """A matrix cell's delivered ``(packet, delivering node)`` stream."""
     built = build_scenario(
         Scenario(
             n_forwarders=CI.matrix_n,
@@ -63,22 +85,22 @@ def delivered_packets(scheme: str, attack: str) -> tuple[object, list[MarkedPack
             crypto="real",
         )
     )
-    packets: list[MarkedPacket] = []
-    verify = built.sink.verifier.verify
+    delivered: list[tuple[MarkedPacket, int]] = []
+    receive = built.sink.receive
 
-    def record(packet: MarkedPacket) -> PacketVerification:
-        packets.append(packet)
-        return verify(packet)
+    def record(packet: MarkedPacket, delivering_node: int) -> PacketVerification:
+        delivered.append((packet, delivering_node))
+        return receive(packet, delivering_node)
 
-    built.sink.verifier.verify = record
+    built.sink.receive = record
     built.pipeline.push_many(PACKETS_PER_CELL)
-    return built, packets
+    return built, delivered
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("attack", ATTACKS)
 def test_matches_reference_verifier(scheme, attack):
-    built, packets = delivered_packets(scheme, attack)
+    built, delivered = delivered_packets(scheme, attack)
     args = (built.scheme, built.keystore, built.provider)
     cache = ResolverCache(*args)
     pairs = [
@@ -92,19 +114,48 @@ def test_matches_reference_verifier(scheme, attack):
             ReferenceVerifier(*args, resolver=TopologyBoundedResolver(built.topology)),
         ),
     ]
-    for packet in packets:
+    for packet, _node in delivered:
         for fast, reference in pairs:
             assert outcome(fast.verify(packet)) == outcome(reference.verify(packet))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("attack", ATTACKS)
+def test_service_matches_exhaustive_reference(scheme, attack):
+    """Learned-route search through the ingest service: the same marks
+    verify, the same indices fail and the verdict is byte-identical.
+    ``fallback_searches`` differs by design and is not compared."""
+    built, delivered = delivered_packets(scheme, attack)
+    args = (built.scheme, built.keystore, built.provider)
+    reference = TracebackSink(*args, built.topology)
+    reference.verifier = ReferenceVerifier(*args)
+    service = SinkIngestService(TracebackSink(*args, built.topology))
+    verifications: list[PacketVerification] = []
+    ingest = service.sink.ingest
+
+    def record(verification, delivering_node):
+        verifications.append(verification)
+        return ingest(verification, delivering_node)
+
+    service.sink.ingest = record
+    for packet, delivering_node in delivered:
+        service.submit(packet, delivering_node)
+    service.flush()
+    expected = [reference.receive(p, node) for p, node in delivered]
+    assert [(v.verified, v.invalid_indices) for v in verifications] == [
+        (v.verified, v.invalid_indices) for v in expected
+    ]
+    assert verdict_json(service.verdict()) == verdict_json(reference.verdict())
 
 
 def test_matrix_cells_exercise_marks():
     # Guard against a vacuous comparison: the PNM cells deliver marked
     # packets, some with invalid marks under attack.
     _, honest = delivered_packets("pnm", "none")
-    assert any(p.marks for p in honest)
+    assert any(p.marks for p, _node in honest)
     built, altered = delivered_packets("pnm", "alter")
     verifier = PacketVerifier(built.scheme, built.keystore, built.provider)
-    assert any(verifier.verify(p).invalid_indices for p in altered)
+    assert any(verifier.verify(p).invalid_indices for p, _node in altered)
 
 
 class TestPNMFullCheck:
