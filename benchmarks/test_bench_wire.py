@@ -9,7 +9,9 @@ codec and the asyncio server before it reaches verification.  Two checks:
   ``SinkIngestService`` — i.e. framing + CRC + TCP may at most halve
   throughput;
 * microbenchmarks for ``encode_packet``/``decode_packet`` and
-  ``encode_frame``/``decode_frame``, the per-packet inner loop.
+  ``encode_frame``/``decode_frame``, the per-packet inner loop, and for
+  a warm service verifying the decoded packets, so the per-mark verify
+  cost reads beside the codec's.
 
 Timing method (as in ``test_bench_obs.py``): one run of either side takes
 a few tens of milliseconds, so a single unpaired pair of runs mostly
@@ -171,6 +173,19 @@ class TestBenchCodec:
         bodies = [encode_packet(p) for p in stream]
         out = benchmark(lambda: [decode_packet(b, fmt) for b in bodies])
         assert out == stream
+
+    def test_bench_verify_decoded_packet(self, benchmark, workload):
+        _topology, _keystore, stream, delivering = workload
+        fmt = PNMMarking(mark_prob=1.0).fmt
+        received = [decode_packet(encode_packet(p), fmt) for p in stream]
+        with make_service(workload) as service:
+            # Warm: the learned route and the resolution tables are built.
+            service.submit_batch(received, delivering)
+            service.flush()
+            verify = service.verifier.verify
+            out = benchmark(lambda: [verify(p) for p in received])
+        assert len(out) == PACKETS
+        assert all(v.all_valid and v.verified for v in out)
 
     def test_bench_frame_round_trip(self, benchmark, workload):
         _topology, _keystore, stream, delivering = workload

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from collections.abc import Iterable, Iterator, Mapping
+from types import MappingProxyType
 
 __all__ = ["derive_node_key", "KeyStore"]
 
@@ -85,6 +86,12 @@ class KeyStore(Mapping[int, bytes]):
             KeyError: if the node is unknown to the sink.
         """
         return self._keys[node_id]
+
+    @property
+    def mapping(self) -> Mapping[int, bytes]:
+        """A read-only view of the table with ``dict``-speed lookups, for
+        the sink's per-mark loops."""
+        return MappingProxyType(self._keys)
 
     def node_ids(self) -> list[int]:
         """All known node IDs, sorted ascending."""

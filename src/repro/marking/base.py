@@ -10,15 +10,18 @@ A marking scheme defines three things:
    it over the exact received bytes.
 
 The traceback engine (:mod:`repro.traceback`) is scheme-agnostic: it scans
-marks backwards, asks the scheme to verify each one, and builds routes from
-the verified chains.  Adversaries (:mod:`repro.adversary`) also go through
-this interface when they forge or replicate marks using compromised keys.
+marks backwards, asks the scheme's per-packet mark checker
+(:meth:`MarkingScheme.mark_checker`) about each one, and builds routes
+from the verified chains.  Adversaries (:mod:`repro.adversary`) also go
+through this interface when they forge or replicate marks using
+compromised keys.
 """
 
 from __future__ import annotations
 
 import abc
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.crypto.keys import KeyStore
@@ -26,7 +29,14 @@ from repro.crypto.mac import MacProvider
 from repro.packets.marks import Mark, MarkFormat
 from repro.packets.packet import MarkedPacket
 
-__all__ = ["NodeContext", "MarkingScheme"]
+__all__ = ["NodeContext", "MarkingScheme", "MarkCheck", "PacketResolution"]
+
+#: ``check(index, search) -> valid node IDs``, see
+#: :meth:`MarkingScheme.mark_checker`.
+MarkCheck = Callable[[int, list[int] | None], list[int]]
+
+#: ``PacketResolution`` table before it is built.
+_UNBUILT = object()
 
 
 @dataclass
@@ -49,6 +59,35 @@ class NodeContext:
     provider: MacProvider
     rng: random.Random
     prev_hop: int | None = None
+
+
+class PacketResolution:
+    """Anonymous-ID resolution work one packet's marks share.
+
+    The verifier makes one per packet and hands it to
+    :meth:`MarkingScheme.mark_checker`.  :meth:`table` builds the
+    exhaustive resolution table at most once, through ``build``.
+    Checkers add the time they spend resolving to ``seconds`` when
+    ``clock`` is set, and read no clock when it is ``None``.
+    """
+
+    __slots__ = ("_build", "_table", "clock", "seconds")
+
+    def __init__(
+        self,
+        build: Callable[[], object | None],
+        clock: Callable[[], float] | None = None,
+    ):
+        self._build = build
+        self._table: object | None = _UNBUILT
+        self.clock = clock
+        self.seconds = 0.0
+
+    def table(self) -> object | None:
+        """The packet's exhaustive resolution table, built on first use."""
+        if self._table is _UNBUILT:
+            self._table = self._build()
+        return self._table
 
 
 class MarkingScheme(abc.ABC):
@@ -156,26 +195,6 @@ class MarkingScheme(abc.ABC):
         :meth:`verify_mark_as`.
         """
 
-    def bounded_candidates(
-        self,
-        packet: MarkedPacket,
-        mark_index: int,
-        keystore: KeyStore,
-        provider: MacProvider,
-        search_ids: list[int],
-        memo: dict[int, bytes],
-    ) -> list[int]:
-        """:meth:`candidate_marker_ids` over ``search_ids`` only.
-
-        ``memo`` is per-packet scratch: the caller passes the same dict,
-        empty at first, for every mark of one packet.  Anonymous-ID
-        schemes keep each searched node's anonymous ID in it, so a node is
-        hashed at most once per packet however many marks search it.
-        """
-        return self.candidate_marker_ids(
-            packet, mark_index, keystore, provider, search_ids=search_ids
-        )
-
     @abc.abstractmethod
     def verify_mark_as(
         self,
@@ -189,21 +208,52 @@ class MarkingScheme(abc.ABC):
         as received (over the exact wire prefix the mark claims to protect).
         """
 
-    def verify_candidate(
+    def mark_checker(
         self,
         packet: MarkedPacket,
-        mark_index: int,
-        node_id: int,
-        key: bytes,
+        keystore: KeyStore,
         provider: MacProvider,
-    ) -> bool:
-        """:meth:`verify_mark_as` for an ID :meth:`candidate_marker_ids`
-        returned for this mark.
+        resolution: PacketResolution,
+    ) -> MarkCheck:
+        """The sink's check for the marks of one received packet.
 
-        Schemes whose candidate search already matched the ID field (the
-        anonymous-ID table) override this to check only the MAC.
+        Returns ``check(index, search)``: every node ID in ``search``
+        (``None``: every key, through ``resolution.table()``) whose key
+        validates mark ``index`` over the exact received bytes, in
+        candidate order.  More than one ID means a truncation collision;
+        the verifier marks the attribution ambiguous.  The verifier calls
+        it mark by mark, most downstream first, and owns the fallback and
+        stopping rules.
+
+        This default composes :meth:`candidate_marker_ids` and
+        :meth:`verify_mark_as`.  Schemes override it to bind per-packet
+        state once instead of once per mark.  Resolution time (table
+        builds, candidate search; not MAC checks) goes to
+        ``resolution.seconds`` when ``resolution.clock`` is set.
         """
-        return self.verify_mark_as(packet, mark_index, node_id, key, provider)
+        clock = resolution.clock
+
+        def check(index: int, search: list[int] | None) -> list[int]:
+            start = clock() if clock is not None else 0.0
+            if search is None:
+                candidates = self.candidate_marker_ids(
+                    packet, index, keystore, provider, table=resolution.table()
+                )
+            else:
+                candidates = self.candidate_marker_ids(
+                    packet, index, keystore, provider, search_ids=search
+                )
+            if clock is not None:
+                resolution.seconds += clock() - start
+            return [
+                node_id
+                for node_id in candidates
+                if self.verify_mark_as(
+                    packet, index, node_id, keystore[node_id], provider
+                )
+            ]
+
+        return check
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(p={self.mark_prob}, fmt={self.fmt})"

@@ -24,7 +24,12 @@ from __future__ import annotations
 
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import MacProvider, constant_time_equal
-from repro.marking.base import MarkingScheme, NodeContext
+from repro.marking.base import (
+    MarkCheck,
+    MarkingScheme,
+    NodeContext,
+    PacketResolution,
+)
 from repro.packets.marks import Mark, MarkFormat
 from repro.packets.packet import MarkedPacket
 
@@ -118,36 +123,6 @@ class PNMMarking(MarkingScheme):
         assert isinstance(table, dict)
         return list(table.get(mark.id_field, ()))
 
-    def bounded_candidates(
-        self,
-        packet: MarkedPacket,
-        mark_index: int,
-        keystore: KeyStore,
-        provider: MacProvider,
-        search_ids: list[int],
-        memo: dict[int, bytes],
-    ) -> list[int]:
-        mark = packet.marks[mark_index]
-        if not mark.matches_format(self.fmt):
-            return []
-        id_field = mark.id_field
-        found = []
-        for node_id in search_ids:
-            anon = memo.get(node_id)
-            if anon is None:
-                key = keystore.get(node_id)
-                # A keyless node (see build_resolution_table) matches nothing.
-                anon = memo[node_id] = (
-                    b""
-                    if key is None
-                    else provider.anon_id(
-                        key, _anon_input(packet.report_wire, node_id)
-                    )
-                )
-            if anon == id_field:
-                found.append(node_id)
-        return found
-
     def verify_mark_as(
         self,
         packet: MarkedPacket,
@@ -164,29 +139,77 @@ class PNMMarking(MarkingScheme):
         )
         if mark.id_field != expected_anon:
             return False
-        return self._mac_valid(packet, mark_index, key, provider)
-
-    def verify_candidate(
-        self,
-        packet: MarkedPacket,
-        mark_index: int,
-        node_id: int,
-        key: bytes,
-        provider: MacProvider,
-    ) -> bool:
-        # The resolution table matched this candidate's anonymous ID (and
-        # the mark's format) already; hashing it again cannot change that.
-        return self._mac_valid(packet, mark_index, key, provider)
-
-    def _mac_valid(
-        self,
-        packet: MarkedPacket,
-        mark_index: int,
-        key: bytes,
-        provider: MacProvider,
-    ) -> bool:
-        """Whether ``key`` validates the nested MAC of mark ``mark_index``."""
-        mark = packet.marks[mark_index]
         prefix = packet.prefix_wire(mark_index)
         expected_mac = provider.mac(key, prefix + mark.id_field)
         return constant_time_equal(expected_mac, mark.mac)
+
+    def mark_checker(
+        self,
+        packet: MarkedPacket,
+        keystore: KeyStore,
+        provider: MacProvider,
+        resolution: PacketResolution,
+    ) -> MarkCheck:
+        """:meth:`verify_mark_as` over every candidate, one call per mark.
+
+        Binds the packet's wire bytes and prefix ends, the report bytes,
+        the keys and the provider's two PRFs once.  Per mark: the format
+        check; the anonymous-ID match, against the exhaustive table or
+        against a per-packet ``node -> anonymous ID`` memo that hashes
+        each searched node at most once per packet; then the MAC of each
+        match over the received prefix.  A candidate is never accepted on
+        its MAC alone.
+        """
+        marks = packet.marks
+        wire, ends = packet.layout
+        report_wire = packet.report_wire
+        keys = keystore.mapping
+        get_key = keys.get
+        mac = provider.mac
+        anon_id = provider.anon_id
+        id_len, mac_len = self.fmt.id_len, self.fmt.mac_len
+        clock = resolution.clock
+        memo: dict[int, bytes] = {}
+
+        def check(index: int, search: list[int] | None) -> list[int]:
+            mark = marks[index]
+            id_field, mark_mac = mark.id_field, mark.mac
+            if len(id_field) != id_len or len(mark_mac) != mac_len:
+                return []
+            start = clock() if clock is not None else 0.0
+            if search is None:
+                table = resolution.table()
+                assert isinstance(table, dict)
+                matches = table.get(id_field, ())
+            else:
+                matches = []
+                for node_id in search:
+                    anon = memo.get(node_id)
+                    if anon is None:
+                        key = get_key(node_id)
+                        # A keyless node (see build_resolution_table)
+                        # matches nothing.  The input is _anon_input's,
+                        # inlined.
+                        anon = memo[node_id] = (
+                            b""
+                            if key is None
+                            else anon_id(
+                                key,
+                                report_wire
+                                + node_id.to_bytes(_ANON_INPUT_ID_LEN, "big"),
+                            )
+                        )
+                    if anon == id_field:
+                        matches.append(node_id)
+            if clock is not None:
+                resolution.seconds += clock() - start
+            if not matches:
+                return []
+            signed = wire[: ends[index]] + id_field
+            return [
+                node_id
+                for node_id in matches
+                if constant_time_equal(mac(keys[node_id], signed), mark_mac)
+            ]
+
+        return check

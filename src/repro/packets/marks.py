@@ -92,19 +92,6 @@ class Mark:
     def wire_len(self) -> int:
         return len(self.id_field) + len(self.mac)
 
-    @classmethod
-    def decode(cls, data: bytes, fmt: MarkFormat) -> "Mark":
-        """Parse one mark laid out per ``fmt``.
-
-        Raises:
-            ValueError: if ``data`` is not exactly one mark long.
-        """
-        if len(data) != fmt.mark_len:
-            raise ValueError(
-                f"mark buffer has {len(data)} bytes, format expects {fmt.mark_len}"
-            )
-        return cls(id_field=bytes(data[: fmt.id_len]), mac=bytes(data[fmt.id_len :]))
-
     def matches_format(self, fmt: MarkFormat) -> bool:
         """Whether this mark's field sizes agree with ``fmt``."""
         return len(self.id_field) == fmt.id_len and len(self.mac) == fmt.mac_len

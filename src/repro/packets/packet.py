@@ -12,6 +12,7 @@ moles) produces new packets via :meth:`with_mark` / :meth:`with_marks`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -55,27 +56,29 @@ class MarkedPacket:
             raise ValueError(
                 f"num_marks={num_marks} out of range 0..{len(self.marks)}"
             )
-        wire, ends = self._layout
+        wire, ends = self.layout
         return wire[: ends[num_marks]]
 
     def wire(self) -> bytes:
         """Full wire bytes of the packet as currently marked."""
-        return self._layout[0]
+        return self.layout[0]
 
     @property
     def wire_len(self) -> int:
         """Total transmitted size in bytes (report + all marks)."""
-        return len(self._layout[0])
+        return len(self.layout[0])
 
     @cached_property
-    def _layout(self) -> tuple[bytes, tuple[int, ...]]:
-        """The wire bytes, encoded once, and where each prefix ends.
+    def layout(self) -> tuple[bytes, Sequence[int]]:
+        """``(wire, ends)``: the wire bytes, encoded once, and where each
+        prefix ends.
 
-        ``ends[i]`` is the length of ``prefix_wire(i)``.  The offsets are
-        summed mark by mark, not ``i * mark_len``: a mole may put marks of
-        the wrong length on the wire.  Not a field, so equality, hashing
-        and repr ignore it, and ``with_mark``/``replace`` copies start
-        afresh.
+        ``ends[i]`` is the length of ``prefix_wire(i)``; the sink slices
+        MAC inputs with it directly.  The offsets are summed mark by mark,
+        not ``i * mark_len``: a mole may put marks of the wrong length on
+        the wire.  Not a field, so equality, hashing and repr ignore it,
+        and ``with_mark``/``replace`` copies start afresh.  :meth:`decode`
+        seeds it with the received buffer.
         """
         report_wire = self.report.encode()
         parts = [report_wire]
@@ -112,33 +115,50 @@ class MarkedPacket:
         given, the buffer must hold *exactly* that many marks, and even
         mark-aligned trailing bytes raise.
 
+        The decoded packet keeps the received bytes: ``wire()``,
+        ``prefix_wire(i)`` and ``report.encode()`` are slices of ``data``,
+        not a re-encoding, so every MAC the sink checks covers the bytes
+        exactly as received.  ``with_mark``/``with_marks`` copies encode
+        afresh.
+
         Raises:
-            ValueError: if the trailing bytes are not a whole number of
-                marks, or do not match ``num_marks`` when it is given.
+            ValueError: if the report does not parse, or the trailing
+                bytes are not a whole number of marks, or do not match
+                ``num_marks`` when it is given.
         """
-        report, consumed = Report.decode_prefix(data)
-        remainder = data[consumed:]
+        buffer = bytes(data)
+        report, consumed = Report.decode_prefix(buffer)
+        size = len(buffer)
+        remainder = size - consumed
+        mark_len = fmt.mark_len
         if num_marks is not None:
             if num_marks < 0:
                 raise ValueError(f"num_marks must be >= 0, got {num_marks}")
-            expected = num_marks * fmt.mark_len
-            if len(remainder) < expected:
+            expected = num_marks * mark_len
+            if remainder < expected:
                 raise ValueError(
                     f"buffer too short for {num_marks} marks: "
-                    f"need {expected} bytes, have {len(remainder)}"
+                    f"need {expected} bytes, have {remainder}"
                 )
-            if len(remainder) > expected:
+            if remainder > expected:
                 raise ValueError(
-                    f"{len(remainder) - expected} trailing bytes after "
+                    f"{remainder - expected} trailing bytes after "
                     f"{num_marks} marks"
                 )
-        if len(remainder) % fmt.mark_len != 0:
+        if remainder % mark_len != 0:
             raise ValueError(
-                f"{len(remainder)} trailing bytes is not a multiple of "
-                f"mark length {fmt.mark_len}"
+                f"{remainder} trailing bytes is not a multiple of "
+                f"mark length {mark_len}"
             )
-        marks = tuple(
-            Mark.decode(remainder[i : i + fmt.mark_len], fmt)
-            for i in range(0, len(remainder), fmt.mark_len)
-        )
-        return cls(report=report, marks=marks)
+        id_len = fmt.id_len
+        marks = [
+            Mark(buffer[at : at + id_len], buffer[at + id_len : at + mark_len])
+            for at in range(consumed, size, mark_len)
+        ]
+        packet = cls(report=report, marks=tuple(marks))
+        # Report encoding is canonical (decode then encode gives the same
+        # bytes), so the received buffer is the packet's wire form: seed
+        # both caches with it and verification MACs the bytes as received.
+        report.__dict__["_wire"] = buffer[:consumed]
+        packet.__dict__["layout"] = (buffer, range(consumed, size + 1, mark_len))
+        return packet

@@ -1,9 +1,10 @@
 """Per-packet backward mark verification (Section 4.1's procedure).
 
 The sink verifies marks from the most downstream one backwards.  For each
-mark it resolves candidate marker IDs (trivially for plain-ID schemes, via
-key search for anonymous IDs) and checks the MAC against each candidate's
-key over the exact received bytes.
+mark the scheme's per-packet checker (:meth:`MarkingScheme.mark_checker`)
+resolves candidate marker IDs (trivially for plain-ID schemes, via key
+search for anonymous IDs) and checks the MAC against each candidate's key
+over the exact received bytes.
 
 Two policies, selected by the scheme:
 
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import MacProvider
-from repro.marking.base import MarkingScheme
+from repro.marking.base import MarkingScheme, PacketResolution
 from repro.obs.profiling import NoopObsProvider, ObsProvider, resolve_provider
 from repro.obs.spans import report_key
 from repro.packets.packet import MarkedPacket
@@ -157,117 +159,53 @@ class PacketVerifier:
         return result
 
     def _verify(self, packet: MarkedPacket) -> PacketVerification:
+        table_factory = self.table_factory
+        resolution = PacketResolution(
+            partial(table_factory, packet)
+            if table_factory is not None
+            else partial(
+                self.scheme.build_resolution_table,
+                packet,
+                self.keystore,
+                self.provider,
+            ),
+            self.obs.clock if isinstance(self.obs, ObsProvider) else None,
+        )
+        check = self.scheme.mark_checker(
+            packet, self.keystore, self.provider, resolution
+        )
+        search_ids = self.resolver.search_ids
+        suffix = self.scheme.verification_policy == "suffix"
         result = PacketVerification(packet=packet)
-        resolution = _Resolution(self.obs)
+        verified, invalid = result.verified, result.invalid_indices
         prev_verified: int | None = None
         for index in range(len(packet.marks) - 1, -1, -1):
-            search = self.resolver.search_ids(packet, prev_verified)
-            valid_ids, used_fallback = self._validate_mark(
-                packet, index, search, resolution
-            )
-            if used_fallback:
+            search = search_ids(packet, prev_verified)
+            valid_ids = check(index, search)
+            if not valid_ids and search is not None and self.exhaustive_fallback:
                 result.fallback_searches += 1
+                valid_ids = check(index, None)
+                if valid_ids:
+                    # The bounded search missed a mark the exhaustive one
+                    # found: adaptive resolvers use this to widen their ball.
+                    notify = getattr(self.resolver, "notify_miss", None)
+                    if notify is not None:
+                        notify()
             if valid_ids:
-                real_id = min(valid_ids)
-                result.verified.insert(
-                    0,
-                    VerifiedMark(
-                        index=index,
-                        real_id=real_id,
-                        ambiguous=len(valid_ids) > 1,
-                    ),
+                prev_verified = min(valid_ids)
+                verified.append(
+                    VerifiedMark(index, prev_verified, len(valid_ids) > 1)
                 )
-                prev_verified = real_id
             else:
-                result.invalid_indices.insert(0, index)
-                if self.scheme.verification_policy == "suffix":
+                invalid.append(index)
+                if suffix:
                     break
                 # "independent": skip this mark, keep scanning.  The next
                 # bounded search should still anchor on the last *verified*
                 # marker, which prev_verified already holds.
+        # Scanned backwards; both lists are reported in wire order.
+        verified.reverse()
+        invalid.reverse()
         if resolution.seconds:
             self.obs.observe("resolution_table_seconds", resolution.seconds)
         return result
-
-    def _validate_mark(
-        self,
-        packet: MarkedPacket,
-        index: int,
-        search: list[int] | None,
-        resolution: _Resolution,
-    ) -> tuple[list[int], bool]:
-        """Find every node ID whose key validates mark ``index``.
-
-        Returns ``(valid_ids, used_fallback)``.
-        """
-        valid = self._validate_within(packet, index, search, resolution)
-        if search is None or valid or not self.exhaustive_fallback:
-            return valid, False
-        valid = self._validate_within(packet, index, None, resolution)
-        if valid:
-            # The bounded search missed a mark the exhaustive one found:
-            # adaptive resolvers use this to widen their ball.
-            notify = getattr(self.resolver, "notify_miss", None)
-            if notify is not None:
-                notify()
-        return valid, True
-
-    def _validate_within(
-        self,
-        packet: MarkedPacket,
-        index: int,
-        search: list[int] | None,
-        resolution: _Resolution,
-    ) -> list[int]:
-        """The IDs in ``search`` (``None``: every key) that validate mark
-        ``index``, resolved through the packet's shared ``resolution``."""
-        clock = resolution.clock
-        start = clock() if clock is not None else 0.0
-        if search is not None:
-            candidates = self.scheme.bounded_candidates(
-                packet, index, self.keystore, self.provider, search, resolution.memo
-            )
-        else:
-            if resolution.exhaustive is _UNBUILT:
-                resolution.exhaustive = (
-                    self.table_factory(packet)
-                    if self.table_factory is not None
-                    else self.scheme.build_resolution_table(
-                        packet, self.keystore, self.provider
-                    )
-                )
-            candidates = self.scheme.candidate_marker_ids(
-                packet, index, self.keystore, self.provider, table=resolution.exhaustive
-            )
-        if clock is not None:
-            resolution.seconds += clock() - start
-        return [
-            node_id
-            for node_id in candidates
-            if self.scheme.verify_candidate(
-                packet, index, node_id, self.keystore[node_id], self.provider
-            )
-        ]
-
-
-#: ``_Resolution.exhaustive`` before the packet's table is built.
-_UNBUILT = object()
-
-
-class _Resolution:
-    """Resolution work one packet's marks share.
-
-    The exhaustive table is built at most once per packet.  Bounded
-    searches read ``memo``, the scheme's ``node ID -> anonymous ID``
-    scratch (see :meth:`MarkingScheme.bounded_candidates`), so a node is
-    hashed at most once per packet.  ``seconds`` totals the resolution
-    time on the enabled provider's ``clock``, observed once per packet.
-    """
-
-    __slots__ = ("exhaustive", "memo", "seconds", "clock")
-
-    def __init__(self, obs: ObsProvider | NoopObsProvider):
-        self.exhaustive: object | None = _UNBUILT
-        self.memo: dict[int, bytes] = {}
-        self.seconds = 0.0
-        self.clock = obs.clock if isinstance(obs, ObsProvider) else None

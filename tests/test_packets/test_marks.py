@@ -1,10 +1,26 @@
-"""Mark wire format and MarkFormat validation."""
+"""Mark wire format and MarkFormat validation.
+
+Marks are parsed only as part of a packet, so the decode tests go
+through :meth:`MarkedPacket.decode` with a one-mark packet.
+"""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.packets.marks import Mark, MarkFormat
+from repro.packets.packet import MarkedPacket
+from repro.packets.report import Report
+
+REPORT = Report(event=b"ev", location=(1.0, -2.0), timestamp=9)
+
+
+def decode_one_mark(data: bytes, fmt: MarkFormat) -> Mark:
+    """Parse ``data`` as the only mark of a packet."""
+    packet = MarkedPacket.decode(REPORT.encode() + data, fmt, num_marks=1)
+    assert packet.report == REPORT
+    (mark,) = packet.marks
+    return mark
 
 
 class TestMarkFormat:
@@ -54,18 +70,20 @@ class TestMark:
     def test_decode_roundtrip(self):
         fmt = MarkFormat(id_len=2, mac_len=4)
         m = Mark(id_field=b"\x01\x02", mac=b"wxyz")
-        assert Mark.decode(m.encode(), fmt) == m
+        assert decode_one_mark(m.encode(), fmt) == m
 
     def test_decode_zero_mac_len(self):
         fmt = MarkFormat(id_len=2, mac_len=0)
-        m = Mark.decode(b"\x00\x05", fmt)
+        m = decode_one_mark(b"\x00\x05", fmt)
         assert m.id_field == b"\x00\x05"
         assert m.mac == b""
 
     def test_decode_rejects_wrong_size(self):
         fmt = MarkFormat(id_len=2, mac_len=4)
-        with pytest.raises(ValueError):
-            Mark.decode(b"\x00\x05", fmt)
+        with pytest.raises(ValueError, match="too short"):
+            decode_one_mark(b"\x00\x05", fmt)
+        with pytest.raises(ValueError, match="trailing bytes"):
+            decode_one_mark(b"\x00\x05abcd!", fmt)
 
     def test_matches_format(self):
         fmt = MarkFormat(id_len=2, mac_len=4)
@@ -76,4 +94,4 @@ class TestMark:
     def test_roundtrip_property(self, id_field, mac):
         fmt = MarkFormat(id_len=3, mac_len=5)
         m = Mark(id_field=id_field, mac=mac)
-        assert Mark.decode(m.encode(), fmt) == m
+        assert decode_one_mark(m.encode(), fmt) == m

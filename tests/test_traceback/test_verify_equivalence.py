@@ -1,19 +1,21 @@
-"""The verifier's resolution shortcuts change no result.
+"""The verifier's per-packet mark checkers change no result.
 
-``PacketVerifier`` asks ``scheme.verify_candidate`` about each candidate
-the resolution found; for PNM that skips the anonymous-ID hash the
-resolution already matched, and bounded searches resolve through a
-per-packet ``node -> anonymous ID`` memo rather than a table.  A
-reference verifier that finds candidates with a table of its own and
-runs the full ``scheme.verify_mark_as`` on every one (the check before
-those shortcuts) must reach the same ``PacketVerification`` on every
-packet the security matrix delivers -- every scheme, every attack --
-with inline tables, with :class:`ResolverCache` tables, and under a
-topology-bounded resolver with exhaustive fallback.
+``PacketVerifier`` asks ``scheme.mark_checker`` for one ``check(index,
+search)`` per packet.  PNM's checker binds the packet's wire bytes once,
+matches anonymous IDs against the exhaustive table or a per-packet
+``node -> anonymous ID`` memo, and MACs the received prefix directly.  A
+reference verifier whose checker finds candidates with tables of its own
+and confirms each with the scheme's full ``scheme.verify_mark_as`` must
+reach the same ``PacketVerification`` on every packet the security matrix
+delivers -- every scheme, every attack -- with inline tables, with
+:class:`ResolverCache` tables, and under a topology-bounded resolver with
+exhaustive fallback.
 
-The ingest service's learned-route search is checked the same way: every
-cell streamed through :class:`SinkIngestService` verifies and judges
-exactly as one sink with an exhaustive full-check verifier.
+The ingest service's learned-route search is checked the same way, on
+packets that crossed the wire codec: every cell streamed through
+:class:`SinkIngestService` as ``decode_packet(encode_packet(p))`` verifies
+and judges exactly as one sink with an exhaustive full-check verifier fed
+the in-process packets.
 """
 
 import pytest
@@ -23,6 +25,7 @@ from repro.core.build import build_scenario
 from repro.core.scenario import Scenario
 from repro.experiments.presets import CI
 from repro.experiments.security_matrix import ATTACKS, SCHEMES
+from repro.marking.base import PacketResolution
 from repro.marking.pnm import PNMMarking
 from repro.packets.marks import Mark
 from repro.packets.packet import MarkedPacket
@@ -30,41 +33,57 @@ from repro.service import ResolverCache, SinkIngestService
 from repro.traceback.resolver import TopologyBoundedResolver
 from repro.traceback.sink import TracebackSink
 from repro.traceback.verify import PacketVerification, PacketVerifier
+from repro.wire.codec import decode_packet, encode_packet
 from tests.conftest import ctx_for, mark_through_path
 
 PACKETS_PER_CELL = 40
 
 
+class FullCheckScheme:
+    """A scheme whose mark checker finds candidates with tables of its
+    own, ignoring the verifier's per-packet resolution state, and
+    confirms each with the wrapped scheme's full mark check."""
+
+    def __init__(self, scheme):
+        self._scheme = scheme
+
+    def __getattr__(self, name):
+        return getattr(self._scheme, name)
+
+    def mark_checker(self, packet, keystore, provider, resolution):
+        scheme = self._scheme
+        tables = {}
+
+        def check(index, search):
+            key = None if search is None else tuple(search)
+            if key not in tables:
+                tables[key] = scheme.build_resolution_table(
+                    packet, keystore, provider, search_ids=search
+                )
+            candidates = scheme.candidate_marker_ids(
+                packet,
+                index,
+                keystore,
+                provider,
+                search_ids=search,
+                table=tables[key],
+            )
+            return [
+                node_id
+                for node_id in candidates
+                if scheme.verify_mark_as(
+                    packet, index, node_id, keystore[node_id], provider
+                )
+            ]
+
+        return check
+
+
 class ReferenceVerifier(PacketVerifier):
-    """Finds candidates with its own table, ignoring the verifier's
-    per-packet resolution state, and confirms each with the scheme's full
-    mark check."""
+    """The verifier's backward scan over :class:`FullCheckScheme`."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._tables = {}
-
-    def _validate_within(self, packet, index, search, resolution):
-        key = (packet.report_wire, None if search is None else tuple(search))
-        if key not in self._tables:
-            self._tables[key] = self.scheme.build_resolution_table(
-                packet, self.keystore, self.provider, search_ids=search
-            )
-        candidates = self.scheme.candidate_marker_ids(
-            packet,
-            index,
-            self.keystore,
-            self.provider,
-            search_ids=search,
-            table=self._tables[key],
-        )
-        return [
-            node_id
-            for node_id in candidates
-            if self.scheme.verify_mark_as(
-                packet, index, node_id, self.keystore[node_id], self.provider
-            )
-        ]
+    def __init__(self, scheme, *args, **kwargs):
+        super().__init__(FullCheckScheme(scheme), *args, **kwargs)
 
 
 def outcome(result: PacketVerification) -> tuple:
@@ -122,10 +141,16 @@ def test_matches_reference_verifier(scheme, attack):
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("attack", ATTACKS)
 def test_service_matches_exhaustive_reference(scheme, attack):
-    """Learned-route search through the ingest service: the same marks
-    verify, the same indices fail and the verdict is byte-identical.
-    ``fallback_searches`` differs by design and is not compared."""
+    """Learned-route search through the ingest service, on packets that
+    crossed the wire codec: the same marks verify, the same indices fail
+    and the verdict is byte-identical to the reference on the in-process
+    packets.  ``fallback_searches`` differs by design and is not
+    compared."""
     built, delivered = delivered_packets(scheme, attack)
+    received = [
+        (decode_packet(encode_packet(packet), built.scheme.fmt), node)
+        for packet, node in delivered
+    ]
     args = (built.scheme, built.keystore, built.provider)
     reference = TracebackSink(*args, built.topology)
     reference.verifier = ReferenceVerifier(*args)
@@ -138,7 +163,7 @@ def test_service_matches_exhaustive_reference(scheme, attack):
         return ingest(verification, delivering_node)
 
     service.sink.ingest = record
-    for packet, delivering_node in delivered:
+    for packet, delivering_node in received:
         service.submit(packet, delivering_node)
     service.flush()
     expected = [reference.receive(p, node) for p, node in delivered]
@@ -158,23 +183,63 @@ def test_matrix_cells_exercise_marks():
     assert any(verifier.verify(p).invalid_indices for p, _node in altered)
 
 
+class OfferResolver:
+    """A learned search set: offers the same nodes for every mark."""
+
+    def __init__(self, node_ids):
+        self.node_ids = node_ids
+
+    def search_ids(self, packet, prev_verified):
+        return self.node_ids
+
+
+def forge_as_node_4(scheme, keystore, provider, packet):
+    """Node 3 writes node 4's anonymous ID under its own key: the MAC is
+    valid for key 3, but the ID field is not ``H'_{k_3}(M | 3)``."""
+    marked = mark_through_path(scheme, keystore, provider, [1, 2], packet)
+    mark = scheme.make_mark(ctx_for(3, keystore, provider), marked, claimed_id=4)
+    return marked.with_mark(mark)
+
+
 class TestPNMFullCheck:
     def test_verify_mark_as_rejects_wrong_anonymous_id(
         self, keystore, provider, packet
     ):
         scheme = PNMMarking(mark_prob=1.0)
-        marked = mark_through_path(scheme, keystore, provider, [1, 2], packet)
-        # Node 3 writes node 4's anonymous ID under its own key: the MAC is
-        # valid for key 3, but the ID field is not H'_{k_3}(M | 3).
-        mark = scheme.make_mark(ctx_for(3, keystore, provider), marked, claimed_id=4)
-        forged = marked.with_mark(mark)
+        forged = forge_as_node_4(scheme, keystore, provider, packet)
         assert not scheme.verify_mark_as(forged, 2, 3, keystore[3], provider)
         # The MAC alone would pass: only the anonymous-ID check rejects it.
-        assert scheme.verify_candidate(forged, 2, 3, keystore[3], provider)
+        mark = forged.marks[2]
+        signed = forged.prefix_wire(2) + mark.id_field
+        assert provider.mac(keystore[3], signed) == mark.mac
         # And the resolution table never offers node 3 for that field.
         assert 3 not in scheme.candidate_marker_ids(forged, 2, keystore, provider)
         result = PacketVerifier(scheme, keystore, provider).verify(forged)
         assert result.invalid_indices == [2]
+
+    def test_learned_search_rejects_wrong_anonymous_id(
+        self, keystore, provider, packet
+    ):
+        # The bounded twin: a search set that offers node 3 (and node 4,
+        # whose anonymous ID the field carries) still verifies nothing.
+        scheme = PNMMarking(mark_prob=1.0)
+        forged = forge_as_node_4(scheme, keystore, provider, packet)
+        check = scheme.mark_checker(
+            forged, keystore, provider, PacketResolution(lambda: None)
+        )
+        assert check(2, [3]) == []
+        assert check(2, [3, 4]) == []
+        assert check(1, [2, 3]) == [2]
+        for fallback in (False, True):
+            result = PacketVerifier(
+                scheme,
+                keystore,
+                provider,
+                resolver=OfferResolver([2, 3, 4]),
+                exhaustive_fallback=fallback,
+            ).verify(forged)
+            assert result.invalid_indices == [2]
+            assert result.verified == []
 
     def test_verify_mark_as_accepts_honest_mark(self, keystore, provider, packet):
         scheme = PNMMarking(mark_prob=1.0)
