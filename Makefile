@@ -1,6 +1,6 @@
 # Convenience targets for the PNM reproduction.
 
-.PHONY: install test lint loc bench bench-check experiments experiments-full faults algebraic watchdog obs smoke examples clean
+.PHONY: install test lint loc bench bench-check perf-smoke experiments experiments-full faults algebraic watchdog obs smoke examples clean
 
 install:
 	pip install -e .
@@ -24,6 +24,12 @@ bench:
 # (>20% drift fails).  Needs the BENCH_*.json files a bench run leaves.
 bench-check:
 	python benchmarks/check_regressions.py
+
+# Every perfbench workload for one traced second: fails unless each one's
+# JSON result line reports "correct": true (merged verdict equals one
+# sink's, one-hop floors hold).  Timings this short are not checked.
+perf-smoke:
+	python3 benchmarks/check_perf_smoke.py
 
 # Regenerate every paper figure + extension at the default (quick) preset.
 experiments:

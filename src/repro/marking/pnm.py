@@ -22,6 +22,8 @@ collisions from truncation cannot cause misattribution.
 
 from __future__ import annotations
 
+from hmac import compare_digest
+
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import MacProvider, constant_time_equal
 from repro.marking.base import (
@@ -153,12 +155,13 @@ class PNMMarking(MarkingScheme):
         """:meth:`verify_mark_as` over every candidate, one call per mark.
 
         Binds the packet's wire bytes and prefix ends, the report bytes,
-        the keys and the provider's two PRFs once.  Per mark: the format
-        check; the anonymous-ID match, against the exhaustive table or
-        against a per-packet ``node -> anonymous ID`` memo that hashes
-        each searched node at most once per packet; then the MAC of each
-        match over the received prefix.  A candidate is never accepted on
-        its MAC alone.
+        the keys, the provider's two PRFs and the constant-time compare
+        once.  Per mark: the format check; the anonymous-ID match, against
+        the exhaustive table or against a per-packet ``node -> anonymous
+        ID`` memo that hashes each searched node at most once per packet;
+        then the MAC of each match over the received prefix, directly when
+        the match is a single node.  A candidate is never accepted on its
+        MAC alone.
         """
         marks = packet.marks
         wire, ends = packet.layout
@@ -167,13 +170,13 @@ class PNMMarking(MarkingScheme):
         get_key = keys.get
         mac = provider.mac
         anon_id = provider.anon_id
+        equal = compare_digest
         id_len, mac_len = self.fmt.id_len, self.fmt.mac_len
         clock = resolution.clock
         memo: dict[int, bytes] = {}
 
         def check(index: int, search: list[int] | None) -> list[int]:
-            mark = marks[index]
-            id_field, mark_mac = mark.id_field, mark.mac
+            id_field, mark_mac = marks[index]
             if len(id_field) != id_len or len(mark_mac) != mac_len:
                 return []
             start = clock() if clock is not None else 0.0
@@ -206,10 +209,15 @@ class PNMMarking(MarkingScheme):
             if not matches:
                 return []
             signed = wire[: ends[index]] + id_field
+            if len(matches) == 1:
+                node_id = matches[0]
+                if equal(mac(keys[node_id], signed), mark_mac):
+                    return [node_id]
+                return []
             return [
                 node_id
                 for node_id in matches
-                if constant_time_equal(mac(keys[node_id], signed), mark_mac)
+                if equal(mac(keys[node_id], signed), mark_mac)
             ]
 
         return check

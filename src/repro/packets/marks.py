@@ -12,6 +12,7 @@ Field lengths are fixed per deployment by a :class:`MarkFormat`, so any node
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["MarkFormat", "Mark"]
 
@@ -71,14 +72,18 @@ class MarkFormat:
         return int.from_bytes(id_field, "big")
 
 
-@dataclass(frozen=True)
-class Mark:
+class Mark(NamedTuple):
     """One mark as it appears on the wire.
 
     The ``id_field`` is raw bytes: a big-endian node ID for plain-ID schemes
     or an anonymous ID for PNM.  Interpretation belongs to the scheme and the
     sink, not to the mark itself -- a forwarding mole sees exactly these
     bytes and nothing more.
+
+    An immutable named tuple: the sink builds one per mark it decodes, and a
+    tuple is the cheapest immutable record Python constructs.  Like any
+    tuple it also compares equal to (and hashes like) a bare
+    ``(id_field, mac)`` tuple.
     """
 
     id_field: bytes

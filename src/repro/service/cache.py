@@ -40,6 +40,7 @@ from repro.crypto.mac import MacProvider
 from repro.marking.base import MarkingScheme
 from repro.packets.packet import MarkedPacket
 from repro.traceback.reconstruct import PrecedenceGraph
+from repro.traceback.resolver import ExhaustiveResolver
 
 __all__ = ["ResolverCache", "CachingResolver"]
 
@@ -153,15 +154,13 @@ class ResolverCache:
             pool = self._last_hops if node_ids is None else node_ids
             return sorted(node for node in pool if node in hot)
 
-    def record_hot_search(self) -> None:
-        """Count one mark offered a learned search set."""
+    def record_hot_searches(self, searches: int, misses: int) -> None:
+        """Count one packet's learned searches: ``searches`` marks offered
+        a learned search set, ``misses`` searches that needed the
+        exhaustive fallback."""
         with self._lock:
-            self.hot_searches += 1
-
-    def record_hot_miss(self) -> None:
-        """Count one learned search that needed the exhaustive fallback."""
-        with self._lock:
-            self.hot_misses += 1
+            self.hot_searches += searches
+            self.hot_misses += misses
 
     # Invalidation ------------------------------------------------------------
 
@@ -248,8 +247,12 @@ class CachingResolver:
     already relies on.
 
     Search sets are memoized per node until the graph's version or the
-    cache's epoch moves.  ``notify_miss`` feedback is counted as a
-    learned-search miss and forwarded to adaptive inner resolvers.
+    cache's epoch moves.  Learned searches, and the ``notify_miss``
+    feedback (a learned-search miss, also forwarded to adaptive inner
+    resolvers), are tallied here without a lock and added to the cache's
+    ``hot_searches``/``hot_misses`` under its lock once per packet, at
+    ``notify_packet_done``.  So, like the memo, the tallies belong to the
+    one thread that verifies.
     """
 
     def __init__(
@@ -258,17 +261,24 @@ class CachingResolver:
         self.inner = inner
         self.cache = cache
         self.precedence = precedence
+        # The exhaustive resolver always answers None: skip the call.
+        self._inner_search = (
+            None if isinstance(inner, ExhaustiveResolver) else inner.search_ids
+        )
         self._sets: dict[int | None, list[int]] = {}
         self._sets_key = (-1, -1)
+        self._offered = 0
+        self._missed = 0
 
     def search_ids(
         self, packet: MarkedPacket, prev_verified: int | None
     ) -> list[int] | None:
         """The inner search space, with the learned route replacing
         'everything' where it is known.  Callers must not mutate it."""
-        search = self.inner.search_ids(packet, prev_verified)
-        if search is not None:
-            return search
+        if self._inner_search is not None:
+            search = self._inner_search(packet, prev_verified)
+            if search is not None:
+                return search
         key = (self.precedence.version, self.cache.epoch)
         if key != self._sets_key:
             self._sets.clear()
@@ -282,12 +292,19 @@ class CachingResolver:
             )
         if not learned:
             return None
-        self.cache.record_hot_search()
+        self._offered += 1
         return learned
+
+    def notify_packet_done(self) -> None:
+        """Verifier feedback: one packet's marks are checked.  Adds its
+        learned searches and misses to the cache's counts."""
+        if self._offered or self._missed:
+            self.cache.record_hot_searches(self._offered, self._missed)
+            self._offered = self._missed = 0
 
     def notify_miss(self) -> None:
         """Verifier feedback: the offered search space missed a mark."""
-        self.cache.record_hot_miss()
+        self._missed += 1
         notify = getattr(self.inner, "notify_miss", None)
         if notify is not None:
             notify()

@@ -30,7 +30,14 @@ __all__ = [
 
 
 class Resolver(Protocol):
-    """Chooses the key-search space for one mark's anonymous ID."""
+    """Chooses the key-search space for one mark's anonymous ID.
+
+    A resolver may also define two feedback hooks, which
+    :class:`~repro.traceback.verify.PacketVerifier` calls when present:
+    ``notify_miss()`` after a bounded search missed a mark the exhaustive
+    fallback found, and ``notify_packet_done()`` once per packet, after
+    its last mark.
+    """
 
     def search_ids(
         self, packet: MarkedPacket, prev_verified: int | None

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
+from typing import NamedTuple
 
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import MacProvider
@@ -33,16 +34,19 @@ from repro.traceback.resolver import ExhaustiveResolver, Resolver
 __all__ = ["VerifiedMark", "PacketVerification", "PacketVerifier"]
 
 
-@dataclass(frozen=True)
-class VerifiedMark:
+class VerifiedMark(NamedTuple):
     """A mark successfully attributed to a real node.
+
+    An immutable named tuple, built once per verified mark; like any tuple
+    it also compares equal to (and hashes like) a bare
+    ``(index, real_id, ambiguous)`` tuple.
 
     Attributes:
         index: position of the mark in the packet's mark list.
         real_id: the node whose key validated the mark.
-        ambiguous: True if more than one key validated it (possible only
-            through truncation collisions; ``real_id`` is then the smallest
-            validating ID).
+        ambiguous: True if more than one key of the searched set validated
+            it (possible only through truncation collisions; ``real_id`` is
+            then the smallest validating ID).
     """
 
     index: int
@@ -71,9 +75,13 @@ class PacketVerification:
     invalid_indices: list[int] = field(default_factory=list)
     fallback_searches: int = 0
 
-    @property
+    @cached_property
     def chain_ids(self) -> list[int]:
-        """Verified marker IDs, most upstream first."""
+        """Verified marker IDs, most upstream first.
+
+        Computed on first read and kept, so ``verified`` must not change
+        after that; :class:`PacketVerifier` returns it complete.
+        """
         return [vm.real_id for vm in self.verified]
 
     @property
@@ -174,7 +182,9 @@ class PacketVerifier:
         check = self.scheme.mark_checker(
             packet, self.keystore, self.provider, resolution
         )
-        search_ids = self.resolver.search_ids
+        resolver = self.resolver
+        search_ids = resolver.search_ids
+        fallback = self.exhaustive_fallback
         suffix = self.scheme.verification_policy == "suffix"
         result = PacketVerification(packet=packet)
         verified, invalid = result.verified, result.invalid_indices
@@ -182,20 +192,21 @@ class PacketVerifier:
         for index in range(len(packet.marks) - 1, -1, -1):
             search = search_ids(packet, prev_verified)
             valid_ids = check(index, search)
-            if not valid_ids and search is not None and self.exhaustive_fallback:
+            if not valid_ids and search is not None and fallback:
                 result.fallback_searches += 1
                 valid_ids = check(index, None)
                 if valid_ids:
                     # The bounded search missed a mark the exhaustive one
                     # found: adaptive resolvers use this to widen their ball.
-                    notify = getattr(self.resolver, "notify_miss", None)
+                    notify = getattr(resolver, "notify_miss", None)
                     if notify is not None:
                         notify()
-            if valid_ids:
+            if len(valid_ids) == 1:
+                prev_verified = valid_ids[0]
+                verified.append(VerifiedMark(index, prev_verified))
+            elif valid_ids:
                 prev_verified = min(valid_ids)
-                verified.append(
-                    VerifiedMark(index, prev_verified, len(valid_ids) > 1)
-                )
+                verified.append(VerifiedMark(index, prev_verified, True))
             else:
                 invalid.append(index)
                 if suffix:
@@ -203,6 +214,9 @@ class PacketVerifier:
                 # "independent": skip this mark, keep scanning.  The next
                 # bounded search should still anchor on the last *verified*
                 # marker, which prev_verified already holds.
+        done = getattr(resolver, "notify_packet_done", None)
+        if done is not None:
+            done()
         # Scanned backwards; both lists are reported in wire order.
         verified.reverse()
         invalid.reverse()

@@ -1,8 +1,13 @@
 """Mark wire format and MarkFormat validation.
 
 Marks are parsed only as part of a packet, so the decode tests go
-through :meth:`MarkedPacket.decode` with a one-mark packet.
+through :meth:`MarkedPacket.decode` with a one-mark packet.  The record
+contract of :class:`Mark` and of the sink's :class:`VerifiedMark` is
+pinned here too: immutable, keyword-constructible, equal and hashed by
+value, with a stable repr and a pickle round-trip.
 """
+
+import pickle
 
 import pytest
 from hypothesis import given
@@ -11,6 +16,7 @@ from hypothesis import strategies as st
 from repro.packets.marks import Mark, MarkFormat
 from repro.packets.packet import MarkedPacket
 from repro.packets.report import Report
+from repro.traceback.verify import VerifiedMark
 
 REPORT = Report(event=b"ev", location=(1.0, -2.0), timestamp=9)
 
@@ -95,3 +101,56 @@ class TestMark:
         fmt = MarkFormat(id_len=3, mac_len=5)
         m = Mark(id_field=id_field, mac=mac)
         assert decode_one_mark(m.encode(), fmt) == m
+
+    def test_is_immutable(self):
+        m = Mark(id_field=b"ab", mac=b"cdef")
+        with pytest.raises(AttributeError):
+            m.mac = b"0000"
+        with pytest.raises(AttributeError):
+            m.extra = 1
+
+    def test_keyword_and_positional_construction_agree(self):
+        m = Mark(b"ab", b"cdef")
+        assert m == Mark(mac=b"cdef", id_field=b"ab")
+        assert (m.id_field, m.mac) == (b"ab", b"cdef")
+        assert hash(m) == hash(Mark(id_field=b"ab", mac=b"cdef"))
+        assert m != Mark(id_field=b"ab", mac=b"cdeg")
+
+    def test_repr(self):
+        assert repr(Mark(id_field=b"\x00\x07", mac=b"")) == (
+            "Mark(id_field=b'\\x00\\x07', mac=b'')"
+        )
+
+    def test_pickle_roundtrip(self):
+        m = Mark(id_field=b"ab", mac=b"cdef")
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy == m
+        assert type(copy) is Mark
+
+
+class TestVerifiedMark:
+    def test_fields_and_default(self):
+        vm = VerifiedMark(index=2, real_id=7)
+        assert (vm.index, vm.real_id, vm.ambiguous) == (2, 7, False)
+        assert VerifiedMark(2, 7, True).ambiguous
+
+    def test_is_immutable(self):
+        vm = VerifiedMark(2, 7)
+        with pytest.raises(AttributeError):
+            vm.real_id = 8
+
+    def test_equality_and_hash(self):
+        assert VerifiedMark(2, 7) == VerifiedMark(index=2, real_id=7, ambiguous=False)
+        assert hash(VerifiedMark(2, 7)) == hash(VerifiedMark(2, 7, False))
+        assert VerifiedMark(2, 7) != VerifiedMark(2, 7, True)
+
+    def test_repr(self):
+        assert repr(VerifiedMark(2, 7)) == (
+            "VerifiedMark(index=2, real_id=7, ambiguous=False)"
+        )
+
+    def test_pickle_roundtrip(self):
+        vm = VerifiedMark(2, 7, True)
+        copy = pickle.loads(pickle.dumps(vm))
+        assert copy == vm
+        assert type(copy) is VerifiedMark

@@ -157,6 +157,9 @@ class TestCachingResolver:
         # No hot predecessor (or an unobserved node): search everything.
         assert resolver.search_ids(packet, 1) is None
         assert resolver.search_ids(packet, 42) is None
+        # Learned searches reach the cache's count once per packet.
+        assert cache.hot_searches == 0
+        resolver.notify_packet_done()
         assert cache.hot_searches == 3
         cache.touch([4, 2])
         assert resolver.search_ids(packet, 2) == [1, 4]
@@ -175,5 +178,8 @@ class TestCachingResolver:
         inner = Recorder()
         resolver = CachingResolver(inner, cache, PrecedenceGraph())
         resolver.notify_miss()
-        assert cache.hot_misses == 1
         assert inner.notified == 1
+        # Misses reach the cache's count with the packet's searches.
+        assert cache.hot_misses == 0
+        resolver.notify_packet_done()
+        assert cache.hot_misses == 1

@@ -18,6 +18,8 @@ and judges exactly as one sink with an exhaustive full-check verifier fed
 the in-process packets.
 """
 
+import hashlib
+
 import pytest
 
 from repro.cluster.coordinator import verdict_json
@@ -32,7 +34,7 @@ from repro.packets.packet import MarkedPacket
 from repro.service import ResolverCache, SinkIngestService
 from repro.traceback.resolver import TopologyBoundedResolver
 from repro.traceback.sink import TracebackSink
-from repro.traceback.verify import PacketVerification, PacketVerifier
+from repro.traceback.verify import PacketVerification, PacketVerifier, VerifiedMark
 from repro.wire.codec import decode_packet, encode_packet
 from tests.conftest import ctx_for, mark_through_path
 
@@ -251,3 +253,62 @@ class TestPNMFullCheck:
         wrong = Mark(id_field=marked.marks[1].id_field, mac=b"\x00" * 4)
         tampered = marked.with_marks((marked.marks[0], wrong, marked.marks[2]))
         assert not scheme.verify_mark_as(tampered, 1, 2, keystore[2], provider)
+
+
+class KeyBlindProvider:
+    """A provider whose ``anon_id`` and ``mac`` ignore the key (and the
+    anonymous ID the node ID too), so every key reproduces every mark:
+    the truncation collision that ``VerifiedMark.ambiguous`` reports,
+    made certain."""
+
+    mac_len = 4
+    anon_id_len = 4
+
+    def mac(self, key: bytes, data: bytes) -> bytes:
+        return hashlib.sha256(data).digest()[:4]
+
+    def anon_id(self, key: bytes, data: bytes) -> bytes:
+        return b"anon"
+
+
+class TestAmbiguousAttribution:
+    """Ambiguity reflects collisions inside the searched set only."""
+
+    @pytest.fixture
+    def marked(self, keystore, packet):
+        return mark_through_path(
+            PNMMarking(mark_prob=1.0), keystore, KeyBlindProvider(), [5, 9, 12], packet
+        )
+
+    def verify(self, keystore, marked, resolver=None):
+        return PacketVerifier(
+            PNMMarking(mark_prob=1.0), keystore, KeyBlindProvider(), resolver=resolver
+        ).verify(marked)
+
+    def test_exhaustive_search_names_the_smallest_validating_id(self, keystore, marked):
+        result = self.verify(keystore, marked)
+        assert result.verified == [VerifiedMark(i, 1, True) for i in range(3)]
+        assert result.invalid_indices == []
+
+    def test_two_node_learned_set_names_the_smaller(self, keystore, marked):
+        result = self.verify(keystore, marked, OfferResolver([14, 7]))
+        assert result.verified == [
+            VerifiedMark(index=i, real_id=7, ambiguous=True) for i in range(3)
+        ]
+        assert result.fallback_searches == 0
+
+    def test_one_node_learned_set_is_unambiguous(self, keystore, marked):
+        result = self.verify(keystore, marked, OfferResolver([14]))
+        assert result.verified == [VerifiedMark(i, 14) for i in range(3)]
+        assert not any(vm.ambiguous for vm in result.verified)
+
+    def test_checker_returns_every_validating_id_in_candidate_order(
+        self, keystore, marked
+    ):
+        check = PNMMarking(mark_prob=1.0).mark_checker(
+            marked, keystore, KeyBlindProvider(), PacketResolution(lambda: None)
+        )
+        assert check(2, [14, 7, 3]) == [14, 7, 3]
+        assert check(2, [14]) == [14]
+        # A keyless node in the set matches nothing.
+        assert check(2, [0, 14]) == [14]
