@@ -15,22 +15,12 @@ import random
 
 from repro import Scenario, build_scenario, run_scenario
 from repro.adversary.attacks import MarkAlteringAttack
-from repro.adversary.moles import ForwardingMole
 from repro.adversary.watchdog import AccusationSuppressor
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
-from repro.marking.base import NodeContext
+from repro.core.build import build_network
 from repro.marking.pnm import PNMMarking
-from repro.net.links import LinkModel
 from repro.net.overhear import OverhearModel
 from repro.net.topology import linear_path_topology
-from repro.routing.repair import RepairingRoutingTable
-from repro.sim.behaviors import HonestForwarder
-from repro.sim.metrics import MetricsCollector
-from repro.sim.network import NetworkSimulation
-from repro.sim.sources import HonestReportSource
-from repro.traceback.sink import TracebackSink
-from repro.watchdog import DetectionProbe, WatchdogLayer
+from repro.watchdog import WatchdogLayer
 
 PATH_LENGTH = 12
 MOLE_POSITION = 6
@@ -64,25 +54,7 @@ def watchdog_latency(colluding_relay: bool) -> tuple[int | None, int | None]:
     neighbor suppresses accusations naming it -- the Section 4.2
     collusion, extended to the watchdog's control plane.
     """
-    topology, source_id = linear_path_topology(PATH_LENGTH)
-    provider = HmacProvider()
-    keystore = KeyStore.from_master_secret(b"coverup-wd", topology.sensor_nodes())
-    scheme = PNMMarking(mark_prob=WD_TARGET_MARKS / PATH_LENGTH)
-
-    def ctx(node_id: int) -> NodeContext:
-        return NodeContext(
-            node_id=node_id,
-            key=keystore[node_id],
-            provider=provider,
-            rng=random.Random(f"coverup-wd:{WD_SEED}:{node_id}"),
-        )
-
-    behaviors = {
-        nid: HonestForwarder(ctx(nid), scheme) for nid in topology.sensor_nodes()
-    }
-    behaviors[MOLE_POSITION] = ForwardingMole(
-        ctx(MOLE_POSITION), scheme, MarkAlteringAttack(target="first", field="mac")
-    )
+    topology, _source = linear_path_topology(PATH_LENGTH)
     layer = WatchdogLayer(
         OverhearModel(topology),
         rng=random.Random(f"coverup-wd:layer:{WD_SEED}"),
@@ -96,24 +68,18 @@ def watchdog_latency(colluding_relay: bool) -> tuple[int | None, int | None]:
             else ()
         ),
     )
-    sink = TracebackSink(scheme, keystore, provider, topology)
-    probe = DetectionProbe(sink, layer.sink_log, moles={MOLE_POSITION})
-    sim = NetworkSimulation(
-        topology=topology,
-        routing=RepairingRoutingTable(topology),
-        behaviors=behaviors,
-        sink=probe,
-        link=LinkModel(base_delay=0.001),
-        rng=random.Random(f"coverup-wd:link:{WD_SEED}"),
-        metrics=MetricsCollector(),
+    net = build_network(
+        topology,
+        PNMMarking(mark_prob=WD_TARGET_MARKS / PATH_LENGTH),
+        b"coverup-wd",
+        PACKETS,
+        rng_label="coverup-wd",
+        seed=WD_SEED,
+        attack=MarkAlteringAttack(target="first", field="mac"),
+        mole_id=MOLE_POSITION,
         watchdog=layer,
     )
-    source = HonestReportSource(
-        source_id, topology.position(source_id), random.Random(f"coverup-wd:src:{WD_SEED}")
-    )
-    sim.add_periodic_source(source, interval=0.05, count=PACKETS)
-    sim.run()
-    return probe.pnm_stable_detection(), probe.fused_detection()
+    return net.probe.pnm_stable_detection(), net.probe.fused_detection()
 
 
 def main() -> None:

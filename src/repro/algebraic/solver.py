@@ -217,14 +217,6 @@ class AlgebraicSolver:
         """Every confirmed path so far, sorted ascending."""
         return tuple(sorted(self._confirmed))
 
-    def current_estimates(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """The live estimate per ``(delivering, count)`` group."""
-        return {
-            key: group.estimate
-            for key, group in sorted(self._groups.items())
-            if group.estimate is not None
-        }
-
     def solution(self) -> AlgebraicSolution:
         """Freeze the current state into a canonical snapshot."""
         estimates = tuple(

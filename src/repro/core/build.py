@@ -1,18 +1,24 @@
-"""Materializing scenarios into runnable pipelines.
+"""Materializing deployments into runnable object graphs.
 
-Builds the full object graph for a :class:`~repro.core.scenario.Scenario`:
-linear-path topology, per-node keys and RNGs, the marking scheme, honest
-forwarders, the colluding moles with their attack, the traceback sink, and
-the path pipeline tying them together.
+:func:`build_scenario` builds the full object graph for a
+:class:`~repro.core.scenario.Scenario`: linear-path topology, per-node
+keys and RNGs, the marking scheme, honest forwarders, the colluding moles
+with their attack, the traceback sink, and the path pipeline tying them
+together.
 
 Node IDs on the built path equal their 1-based path position: forwarder
 ``V_i`` has ID ``i`` (``V_1`` next to the source, ``V_n`` next to the
 sink); the source mole has ID ``n + 1``; the sink is ``0``.
+
+:func:`build_network` builds and runs the event-simulated counterpart on
+any topology: one honest periodic source, at most one mark-manipulating
+mole, and optional churn, ingest probe and watchdog layer.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.adversary.attacks import (
@@ -30,19 +36,31 @@ from repro.adversary.attacks import (
 )
 from repro.adversary.coalition import Coalition
 from repro.adversary.moles import ForwardingMole, MoleReportSource
+from repro.algebraic.marking import AlgebraicMarking
+from repro.algebraic.sink import AlgebraicTracebackSink
 from repro.core.scenario import Scenario
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import HmacProvider, MacProvider, NullMacProvider
+from repro.faults import FaultInjector, FaultSchedule
 from repro.marking import scheme_by_name
 from repro.marking.base import MarkingScheme, NodeContext
+from repro.net.links import LinkModel
 from repro.net.topology import Topology, linear_path_topology
+from repro.routing.base import RoutingTable
+from repro.routing.repair import RepairingRoutingTable
 from repro.routing.tree import build_routing_tree
 from repro.sim.behaviors import ForwardingBehavior, HonestForwarder
+from repro.sim.network import NetworkSimulation
 from repro.sim.pipeline import PathPipeline
-from repro.sim.sources import BogusReportSource
-from repro.traceback.sink import TracebackSink
+from repro.sim.sources import BogusReportSource, HonestReportSource
+from repro.sim.tracing import PacketTracer
+from repro.traceback.sink import TracebackSink, TracebackVerdict
+from repro.watchdog import DetectionProbe, WatchdogLayer
 
-__all__ = ["BuiltScenario", "build_scenario"]
+__all__ = ["BuiltScenario", "build_scenario", "BuiltNetwork", "build_network"]
+
+#: Seconds between a network source's injections.
+_INTERVAL = 0.05
 
 
 @dataclass
@@ -110,6 +128,24 @@ def _make_provider(sc: Scenario) -> MacProvider:
 
 def _node_rng(seed: int, node_id: int) -> random.Random:
     return random.Random(f"{seed}:node:{node_id}")
+
+
+def _deployment(
+    topology: Topology, master_secret: bytes, provider: MacProvider, rng_label: str
+) -> tuple[KeyStore, Callable[[int], NodeContext]]:
+    """The sink's key table over ``topology``'s sensors, and a node-context
+    factory whose RNGs are labelled ``{rng_label}:{node_id}``."""
+    keystore = KeyStore.from_master_secret(master_secret, topology.sensor_nodes())
+
+    def ctx(node_id: int) -> NodeContext:
+        return NodeContext(
+            node_id=node_id,
+            key=keystore[node_id],
+            provider=provider,
+            rng=random.Random(f"{rng_label}:{node_id}"),
+        )
+
+    return keystore, ctx
 
 
 def _make_attacks(
@@ -202,7 +238,7 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
     provider = _make_provider(sc)
     scheme = _make_scheme(sc)
     master_secret = b"pnm-deployment-" + sc.seed.to_bytes(8, "big", signed=True)
-    keystore = KeyStore.from_master_secret(master_secret, topology.sensor_nodes())
+    keystore, ctx_for = _deployment(topology, master_secret, provider, f"{sc.seed}:node")
 
     mole_position = sc.resolved_mole_position
     mole_id = path[mole_position - 1]
@@ -214,14 +250,6 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
         mole_ids.add(mole_id)
         coalition_keys[mole_id] = keystore[mole_id]
     coalition = Coalition(coalition_keys)
-
-    def ctx_for(node_id: int) -> NodeContext:
-        return NodeContext(
-            node_id=node_id,
-            key=keystore[node_id],
-            provider=provider,
-            rng=_node_rng(sc.seed, node_id),
-        )
 
     forwarders: list[ForwardingBehavior] = []
     for node_id in path:
@@ -270,3 +298,116 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
         pipeline=pipeline,
         sink=sink,
     )
+
+
+@dataclass
+class BuiltNetwork:
+    """An event-simulated deployment after its run.
+
+    Attributes:
+        sink: the traceback sink (algebraic for the algebraic scheme).
+        source_id: the injecting sensor.
+        moles: the mark-manipulating forwarder, or empty without an attack.
+        sim: the finished simulation; ``sim.metrics`` holds the delivery
+            counts and ``sim.ingest`` the ingest probe, if any.
+        injector: the churn injector, or ``None`` without churn.
+        probe: the detection probe of a watchdog run, else ``None``.
+    """
+
+    sink: TracebackSink
+    source_id: int
+    moles: frozenset[int]
+    sim: NetworkSimulation
+    injector: FaultInjector | None
+    probe: DetectionProbe | None
+
+    def localized(self, verdict: TracebackVerdict) -> bool:
+        """Whether ``verdict``'s suspect neighborhood contains the mole
+        (the paper's one-hop localization)."""
+        return (
+            verdict.identified
+            and verdict.suspect is not None
+            and not self.moles.isdisjoint(verdict.suspect.members)
+        )
+
+
+def build_network(
+    topology: Topology,
+    scheme: MarkingScheme,
+    master_secret: bytes,
+    packets: int,
+    *,
+    rng_label: str,
+    seed: int,
+    node_rng_label: str | None = None,
+    attack: Attack | None = None,
+    mole_id: int | None = None,
+    churn_rate: float | None = None,
+    ingest: Callable[[TracebackSink, RoutingTable, int], object] | None = None,
+    watchdog: WatchdogLayer | None = None,
+    tracer: PacketTracer | None = None,
+) -> BuiltNetwork:
+    """Build an event-simulated deployment over ``topology`` and run it.
+
+    Every sensor forwards honestly under ``scheme``, with keys derived
+    from ``master_secret``, over repairing routes and 1 ms links -- except
+    one mole running ``attack`` (default: the middle forwarder of the
+    source's route).  The source, the sensor farthest from the sink in
+    hops (ties to the larger ID), sends ``packets`` honest reports
+    0.05 s apart.  A ``churn_rate`` (crashes per sensor per second) churns
+    every sensor but the source and the mole.  RNG streams are labelled
+    ``{rng_label}:link:{seed}``, ``{rng_label}:src:{seed}``,
+    ``{rng_label}:churn:{seed}:{churn_rate}`` and, per node ``i``,
+    ``{node_rng_label}:{i}`` (default ``{rng_label}:{seed}:{i}``).
+    ``ingest(sink, routing, source_id)`` builds the pipeline deliveries go
+    to; under a ``watchdog`` layer they reach the sink through a
+    :class:`~repro.watchdog.DetectionProbe`.
+    """
+    routing = RepairingRoutingTable(topology)
+    provider = HmacProvider()
+    keystore, ctx = _deployment(
+        topology, master_secret, provider, node_rng_label or f"{rng_label}:{seed}"
+    )
+    source_id = max(topology.sensor_nodes(), key=lambda n: (routing.hop_count(n), n))
+    behaviors: dict[int, ForwardingBehavior] = {
+        nid: HonestForwarder(ctx(nid), scheme) for nid in topology.sensor_nodes()
+    }
+    moles: frozenset[int] = frozenset()
+    if attack is not None:
+        if mole_id is None:
+            path = routing.path_to_sink(source_id)
+            mole_id = path[len(path) // 2]
+        behaviors[mole_id] = ForwardingMole(ctx(mole_id), scheme, attack)
+        moles = frozenset({mole_id})
+
+    sink_cls = AlgebraicTracebackSink if isinstance(scheme, AlgebraicMarking) else TracebackSink
+    sink = sink_cls(scheme, keystore, provider, topology)
+    probe = None if watchdog is None else DetectionProbe(sink, watchdog.sink_log, moles)
+    sim = NetworkSimulation(
+        topology=topology,
+        routing=routing,
+        behaviors=behaviors,
+        sink=sink if probe is None else probe,
+        link=LinkModel(base_delay=0.001),
+        rng=random.Random(f"{rng_label}:link:{seed}"),
+        tracer=tracer,
+        ingest=None if ingest is None else ingest(sink, routing, source_id),
+        watchdog=watchdog,
+    )
+    injector = None
+    if churn_rate is not None:
+        schedule = FaultSchedule.random_churn(
+            topology,
+            rate=churn_rate,
+            duration=packets * _INTERVAL,
+            rng=random.Random(f"{rng_label}:churn:{seed}:{churn_rate}"),
+            protect={source_id} | moles,
+        )
+        injector = FaultInjector(sim, schedule)
+        injector.arm()
+
+    src_rng = random.Random(f"{rng_label}:src:{seed}")
+    source = HonestReportSource(source_id, topology.position(source_id), src_rng)
+    sim.add_periodic_source(source, interval=_INTERVAL, count=packets)
+    sim.run()
+    return BuiltNetwork(sink, source_id, moles, sim, injector, probe)

@@ -34,42 +34,23 @@ schedule once per scheme, honest and attacked:
 
 from __future__ import annotations
 
-import random
-
 from repro.adversary.attacks import MarkAlteringAttack
-from repro.adversary.moles import ForwardingMole
 from repro.algebraic.marking import AlgebraicMarking
-from repro.algebraic.sink import AlgebraicTracebackSink
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.core.build import build_network
+# The faults sweep's churn rates and grid workloads: the two sweeps
+# describe the same churn regimes.
+from repro.experiments.faults_sweep import CHURN_RATES, _WORKLOADS
 from repro.experiments.presets import QUICK, Preset
 from repro.experiments.tables import FigureResult
-from repro.faults import FaultInjector, FaultSchedule, accusation_report, attribute_drops
-from repro.marking.base import NodeContext
+from repro.faults import accusation_report, attribute_drops
 from repro.marking.pnm import PNMMarking
-from repro.net.links import LinkModel
 from repro.net.topology import grid_topology
 from repro.obs.profiling import get_default_provider
 from repro.routing.base import RoutingError
-from repro.routing.repair import RepairingRoutingTable
-from repro.sim.behaviors import HonestForwarder
-from repro.sim.metrics import MetricsCollector
-from repro.sim.network import NetworkSimulation
-from repro.sim.sources import HonestReportSource
 from repro.sim.tracing import PacketTracer
-from repro.traceback.sink import TracebackSink
 
 __all__ = ["run", "main", "CHURN_RATES"]
 
-#: Crash events per sensor per unit virtual time, swept low to high
-#: (matches :data:`repro.experiments.faults_sweep.CHURN_RATES` so the two
-#: sweeps describe the same churn regimes).
-CHURN_RATES = (0.0, 0.05, 0.15, 0.3)
-
-# (grid side, packets injected) per preset.
-_WORKLOADS = {"ci": (4, 40), "quick": (5, 100), "full": (6, 240)}
-
-_INTERVAL = 0.05  # seconds between injections
 _MASTER = b"algebraic-sweep-master"
 
 
@@ -163,96 +144,43 @@ def _run_once(
     mole: bool,
 ) -> dict[str, object]:
     """One simulated deployment: one scheme, one churn rate."""
-    # 4-neighborhood (radio_range=spacing): the default 8-neighborhood
-    # makes diagonal routes only 2-3 forwarders long, too short for a
-    # convergence race; orthogonal-only links give Manhattan-length
-    # routes and more distinct repair alternatives under churn.
-    topology = grid_topology(grid_side, grid_side, sink_at="corner", radio_range=1.0)
-    routing = RepairingRoutingTable(topology)
-    provider = HmacProvider()
-    keystore = KeyStore.from_master_secret(_MASTER, topology.sensor_nodes())
     if scheme_name == "algebraic":
         scheme = AlgebraicMarking()
-        sink = AlgebraicTracebackSink(scheme, keystore, provider, topology)
         # Corrupting the accumulator *value* is the scheme-appropriate
         # garbling: the MAC field gets overwritten by the next honest
         # hop's replace anyway, so altering it would be a no-op.
         attack_field = "id"
     else:
         scheme = PNMMarking(mark_prob=0.5)
-        sink = TracebackSink(scheme, keystore, provider, topology)
         attack_field = "mac"
-    source_id = max(
-        topology.sensor_nodes(), key=lambda node: (routing.hop_count(node), node)
-    )
-    path = routing.path_to_sink(source_id)
-    mole_id = path[len(path) // 2] if mole else None
-
-    def ctx(node_id: int) -> NodeContext:
-        return NodeContext(
-            node_id=node_id,
-            key=keystore[node_id],
-            provider=provider,
-            rng=random.Random(f"algsweep:{seed}:{scheme_name}:{node_id}"),
-        )
-
-    behaviors: dict[int, object] = {
-        nid: HonestForwarder(ctx(nid), scheme) for nid in topology.sensor_nodes()
-    }
-    if mole_id is not None:
-        behaviors[mole_id] = ForwardingMole(
-            ctx(mole_id),
-            scheme,
-            MarkAlteringAttack(target="first", field=attack_field),
-        )
-
     probe_cls = _AlgebraicProbe if scheme_name == "algebraic" else _PnmProbe
-    probe = None if mole else probe_cls(sink, routing, source_id)
     tracer = PacketTracer(spans=get_default_provider().tracer)
-    sim = NetworkSimulation(
-        topology=topology,
-        routing=routing,
-        behaviors=behaviors,
-        sink=sink,
-        link=LinkModel(base_delay=0.001),
-        rng=random.Random(f"algsweep:link:{seed}"),
-        metrics=MetricsCollector(),
+    net = build_network(
+        # 4-neighborhood (radio_range=spacing): the default 8-neighborhood
+        # makes diagonal routes only 2-3 forwarders long, too short for a
+        # convergence race; orthogonal-only links give Manhattan-length
+        # routes and more distinct repair alternatives under churn.
+        grid_topology(grid_side, grid_side, sink_at="corner", radio_range=1.0),
+        scheme,
+        _MASTER,
+        packets,
+        rng_label="algsweep",
+        seed=seed,
+        node_rng_label=f"algsweep:{seed}:{scheme_name}",
+        attack=(
+            MarkAlteringAttack(target="first", field=attack_field) if mole else None
+        ),
+        churn_rate=churn_rate,
+        ingest=None if mole else probe_cls,
         tracer=tracer,
-        ingest=probe,
     )
-
-    duration = packets * _INTERVAL
-    protect = {source_id} | ({mole_id} if mole_id is not None else set())
-    schedule = FaultSchedule.random_churn(
-        topology,
-        rate=churn_rate,
-        duration=duration,
-        rng=random.Random(f"algsweep:churn:{seed}:{churn_rate}"),
-        protect=protect,
+    report = accusation_report(
+        net.sink, attribute_drops(tracer, net.injector), moles=net.moles
     )
-    injector = FaultInjector(sim, schedule)
-    injector.arm()
-
-    source = HonestReportSource(
-        source_id, topology.position(source_id), random.Random(f"algsweep:src:{seed}")
-    )
-    sim.add_periodic_source(source, interval=_INTERVAL, count=packets)
-    sim.run()
-
-    attribution = attribute_drops(tracer, injector)
-    moles = frozenset({mole_id}) if mole_id is not None else frozenset()
-    report = accusation_report(sink, attribution, moles=moles)
-
-    verdict = sink.verdict()
-    localized = (
-        mole_id is not None
-        and verdict.identified
-        and verdict.suspect is not None
-        and mole_id in verdict.suspect.members
-    )
+    probe = net.sim.ingest
     delivered = probe.delivered if probe is not None else 0
     repairs = (
-        sink.solver.incremental_repairs if scheme_name == "algebraic" else 0
+        net.sink.solver.incremental_repairs if scheme_name == "algebraic" else 0
     )
     return {
         "delivered": delivered,
@@ -262,7 +190,7 @@ def _run_once(
         ),
         "repairs": repairs,
         "false_rate": report.false_accusation_rate,
-        "localized": localized,
+        "localized": net.localized(net.sink.verdict()),
     }
 
 

@@ -24,27 +24,15 @@ For each churn rate the sweep runs the same grid workload twice:
 
 from __future__ import annotations
 
-import random
-
 from repro.adversary.attacks import MarkAlteringAttack
-from repro.adversary.moles import ForwardingMole
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.core.build import build_network
 from repro.experiments.presets import QUICK, Preset
 from repro.experiments.tables import FigureResult
-from repro.faults import FaultInjector, FaultSchedule, accusation_report, attribute_drops
-from repro.marking.base import NodeContext
+from repro.faults import accusation_report, attribute_drops
 from repro.marking.pnm import PNMMarking
-from repro.net.links import LinkModel
 from repro.net.topology import grid_topology
-from repro.routing.repair import RepairingRoutingTable
-from repro.sim.behaviors import HonestForwarder
-from repro.sim.metrics import MetricsCollector
-from repro.sim.network import NetworkSimulation
-from repro.sim.sources import HonestReportSource
 from repro.obs.profiling import get_default_provider
 from repro.sim.tracing import PacketTracer
-from repro.traceback.sink import TracebackSink
 
 __all__ = ["run", "main", "CHURN_RATES"]
 
@@ -54,7 +42,6 @@ CHURN_RATES = (0.0, 0.05, 0.15, 0.3)
 # (grid side, packets injected) per preset.
 _WORKLOADS = {"ci": (4, 40), "quick": (5, 100), "full": (6, 240)}
 
-_INTERVAL = 0.05  # seconds between injections
 _MASTER = b"faults-sweep-master"
 
 
@@ -66,86 +53,32 @@ def _run_once(
     mole: bool,
 ) -> dict[str, object]:
     """One simulated deployment under one churn rate; returns raw outcomes."""
-    topology = grid_topology(grid_side, grid_side, sink_at="corner")
-    routing = RepairingRoutingTable(topology)
-    provider = HmacProvider()
-    keystore = KeyStore.from_master_secret(_MASTER, topology.sensor_nodes())
-    scheme = PNMMarking(mark_prob=0.5)
-    source_id = max(
-        topology.sensor_nodes(), key=lambda node: (routing.hop_count(node), node)
-    )
-    path = routing.path_to_sink(source_id)
-    mole_id = path[len(path) // 2] if mole else None
-
-    def ctx(node_id: int) -> NodeContext:
-        return NodeContext(
-            node_id=node_id,
-            key=keystore[node_id],
-            provider=provider,
-            rng=random.Random(f"faults:{seed}:{node_id}"),
-        )
-
-    behaviors: dict[int, object] = {
-        nid: HonestForwarder(ctx(nid), scheme) for nid in topology.sensor_nodes()
-    }
-    if mole_id is not None:
-        behaviors[mole_id] = ForwardingMole(
-            ctx(mole_id), scheme, MarkAlteringAttack(target="first", field="mac")
-        )
-
-    sink = TracebackSink(scheme, keystore, provider, topology)
     # The span bridge engages only under an observed run (``--obs-dir``);
     # the NOOP provider carries no tracer, so spans stay off by default.
     tracer = PacketTracer(spans=get_default_provider().tracer)
-    sim = NetworkSimulation(
-        topology=topology,
-        routing=routing,
-        behaviors=behaviors,
-        sink=sink,
-        link=LinkModel(base_delay=0.001),
-        rng=random.Random(f"faults:link:{seed}"),
-        metrics=MetricsCollector(),
+    net = build_network(
+        grid_topology(grid_side, grid_side, sink_at="corner"),
+        PNMMarking(mark_prob=0.5),
+        _MASTER,
+        packets,
+        rng_label="faults",
+        seed=seed,
+        attack=MarkAlteringAttack(target="first", field="mac") if mole else None,
+        churn_rate=churn_rate,
         tracer=tracer,
     )
-
-    duration = packets * _INTERVAL
-    protect = {source_id} | ({mole_id} if mole_id is not None else set())
-    schedule = FaultSchedule.random_churn(
-        topology,
-        rate=churn_rate,
-        duration=duration,
-        rng=random.Random(f"faults:churn:{seed}:{churn_rate}"),
-        protect=protect,
-    )
-    injector = FaultInjector(sim, schedule)
-    injector.arm()
-
-    source = HonestReportSource(
-        source_id, topology.position(source_id), random.Random(f"faults:src:{seed}")
-    )
-    sim.add_periodic_source(source, interval=_INTERVAL, count=packets)
-    sim.run()
-
-    attribution = attribute_drops(tracer, injector)
-    moles = frozenset({mole_id}) if mole_id is not None else frozenset()
-    report = accusation_report(sink, attribution, moles=moles)
-
-    verdict = sink.verdict()
-    localized = (
-        mole_id is not None
-        and verdict.identified
-        and verdict.suspect is not None
-        and mole_id in verdict.suspect.members
-    )
+    attribution = attribute_drops(tracer, net.injector)
+    report = accusation_report(net.sink, attribution, moles=net.moles)
+    verdict = net.sink.verdict()
     return {
-        "delivery_ratio": sim.metrics.delivery_ratio(),
-        "faulted": sim.metrics.packets_faulted,
+        "delivery_ratio": net.sim.metrics.delivery_ratio(),
+        "faulted": net.sim.metrics.packets_faulted,
         "repairs": attribution.repairs,
-        "crashes": injector.counts().get("crash", 0),
+        "crashes": net.injector.counts().get("crash", 0),
         "false_rate": report.false_accusation_rate,
         "false_accused": report.false_accusations,
         "identified": verdict.identified,
-        "localized": localized,
+        "localized": net.localized(verdict),
     }
 
 

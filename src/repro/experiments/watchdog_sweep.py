@@ -41,27 +41,17 @@ from __future__ import annotations
 import random
 
 from repro.adversary.attacks import MarkAlteringAttack
-from repro.adversary.moles import ForwardingMole
 from repro.adversary.watchdog import AccusationSuppressor, LyingWatchdog
 from repro.analysis.overhead import probability_for_target_marks
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.core.build import build_network
 from repro.experiments.presets import QUICK, Preset
 from repro.experiments.tables import FigureResult
 from repro.faults import attribute_drops, fused_accusation_report
-from repro.marking.base import NodeContext
 from repro.marking.pnm import PNMMarking
-from repro.net.links import LinkModel
 from repro.net.overhear import OverhearModel
 from repro.net.topology import linear_path_topology
-from repro.routing.repair import RepairingRoutingTable
-from repro.sim.behaviors import HonestForwarder
-from repro.sim.metrics import MetricsCollector
-from repro.sim.network import NetworkSimulation
-from repro.sim.sources import HonestReportSource
 from repro.sim.tracing import PacketTracer
-from repro.traceback.sink import TracebackSink
-from repro.watchdog import DetectionProbe, WatchdogLayer
+from repro.watchdog import WatchdogLayer
 
 __all__ = ["run", "main", "CHAIN_LENGTHS", "TARGET_MARKS", "SCENARIOS"]
 
@@ -82,7 +72,6 @@ SCENARIOS = ("mole", "collusion", "framing")
 # (runs per cell, packets per run) per preset.
 _WORKLOADS = {"ci": (4, 80), "quick": (6, 120), "full": (10, 160)}
 
-_INTERVAL = 0.05  # seconds between injections
 _MASTER = b"watchdog-sweep-master"
 
 
@@ -111,74 +100,39 @@ def _run_once(
     scenario: str,
 ) -> dict[str, object]:
     """One chain deployment under one scenario; returns raw outcomes."""
-    topology, source_id = linear_path_topology(n)
-    routing = RepairingRoutingTable(topology)
-    provider = HmacProvider()
-    keystore = KeyStore.from_master_secret(_MASTER, topology.sensor_nodes())
-    scheme = PNMMarking(mark_prob=p)
-
-    def ctx(node_id: int) -> NodeContext:
-        return NodeContext(
-            node_id=node_id,
-            key=keystore[node_id],
-            provider=provider,
-            rng=random.Random(f"wd-sweep:{seed}:{node_id}"),
-        )
-
-    behaviors: dict[int, object] = {
-        nid: HonestForwarder(ctx(nid), scheme) for nid in topology.sensor_nodes()
-    }
-    mole_id: int | None = None
-    liars: tuple[LyingWatchdog, ...] = ()
-    suppressors: tuple[AccusationSuppressor, ...] = ()
-    if scenario in ("mole", "collusion"):
-        mole_id = position
-        behaviors[mole_id] = ForwardingMole(
-            ctx(mole_id), scheme, MarkAlteringAttack(target="first", field="mac")
-        )
-        if scenario == "collusion":
-            # The mole's downstream neighbor sits on the accusation relay
-            # path (IDs ascend toward the sink) and drops every
-            # accusation naming its partner.
-            suppressors = (
-                AccusationSuppressor(
-                    node=mole_id + 1, protects=frozenset({mole_id})
-                ),
-            )
-    else:  # framing: honest data plane, one fabricating watcher
-        liars = (LyingWatchdog(watcher=position, victim=position + 1),)
-
-    sink = TracebackSink(scheme, keystore, provider, topology)
+    topology, _source = linear_path_topology(n)
+    framing = scenario == "framing"  # honest data plane, one lying watcher
+    liars = (LyingWatchdog(watcher=position, victim=position + 1),) if framing else ()
+    # Collusion: the mole's downstream neighbor sits on the accusation
+    # relay path (IDs ascend toward the sink) and drops every accusation
+    # naming its partner.
+    suppressors = (
+        (AccusationSuppressor(node=position + 1, protects=frozenset({position})),)
+        if scenario == "collusion"
+        else ()
+    )
     layer = WatchdogLayer(
         OverhearModel(topology),
         rng=random.Random(f"wd-sweep:layer:{seed}"),
         liars=liars,
         suppressors=suppressors,
     )
-    moles = frozenset({mole_id}) if mole_id is not None else frozenset()
-    probe = DetectionProbe(sink, layer.sink_log, moles=moles)
     tracer = PacketTracer()
-    sim = NetworkSimulation(
-        topology=topology,
-        routing=routing,
-        behaviors=behaviors,
-        sink=probe,
-        link=LinkModel(base_delay=0.001),
-        rng=random.Random(f"wd-sweep:link:{seed}"),
-        metrics=MetricsCollector(),
-        tracer=tracer,
+    net = build_network(
+        topology,
+        PNMMarking(mark_prob=p),
+        _MASTER,
+        packets,
+        rng_label="wd-sweep",
+        seed=seed,
+        attack=None if framing else MarkAlteringAttack(target="first", field="mac"),
+        mole_id=position,
         watchdog=layer,
+        tracer=tracer,
     )
-    source = HonestReportSource(
-        source_id,
-        topology.position(source_id),
-        random.Random(f"wd-sweep:src:{seed}"),
-    )
-    sim.add_periodic_source(source, interval=_INTERVAL, count=packets)
-    sim.run()
-
+    probe = net.probe
     fused = fused_accusation_report(
-        sink, attribute_drops(tracer), layer.sink_log, moles=moles
+        net.sink, attribute_drops(tracer), layer.sink_log, moles=net.moles
     )
     honest = set(fused.honest)
     miss = packets + 1  # sentinel: not detected within the budget

@@ -248,8 +248,9 @@ class CachingResolver:
 
     Search sets are memoized per node until the graph's version or the
     cache's epoch moves.  Learned searches, and the ``notify_miss``
-    feedback (a learned-search miss, also forwarded to adaptive inner
-    resolvers), are tallied here without a lock and added to the cache's
+    feedback (forwarded to adaptive inner resolvers; a learned-search
+    miss unless the missed set was the inner one's), are tallied here
+    without a lock and added to the cache's
     ``hot_searches``/``hot_misses`` under its lock once per packet, at
     ``notify_packet_done``.  So, like the memo, the tallies belong to the
     one thread that verifies.
@@ -269,6 +270,10 @@ class CachingResolver:
         self._sets_key = (-1, -1)
         self._offered = 0
         self._missed = 0
+        # Whether the last search was the inner resolver's own set, whose
+        # misses are not learned-set misses.  Never set when the inner
+        # resolver is exhaustive: every offered set is then learned.
+        self._passed = False
 
     def search_ids(
         self, packet: MarkedPacket, prev_verified: int | None
@@ -277,6 +282,7 @@ class CachingResolver:
         'everything' where it is known.  Callers must not mutate it."""
         if self._inner_search is not None:
             search = self._inner_search(packet, prev_verified)
+            self._passed = search is not None
             if search is not None:
                 return search
         key = (self.precedence.version, self.cache.epoch)
@@ -303,8 +309,10 @@ class CachingResolver:
             self._offered = self._missed = 0
 
     def notify_miss(self) -> None:
-        """Verifier feedback: the offered search space missed a mark."""
-        self._missed += 1
+        """Verifier feedback: the offered search space missed a mark.
+        Counted as a learned-set miss only if that space was learned."""
+        if not self._passed:
+            self._missed += 1
         notify = getattr(self.inner, "notify_miss", None)
         if notify is not None:
             notify()

@@ -49,16 +49,6 @@ class WatchdogSinkLog:
         """Distinct accused node IDs, sorted ascending."""
         return sorted({d.accusation.accused for d in self.delivered})
 
-    def accusers_of(self, node: int) -> list[int]:
-        """Distinct watchers that accused ``node``, sorted ascending."""
-        return sorted(
-            {
-                d.accusation.watcher
-                for d in self.delivered
-                if d.accusation.accused == node
-            }
-        )
-
     def __len__(self) -> int:
         return len(self.delivered)
 

@@ -4,14 +4,17 @@ invalidation."""
 import pytest
 
 from repro.crypto.mac import HmacProvider
+from repro.crypto.keys import KeyStore
 from repro.isolation import RevocationList
 from repro.marking.pnm import PNMMarking
 from repro.packets.packet import MarkedPacket
 from repro.packets.report import Report
-from repro.service import CachingResolver, ResolverCache
+from repro.service import CachingResolver, ResolverCache, SinkIngestService
 from repro.traceback.reconstruct import PrecedenceGraph
 from repro.traceback.resolver import ExhaustiveResolver, TopologyBoundedResolver
+from repro.traceback.sink import TracebackSink
 from repro.net.topology import linear_path_topology
+from tests.conftest import mark_through_path
 
 PROVIDER = HmacProvider()
 SCHEME = PNMMarking(mark_prob=1.0)
@@ -183,3 +186,24 @@ class TestCachingResolver:
         assert cache.hot_misses == 0
         resolver.notify_packet_done()
         assert cache.hot_misses == 1
+
+    def test_bounded_inner_misses_are_not_learned_misses(self):
+        # A topology-bounded sink: every search set is the inner ball, so
+        # no learned search runs and none can miss, however often the
+        # ball misses a probabilistic mark that skipped hops.
+        topology, _source = linear_path_topology(10)
+        store = KeyStore.from_master_secret(b"bounded", topology.sensor_nodes())
+        scheme = PNMMarking(mark_prob=0.4)
+        resolver = TopologyBoundedResolver(topology, radius=1)
+        sink = TracebackSink(scheme, store, PROVIDER, topology, resolver=resolver)
+        service = SinkIngestService(sink)
+        route = list(range(1, 11))
+        for t in range(40):
+            marked = mark_through_path(
+                scheme, store, PROVIDER, route, packet_for(t), seed=t
+            )
+            service.submit(marked, route[-1])
+        service.flush()
+        assert sink.fallback_searches > 0  # the ball did miss marks
+        assert service.cache.hot_searches == 0
+        assert service.cache.hot_misses == 0
