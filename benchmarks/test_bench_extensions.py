@@ -38,10 +38,7 @@ class TestMultiSource:
     def test_bench_multisource_traceback(self, benchmark):
         import random
 
-        from repro.core.build import _node_rng
-        from repro.crypto.keys import KeyStore
-        from repro.crypto.mac import HmacProvider
-        from repro.marking.base import NodeContext
+        from repro.core.build import deploy
         from repro.marking.pnm import PNMMarking
         from repro.net.topology import grid_topology
         from repro.routing.tree import build_routing_tree
@@ -51,20 +48,13 @@ class TestMultiSource:
 
         topo = grid_topology(5, 5, sink_at="corner")
         routing = build_routing_tree(topo)
-        provider = HmacProvider()
-        keystore = KeyStore.from_master_secret(b"bench-ms", topo.sensor_nodes())
+        dep = deploy(topo, b"bench-ms", "5:node")
         scheme = PNMMarking(mark_prob=0.4)
-        behaviors = {
-            nid: HonestForwarder(
-                NodeContext(nid, keystore[nid], provider, _node_rng(5, nid)),
-                scheme,
-            )
-            for nid in topo.sensor_nodes()
-        }
+        behaviors = {nid: HonestForwarder(dep.ctx(nid), scheme) for nid in topo.sensor_nodes()}
 
         def hunt():
             sink = MultiSourceTracebackSink(
-                scheme, keystore, provider, topo, min_support=3
+                scheme, dep.keystore, dep.provider, topo, min_support=3
             )
             for i, mole in enumerate((24, 20)):
                 src = BogusReportSource(

@@ -20,12 +20,9 @@ catch.
 
 import random
 
-from repro.core.build import _node_rng
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.core.build import deploy
 from repro.filtering.sef import KeyPool, SefFilterForwarder, endorse, extract_endorsements
 from repro.isolation.quarantine import QuarantineManager, QuarantinePolicy
-from repro.marking.base import NodeContext
 from repro.marking.pnm import PNMMarking
 from repro.net.links import LinkModel
 from repro.net.topology import random_topology
@@ -45,16 +42,16 @@ def build_network():
         num_nodes=NUM_NODES, width=10, height=10, radio_range=2.2, seed=SEED
     )
     routing = build_routing_tree(topology)
-    provider = HmacProvider()
-    keystore = KeyStore.from_master_secret(b"field-demo", topology.sensor_nodes())
+    dep = deploy(topology, b"field-demo", f"{SEED}:node")
     # Pick the routable sensor farthest (in hops) from the sink as the mole.
     depths = topology.hop_distances()
     mole_id = max(topology.sensor_nodes(), key=lambda nid: (depths[nid], nid))
-    return topology, routing, provider, keystore, mole_id
+    return topology, routing, dep, mole_id
 
 
 def main() -> None:
-    topology, routing, provider, keystore, mole_id = build_network()
+    topology, routing, dep, mole_id = build_network()
+    provider = dep.provider
     scheme = PNMMarking(mark_prob=0.35)
     pool = KeyPool(b"field-demo-sef", pool_size=100, partitions=10, keys_per_node=5)
     rng = random.Random(SEED)
@@ -75,14 +72,10 @@ def main() -> None:
             witness_keys = witness_keys[:SEF_THRESHOLD]
             break
 
-    sink = TracebackSink(scheme, keystore, provider, topology)
+    sink = TracebackSink(scheme, dep.keystore, provider, topology)
     behaviors = {}
     for nid in topology.sensor_nodes():
-        ctx = NodeContext(
-            node_id=nid, key=keystore[nid], provider=provider,
-            rng=_node_rng(SEED, nid),
-        )
-        honest = HonestForwarder(ctx, scheme)
+        honest = HonestForwarder(dep.ctx(nid), scheme)
         behaviors[nid] = SefFilterForwarder(
             inner=honest,
             node_keys=node_pool_keys[nid],
@@ -136,7 +129,7 @@ def main() -> None:
     for nid in reporters:
         sim.add_periodic_source(
             EndorsedSource(HonestReportSource(
-                nid, topology.position(nid), _node_rng(SEED, 5000 + nid))),
+                nid, topology.position(nid), dep.rng(5000 + nid))),
             interval=1.0, count=40, start=0.1, jitter=0.2,
         )
 
@@ -181,9 +174,9 @@ def main() -> None:
     sim.add_periodic_source(
         ForgedSource(
             BogusReportSource(
-                mole_id, topology.position(mole_id), _node_rng(SEED, 9999)
+                mole_id, topology.position(mole_id), dep.rng(9999)
             ),
-            rng=_node_rng(SEED, 8888),
+            rng=dep.rng(8888),
         ),
         interval=0.04, count=1500, start=0.5,
     )

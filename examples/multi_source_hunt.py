@@ -15,11 +15,9 @@ Sections 7/9 as follow-on work:
 """
 
 import random
+from dataclasses import replace
 
-from repro.core.build import _node_rng
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
-from repro.marking.base import NodeContext
+from repro.core.build import deploy
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import grid_topology, linear_path_topology
 from repro.routing.tree import build_routing_tree
@@ -36,19 +34,12 @@ def hunt_multiple_sources() -> None:
     print("=== part 1: three source moles on a 6x6 grid ===")
     topo = grid_topology(6, 6, sink_at="corner")
     routing = build_routing_tree(topo)
-    provider = HmacProvider()
-    keystore = KeyStore.from_master_secret(b"hunt", topo.sensor_nodes())
+    dep = deploy(topo, b"hunt", f"{SEED}:node")
     scheme = PNMMarking(mark_prob=0.35)
     sink = MultiSourceTracebackSink(
-        scheme, keystore, provider, topo, min_support=3
+        scheme, dep.keystore, dep.provider, topo, min_support=3
     )
-    behaviors = {
-        nid: HonestForwarder(
-            NodeContext(nid, keystore[nid], provider, _node_rng(SEED, nid)),
-            scheme,
-        )
-        for nid in topo.sensor_nodes()
-    }
+    behaviors = {nid: HonestForwarder(dep.ctx(nid), scheme) for nid in topo.sensor_nodes()}
 
     moles = (35, 30, 5)  # far corner, left edge, right edge
     print(f"source moles: {moles} "
@@ -78,8 +69,7 @@ def pin_to_a_pair() -> None:
     print("=== part 2: pair precision with neighbor authentication ===")
     n = 10
     topo, source_id = linear_path_topology(n)
-    provider = HmacProvider()
-    keystore = KeyStore.from_master_secret(b"pair", topo.sensor_nodes())
+    dep = deploy(topo, b"pair", f"{SEED}:node")
     scheme = PairAwareNestedMarking()
 
     packet = BogusReportSource(
@@ -87,17 +77,11 @@ def pin_to_a_pair() -> None:
     ).next_packet(timestamp=5)
     prev = source_id
     for nid in range(1, n + 1):
-        ctx = NodeContext(
-            node_id=nid,
-            key=keystore[nid],
-            provider=provider,
-            rng=_node_rng(SEED, nid),
-            prev_hop=prev,  # authenticated via pairwise keys
-        )
+        ctx = replace(dep.ctx(nid), prev_hop=prev)  # authenticated via pairwise keys
         packet = scheme.on_forward(ctx, packet)
         prev = nid
 
-    verification = PacketVerifier(scheme, keystore, provider).verify(packet)
+    verification = PacketVerifier(scheme, dep.keystore, dep.provider).verify(packet)
     pair = refine_to_pair(verification, scheme)
     neighborhood = topo.closed_neighborhood(verification.chain_ids[0])
     print(f"single packet, {n}-hop path:")

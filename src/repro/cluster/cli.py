@@ -36,8 +36,7 @@ from repro.cluster.coordinator import (
 )
 from repro.cluster.harness import ClusterResult, run_cluster
 from repro.cluster.ring import ShardRing, region_shard_key, report_shard_key
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.core.build import deploy
 from repro.experiments.cluster_sweep import (
     build_cluster_workload,
     make_sink_factory,
@@ -124,9 +123,7 @@ async def _serve(args: argparse.Namespace) -> int:
         return 2
     scheme = PNMMarking(mark_prob=args.mark_prob)
     topology = grid_topology(args.grid_side, args.grid_side)
-    keystore = KeyStore.from_master_secret(
-        args.master_secret.encode("utf-8"), topology.sensor_nodes()
-    )
+    dep = deploy(topology, args.master_secret.encode("utf-8"), "cluster")
     ring = ShardRing(range(args.shards))
     shard_key = report_shard_key
 
@@ -138,7 +135,7 @@ async def _serve(args: argparse.Namespace) -> int:
             # poll (``pnm-cluster status``) sees per-shard health.
             provider = ObsProvider()
             sink = TracebackSink(
-                scheme, keystore, HmacProvider(), topology, obs=provider
+                scheme, dep.keystore, dep.provider, topology, obs=provider
             )
             service = SinkIngestService(
                 sink, capacity=args.capacity, obs=provider

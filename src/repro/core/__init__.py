@@ -11,7 +11,7 @@ This is the API the examples, the security-matrix experiment and most
 integration tests use.
 """
 
-from repro.core.build import BuiltScenario, build_scenario
+from repro.core.build import BuiltScenario, Deployment, build_scenario, deploy
 from repro.core.experiment import ExperimentResult, run_scenario
 from repro.core.scenario import ATTACK_NAMES, Scenario
 
@@ -20,6 +20,8 @@ __all__ = [
     "ATTACK_NAMES",
     "BuiltScenario",
     "build_scenario",
+    "Deployment",
+    "deploy",
     "ExperimentResult",
     "run_scenario",
 ]

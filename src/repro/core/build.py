@@ -1,5 +1,10 @@
 """Materializing deployments into runnable object graphs.
 
+:func:`deploy` loads a topology's sensors with keys derived from a master
+secret; the resulting :class:`Deployment` hands out each node's marking
+context and RNG.  Every builder below, and every experiment that wires
+its own nodes, starts from one.
+
 :func:`build_scenario` builds the full object graph for a
 :class:`~repro.core.scenario.Scenario`: linear-path topology, per-node
 keys and RNGs, the marking scheme, honest forwarders, the colluding moles
@@ -57,7 +62,14 @@ from repro.sim.tracing import PacketTracer
 from repro.traceback.sink import TracebackSink, TracebackVerdict
 from repro.watchdog import DetectionProbe, WatchdogLayer
 
-__all__ = ["BuiltScenario", "build_scenario", "BuiltNetwork", "build_network"]
+__all__ = [
+    "Deployment",
+    "deploy",
+    "BuiltScenario",
+    "build_scenario",
+    "BuiltNetwork",
+    "build_network",
+]
 
 #: Seconds between a network source's injections.
 _INTERVAL = 0.05
@@ -126,26 +138,44 @@ def _make_provider(sc: Scenario) -> MacProvider:
     return NullMacProvider(mac_len=sc.mac_len, anon_id_len=sc.anon_id_len)
 
 
-def _node_rng(seed: int, node_id: int) -> random.Random:
-    return random.Random(f"{seed}:node:{node_id}")
+@dataclass(frozen=True)
+class Deployment:
+    """One deployment's key material: the sink's key table over
+    ``topology``'s sensors, the MAC provider, and per-node RNG streams
+    labelled ``{rng_label}:{node_id}``.
 
+    Every caller that needs a node's key or marking RNG builds one with
+    :func:`deploy`, so key derivation and RNG labelling live here only.
+    """
 
-def _deployment(
-    topology: Topology, master_secret: bytes, provider: MacProvider, rng_label: str
-) -> tuple[KeyStore, Callable[[int], NodeContext]]:
-    """The sink's key table over ``topology``'s sensors, and a node-context
-    factory whose RNGs are labelled ``{rng_label}:{node_id}``."""
-    keystore = KeyStore.from_master_secret(master_secret, topology.sensor_nodes())
+    topology: Topology
+    keystore: KeyStore
+    provider: MacProvider
+    rng_label: str
 
-    def ctx(node_id: int) -> NodeContext:
+    def rng(self, node_id: int) -> random.Random:
+        """A fresh RNG for ``node_id`` (same label, same draws)."""
+        return random.Random(f"{self.rng_label}:{node_id}")
+
+    def ctx(self, node_id: int) -> NodeContext:
+        """A fresh marking context for ``node_id``, with a fresh RNG."""
         return NodeContext(
-            node_id=node_id,
-            key=keystore[node_id],
-            provider=provider,
-            rng=random.Random(f"{rng_label}:{node_id}"),
+            node_id, self.keystore[node_id], self.provider, self.rng(node_id)
         )
 
-    return keystore, ctx
+
+def deploy(
+    topology: Topology,
+    master_secret: bytes,
+    rng_label: str,
+    provider: MacProvider | None = None,
+) -> Deployment:
+    """Load every sensor of ``topology`` with a key derived from
+    ``master_secret``; ``provider`` defaults to :class:`HmacProvider`."""
+    keystore = KeyStore.from_master_secret(master_secret, topology.sensor_nodes())
+    if provider is None:
+        provider = HmacProvider()
+    return Deployment(topology, keystore, provider, rng_label)
 
 
 def _make_attacks(
@@ -235,20 +265,19 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
     routing = build_routing_tree(topology)
     path = routing.forwarders_between(source_id)
 
-    provider = _make_provider(sc)
     scheme = _make_scheme(sc)
     master_secret = b"pnm-deployment-" + sc.seed.to_bytes(8, "big", signed=True)
-    keystore, ctx_for = _deployment(topology, master_secret, provider, f"{sc.seed}:node")
+    dep = deploy(topology, master_secret, f"{sc.seed}:node", _make_provider(sc))
 
     mole_position = sc.resolved_mole_position
     mole_id = path[mole_position - 1]
     forwarding_attack, source_attack = _make_attacks(sc, path, source_id, mole_id)
 
     mole_ids = {source_id}
-    coalition_keys = {source_id: keystore[source_id]}
+    coalition_keys = {source_id: dep.keystore[source_id]}
     if forwarding_attack is not None:
         mole_ids.add(mole_id)
-        coalition_keys[mole_id] = keystore[mole_id]
+        coalition_keys[mole_id] = dep.keystore[mole_id]
     coalition = Coalition(coalition_keys)
 
     forwarders: list[ForwardingBehavior] = []
@@ -256,23 +285,23 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
         if forwarding_attack is not None and node_id == mole_id:
             forwarders.append(
                 ForwardingMole(
-                    ctx=ctx_for(node_id),
+                    ctx=dep.ctx(node_id),
                     scheme=scheme,
                     attack=forwarding_attack,
                     coalition=coalition,
                 )
             )
         else:
-            forwarders.append(HonestForwarder(ctx=ctx_for(node_id), scheme=scheme))
+            forwarders.append(HonestForwarder(ctx=dep.ctx(node_id), scheme=scheme))
 
     source = BogusReportSource(
         node_id=source_id,
         claimed_location=topology.position(source_id),
-        rng=_node_rng(sc.seed, source_id),
+        rng=dep.rng(source_id),
     )
     if source_attack is not None:
         source_shell = ForwardingMole(
-            ctx=ctx_for(source_id),
+            ctx=dep.ctx(source_id),
             scheme=scheme,
             attack=source_attack,
             coalition=coalition,
@@ -281,8 +310,8 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
 
     sink = TracebackSink(
         scheme=scheme,
-        keystore=keystore,
-        provider=provider,
+        keystore=dep.keystore,
+        provider=dep.provider,
         topology=topology,
     )
     pipeline = PathPipeline(source=source, forwarders=forwarders, sink=sink)
@@ -293,8 +322,8 @@ def build_scenario(sc: Scenario) -> BuiltScenario:
         path=path,
         mole_ids=frozenset(mole_ids),
         scheme=scheme,
-        provider=provider,
-        keystore=keystore,
+        provider=dep.provider,
+        keystore=dep.keystore,
         pipeline=pipeline,
         sink=sink,
     )
@@ -364,24 +393,21 @@ def build_network(
     :class:`~repro.watchdog.DetectionProbe`.
     """
     routing = RepairingRoutingTable(topology)
-    provider = HmacProvider()
-    keystore, ctx = _deployment(
-        topology, master_secret, provider, node_rng_label or f"{rng_label}:{seed}"
-    )
+    dep = deploy(topology, master_secret, node_rng_label or f"{rng_label}:{seed}")
     source_id = max(topology.sensor_nodes(), key=lambda n: (routing.hop_count(n), n))
     behaviors: dict[int, ForwardingBehavior] = {
-        nid: HonestForwarder(ctx(nid), scheme) for nid in topology.sensor_nodes()
+        nid: HonestForwarder(dep.ctx(nid), scheme) for nid in topology.sensor_nodes()
     }
     moles: frozenset[int] = frozenset()
     if attack is not None:
         if mole_id is None:
             path = routing.path_to_sink(source_id)
             mole_id = path[len(path) // 2]
-        behaviors[mole_id] = ForwardingMole(ctx(mole_id), scheme, attack)
+        behaviors[mole_id] = ForwardingMole(dep.ctx(mole_id), scheme, attack)
         moles = frozenset({mole_id})
 
     sink_cls = AlgebraicTracebackSink if isinstance(scheme, AlgebraicMarking) else TracebackSink
-    sink = sink_cls(scheme, keystore, provider, topology)
+    sink = sink_cls(scheme, dep.keystore, dep.provider, topology)
     probe = None if watchdog is None else DetectionProbe(sink, watchdog.sink_log, moles)
     sim = NetworkSimulation(
         topology=topology,

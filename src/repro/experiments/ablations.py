@@ -295,28 +295,24 @@ def route_dynamics_ablation(preset: Preset = QUICK) -> FigureResult:
     node pairs in both relative orders, which surfaces as loops/equivocal
     evidence rather than as a framed innocent.
     """
-    from repro.core.build import _node_rng  # deterministic per-node RNGs
-    from repro.crypto.keys import KeyStore
-    from repro.crypto.mac import HmacProvider
+    from repro.core.build import deploy
     from repro.marking.pnm import PNMMarking
     from repro.net.topology import grid_topology
     from repro.sim.behaviors import HonestForwarder
     from repro.sim.pipeline import PathPipeline
     from repro.sim.sources import BogusReportSource
-    from repro.marking.base import NodeContext
 
     columns = ["churn", "epochs", "outcome", "suspect_center", "loop_detected"]
     rows = []
     topology = grid_topology(6, 6, sink_at="corner")
     source_id = 35  # far corner
-    provider = HmacProvider()
-    keystore = KeyStore.from_master_secret(b"dyn", topology.sensor_nodes())
+    dep = deploy(topology, b"dyn", f"{preset.seed}:node")
     epochs = 6
     packets_per_epoch = 60
 
     for churn in ("order-preserving", "order-violating"):
         scheme = PNMMarking(mark_prob=0.4)
-        sink = TracebackSink(scheme, keystore, provider, topology)
+        sink = TracebackSink(scheme, dep.keystore, dep.provider, topology)
         dynamics = RouteDynamics(
             topology,
             seed=preset.seed,
@@ -325,23 +321,12 @@ def route_dynamics_ablation(preset: Preset = QUICK) -> FigureResult:
         source = BogusReportSource(
             node_id=source_id,
             claimed_location=topology.position(source_id),
-            rng=_node_rng(preset.seed, source_id),
+            rng=dep.rng(source_id),
         )
         for _ in range(epochs):
             table = dynamics.next_table()
             path = table.forwarders_between(source_id)
-            forwarders = [
-                HonestForwarder(
-                    NodeContext(
-                        node_id=nid,
-                        key=keystore[nid],
-                        provider=provider,
-                        rng=_node_rng(preset.seed, nid),
-                    ),
-                    scheme,
-                )
-                for nid in path
-            ]
+            forwarders = [HonestForwarder(dep.ctx(nid), scheme) for nid in path]
             pipeline = PathPipeline(source=source, forwarders=forwarders, sink=sink)
             pipeline.push_many(packets_per_epoch)
         verdict = sink.verdict()

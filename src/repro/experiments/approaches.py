@@ -22,14 +22,9 @@ Approaches compared:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core.build import _node_rng
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.core.build import Deployment, deploy
 from repro.experiments.presets import QUICK, Preset
 from repro.experiments.tables import FigureResult
-from repro.marking.base import NodeContext
 from repro.marking.plain import NoMarking
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import Topology
@@ -52,6 +47,7 @@ N_FORWARDERS = 12
 MOLE_POSITION = 6
 SPUR_ATTACH = 9  # the off-path victim hangs off V9
 SPUR_ID = 100
+_PATH = range(1, N_FORWARDERS + 1)
 
 
 def spur_chain_topology() -> tuple[Topology, int]:
@@ -70,67 +66,31 @@ def spur_chain_topology() -> tuple[Topology, int]:
     return Topology(positions, edges, sink=base.sink), source_id
 
 
-@dataclass
-class _Deployment:
-    topology: Topology
-    source_id: int
-    path: list[int]
-    keystore: KeyStore
-    provider: HmacProvider
-    moles: frozenset[int]
-
-    def ctx(self, node_id: int, seed: int) -> NodeContext:
-        return NodeContext(
-            node_id=node_id,
-            key=self.keystore[node_id],
-            provider=self.provider,
-            rng=_node_rng(seed, node_id),
-        )
-
-
-def _deploy(seed: int) -> _Deployment:
-    topology, source_id = spur_chain_topology()
-    keystore = KeyStore.from_master_secret(
-        b"approaches-" + seed.to_bytes(4, "big"), topology.sensor_nodes()
-    )
-    path = list(range(1, N_FORWARDERS + 1))
-    return _Deployment(
-        topology=topology,
-        source_id=source_id,
-        path=path,
-        keystore=keystore,
-        provider=HmacProvider(),
-        moles=frozenset({source_id, MOLE_POSITION}),
-    )
-
-
-def _outcome(suspect_members: set[int] | None, moles: frozenset[int]) -> str:
+def _outcome(suspect_members: set[int] | None, source_id: int) -> str:
     if not suspect_members:
         return "unidentified"
-    return "caught" if suspect_members & moles else "framed"
+    return "caught" if suspect_members & {source_id, MOLE_POSITION} else "framed"
 
 
-def _run_pnm(dep: _Deployment, packets: int, seed: int) -> list:
+def _run_pnm(dep: Deployment, source_id: int, packets: int) -> list:
     from repro.adversary.attacks import SelectiveDroppingAttack
     from repro.adversary.moles import ForwardingMole
 
     scheme = PNMMarking(mark_prob=3.0 / N_FORWARDERS)
     sink = TracebackSink(scheme, dep.keystore, dep.provider, dep.topology)
     forwarders = []
-    for nid in dep.path:
+    for nid in _PATH:
         if nid == MOLE_POSITION:
             forwarders.append(
                 ForwardingMole(
-                    dep.ctx(nid, seed),
+                    dep.ctx(nid),
                     scheme,
                     SelectiveDroppingAttack(drop_if_marked_by=[1]),
                 )
             )
         else:
-            forwarders.append(HonestForwarder(dep.ctx(nid, seed), scheme))
-    source = BogusReportSource(
-        dep.source_id, dep.topology.position(dep.source_id), _node_rng(seed, 999)
-    )
+            forwarders.append(HonestForwarder(dep.ctx(nid), scheme))
+    source = BogusReportSource(source_id, dep.topology.position(source_id), dep.rng(999))
     pipeline = PathPipeline(source, forwarders, sink)
     pipeline.push_many(packets)
     verdict = sink.verdict()
@@ -142,45 +102,41 @@ def _run_pnm(dep: _Deployment, packets: int, seed: int) -> list:
         round(marks_bytes, 1),
         0,  # per-node storage
         0,  # control messages
-        _outcome(members, dep.moles),
+        _outcome(members, source_id),
         verdict.suspect.center if verdict.suspect else None,
     ]
 
 
-def _run_logging(dep: _Deployment, packets: int, seed: int) -> list:
+def _run_logging(dep: Deployment, source_id: int, packets: int) -> list:
     scheme = NoMarking()
     nodes: dict[int, LoggingNode] = {}
     forwarders = []
-    for nid in dep.path:
-        inner = HonestForwarder(dep.ctx(nid, seed), scheme)
+    for nid in _PATH:
+        inner = HonestForwarder(dep.ctx(nid), scheme)
         node = (
             DenyingLogMole(inner) if nid == MOLE_POSITION else LoggingNode(inner)
         )
         nodes[nid] = node
         forwarders.append(node)
     # The off-path spur node keeps an (empty) log and answers queries too.
-    nodes[SPUR_ID] = LoggingNode(HonestForwarder(dep.ctx(SPUR_ID, seed), scheme))
+    nodes[SPUR_ID] = LoggingNode(HonestForwarder(dep.ctx(SPUR_ID), scheme))
 
     sink = TracebackSink(scheme, dep.keystore, dep.provider, dep.topology)
-    source = BogusReportSource(
-        dep.source_id, dep.topology.position(dep.source_id), _node_rng(seed, 999)
-    )
+    source = BogusReportSource(source_id, dep.topology.position(source_id), dep.rng(999))
     pipeline = PathPipeline(source, forwarders, sink)
     pipeline.push_many(packets)
 
     tracer = LoggingTracer(dep.topology, nodes)
     # Trace a handful of fresh attack reports, as SPIE would: inject each
     # probe report down the same (logging) path, then query for it.
-    probe_source = BogusReportSource(
-        dep.source_id, dep.topology.position(dep.source_id), _node_rng(seed, 999)
-    )
+    probe_source = BogusReportSource(source_id, dep.topology.position(source_id), dep.rng(999))
     control = 0
     most_upstream = None
     for _ in range(5):
         report = probe_source.next_packet(timestamp=0).report
         # Push this exact report down the (logging) path so logs know it.
         probe = PathPipeline(
-            _FixedSource(dep.source_id, report), forwarders, sink
+            _FixedSource(source_id, report), forwarders, sink
         )
         probe.push()
         result = tracer.trace(report)
@@ -198,7 +154,7 @@ def _run_logging(dep: _Deployment, packets: int, seed: int) -> list:
         0.0,
         storage,
         control,
-        _outcome(members, dep.moles),
+        _outcome(members, source_id),
         most_upstream,
     ]
 
@@ -216,7 +172,7 @@ class _FixedSource:
         return MarkedPacket(report=self._report, origin=self.node_id)
 
 
-def _run_edge_sampling(dep: _Deployment, packets: int, seed: int) -> list:
+def _run_edge_sampling(dep: Deployment, source_id: int, packets: int) -> list:
     from repro.tracealt.edge_sampling import (
         EDGE_SLOT_BYTES,
         EdgeForgingMole,
@@ -228,15 +184,15 @@ def _run_edge_sampling(dep: _Deployment, packets: int, seed: int) -> list:
     channel = EdgeSamplingSink()
     mark_prob = 3.0 / N_FORWARDERS
     forwarders = []
-    for nid in dep.path:
-        inner = HonestForwarder(dep.ctx(nid, seed), scheme)
+    for nid in _PATH:
+        inner = HonestForwarder(dep.ctx(nid), scheme)
         if nid == MOLE_POSITION:
             forwarders.append(
                 EdgeForgingMole(
                     inner,
                     channel,
                     mark_prob,
-                    _node_rng(seed, 6000 + nid),
+                    dep.rng(6000 + nid),
                     # Forge a fresh (distance-0) mark claiming the spur
                     # node: downstream honest hops complete and age the
                     # edge exactly like a real one, splicing the victim
@@ -249,12 +205,10 @@ def _run_edge_sampling(dep: _Deployment, packets: int, seed: int) -> list:
         else:
             forwarders.append(
                 EdgeSamplingForwarder(
-                    inner, channel, mark_prob, _node_rng(seed, 6000 + nid)
+                    inner, channel, mark_prob, dep.rng(6000 + nid)
                 )
             )
-    source = BogusReportSource(
-        dep.source_id, dep.topology.position(dep.source_id), _node_rng(seed, 999)
-    )
+    source = BogusReportSource(source_id, dep.topology.position(source_id), dep.rng(999))
     for t in range(packets):
         packet = source.next_packet(timestamp=t)
         for behavior in forwarders:
@@ -271,13 +225,13 @@ def _run_edge_sampling(dep: _Deployment, packets: int, seed: int) -> list:
         float(EDGE_SLOT_BYTES),
         0,
         0,
-        _outcome(members, dep.moles),
+        _outcome(members, source_id),
         origin,
     ]
 
 
 def _run_notification(
-    dep: _Deployment, packets: int, seed: int, authenticated: bool
+    dep: Deployment, source_id: int, packets: int, authenticated: bool
 ) -> list:
     scheme = NoMarking()
     notify_prob = 3.0 / N_FORWARDERS  # match PNM's per-packet budget
@@ -287,15 +241,15 @@ def _run_notification(
         provider=dep.provider if authenticated else None,
     )
     forwarders = []
-    prev = dep.source_id
-    for nid in dep.path:
-        inner = HonestForwarder(dep.ctx(nid, seed), scheme)
+    prev = source_id
+    for nid in _PATH:
+        inner = HonestForwarder(dep.ctx(nid), scheme)
         common = dict(
             inner=inner,
             prev_hop=prev,
             sink=note_sink,
             notify_prob=notify_prob,
-            rng=_node_rng(seed, 7000 + nid),
+            rng=dep.rng(7000 + nid),
             key=dep.keystore[nid] if authenticated else None,
             provider=dep.provider if authenticated else None,
         )
@@ -306,7 +260,7 @@ def _run_notification(
                 forwarders.append(
                     ForgingNotificationMole(
                         **common,
-                        frame_victim=dep.source_id,
+                        frame_victim=source_id,
                         frame_prev=SPUR_ID,
                     )
                 )
@@ -315,9 +269,7 @@ def _run_notification(
         prev = nid
 
     sink = TracebackSink(scheme, dep.keystore, dep.provider, dep.topology)
-    source = BogusReportSource(
-        dep.source_id, dep.topology.position(dep.source_id), _node_rng(seed, 999)
-    )
+    source = BogusReportSource(source_id, dep.topology.position(source_id), dep.rng(999))
     pipeline = PathPipeline(source, forwarders, sink)
     pipeline.push_many(packets)
     # Reconstruct from everything notified.
@@ -336,20 +288,22 @@ def _run_notification(
         0.0,
         0,
         control,
-        _outcome(members, dep.moles),
+        _outcome(members, source_id),
         origin,
     ]
 
 
 def run(preset: Preset = QUICK, packets: int = 200) -> FigureResult:
     """Run all four approach variants on the spur-chain deployment."""
-    dep = _deploy(preset.seed)
+    topology, source_id = spur_chain_topology()
+    secret = b"approaches-" + preset.seed.to_bytes(4, "big")
+    dep = deploy(topology, secret, f"{preset.seed}:node")
     rows = [
-        _run_pnm(dep, packets, preset.seed),
-        _run_edge_sampling(_deploy(preset.seed), packets, preset.seed),
-        _run_logging(_deploy(preset.seed), packets, preset.seed),
-        _run_notification(_deploy(preset.seed), packets, preset.seed, False),
-        _run_notification(_deploy(preset.seed), packets, preset.seed, True),
+        _run_pnm(dep, source_id, packets),
+        _run_edge_sampling(dep, source_id, packets),
+        _run_logging(dep, source_id, packets),
+        _run_notification(dep, source_id, packets, False),
+        _run_notification(dep, source_id, packets, True),
     ]
     return FigureResult(
         figure_id="approaches",

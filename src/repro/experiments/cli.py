@@ -6,6 +6,9 @@ Examples::
     pnm-experiment fig7 --preset full        # the paper's exact run sizes
     pnm-experiment security-matrix
     pnm-experiment all --preset ci
+
+Exits 1 when any run's checked claim (``FigureResult.checks``) fails,
+naming each failed check on stderr.
 """
 
 from __future__ import annotations
@@ -151,6 +154,7 @@ def main(argv: list[str] | None = None) -> int:
         names = [args.experiment]
 
     sections: list[str] = []
+    status = 0
     for name in names:
         runner = _SINGLE_RUNNERS.get(name) or _ABLATION_RUNNERS[name]
         if args.obs_dir:
@@ -168,10 +172,14 @@ def main(argv: list[str] | None = None) -> int:
         print(rendered)
         print()
         sections.append(rendered)
+        for check, held in result.checks.items():
+            if not held:
+                print(f"pnm-experiment: {name}: check failed: {check}", file=sys.stderr)
+                status = 1
     if args.output:
         with open(args.output, "a", encoding="utf-8") as handle:
             handle.write("\n\n".join(sections) + "\n")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -18,12 +18,12 @@ be byte-identical across shard counts -- same canonical JSON).
 
 from __future__ import annotations
 
-import random
 import time
 
 from repro.cluster.coordinator import verdict_json
 from repro.cluster.harness import Batch, ClusterResult, run_cluster
 from repro.cluster.ring import region_shard_key
+from repro.core.build import deploy
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import HmacProvider
 from repro.experiments.presets import QUICK, Preset
@@ -31,7 +31,6 @@ from repro.experiments.tables import FigureResult
 from repro.obs.profiling import ObsProvider
 from repro.obs.spans import Tracer
 from repro.obs.telemetry import compute_cluster_slo, federate_snapshots
-from repro.marking.base import NodeContext
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import Topology, grid_topology
 from repro.packets.packet import MarkedPacket
@@ -82,9 +81,8 @@ def build_cluster_workload(
     if sources < 1:
         raise ValueError(f"sources must be >= 1, got {sources}")
     scheme = PNMMarking(mark_prob=1.0)
-    provider = HmacProvider()
     topology = grid_topology(grid_side, grid_side)
-    keystore = KeyStore.from_master_secret(master_secret, topology.sensor_nodes())
+    dep = deploy(topology, master_secret, "cluster")
     routing = build_routing_tree(topology)
 
     # One source per vertical strip: the strip's farthest-from-sink node.
@@ -113,13 +111,7 @@ def build_cluster_workload(
                 )
             )
             for node_id in forwarders[src]:
-                context = NodeContext(
-                    node_id=node_id,
-                    key=keystore[node_id],
-                    provider=provider,
-                    rng=random.Random(f"cluster:{node_id}"),
-                )
-                packet = scheme.on_forward(context, packet)
+                packet = scheme.on_forward(dep.ctx(node_id), packet)
             streams[src].append(packet)
 
     batches: list[Batch] = []
@@ -136,7 +128,7 @@ def build_cluster_workload(
             # (mark_prob=1) the verdict never consults it.
             batches.append((chunk, forwarders[source_nodes[0]][-1]))
             emitted += len(chunk)
-        return topology, keystore, batches, source_nodes
+        return topology, dep.keystore, batches, source_nodes
     cursor = 0
     while emitted < packets:
         src = source_nodes[cursor % len(source_nodes)]
@@ -148,7 +140,7 @@ def build_cluster_workload(
         chunk, streams[src] = stream[:take], stream[take:]
         batches.append((chunk, forwarders[src][-1]))
         emitted += take
-    return topology, keystore, batches, source_nodes
+    return topology, dep.keystore, batches, source_nodes
 
 
 def make_sink_factory(topology: Topology, keystore: KeyStore):
@@ -265,6 +257,7 @@ def run(preset: Preset = QUICK) -> FigureResult:
             "slo": slo.as_dict(),
             "telemetry_verdict_parity": telemetry_parity,
         },
+        checks={"parity": parity, "telemetry_parity": telemetry_parity},
     )
 
 

@@ -128,6 +128,7 @@ def run(preset: Preset = QUICK) -> FigureResult:
         ],
         rows=rows,
         notes=notes,
+        checks={"all_honest_clean": all_honest_clean},
     )
 
 

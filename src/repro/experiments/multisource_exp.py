@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import random
 
-from repro.core.build import _node_rng
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.core.build import deploy
 from repro.experiments.presets import QUICK, Preset
 from repro.experiments.tables import FigureResult
-from repro.marking.base import NodeContext
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import grid_topology
 from repro.routing.tree import build_routing_tree
@@ -47,21 +44,10 @@ def _run_cell(k: int, seed: int) -> tuple[int | None, bool, int]:
     """
     topo = grid_topology(6, 6, sink_at="corner")
     routing = build_routing_tree(topo)
-    provider = HmacProvider()
-    keystore = KeyStore.from_master_secret(
-        b"multisource-" + seed.to_bytes(4, "big"), topo.sensor_nodes()
-    )
+    dep = deploy(topo, b"multisource-" + seed.to_bytes(4, "big"), f"{seed}:node")
     scheme = PNMMarking(mark_prob=0.35)
-    sink = MultiSourceTracebackSink(
-        scheme, keystore, provider, topo, min_support=3
-    )
-    behaviors = {
-        nid: HonestForwarder(
-            NodeContext(nid, keystore[nid], provider, _node_rng(seed, nid)),
-            scheme,
-        )
-        for nid in topo.sensor_nodes()
-    }
+    sink = MultiSourceTracebackSink(scheme, dep.keystore, dep.provider, topo, min_support=3)
+    behaviors = {nid: HonestForwarder(dep.ctx(nid), scheme) for nid in topo.sensor_nodes()}
     moles = _MOLE_POOL[:k]
     sources = [
         (

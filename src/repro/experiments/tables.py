@@ -22,6 +22,9 @@ class FigureResult:
             cluster/watchdog sweeps derive from federated telemetry);
             merged verbatim into the run manifest's ``extra`` by the
             experiments CLI.
+        checks: the claims the run verified, by name (e.g. the honest
+            false-accusation rate was 0.0); the experiments CLI exits
+            non-zero when any is ``False``.
     """
 
     figure_id: str
@@ -30,6 +33,7 @@ class FigureResult:
     rows: list[list[Any]]
     notes: list[str] = field(default_factory=list)
     extra: dict[str, Any] = field(default_factory=dict)
+    checks: dict[str, bool] = field(default_factory=dict)
 
     def column(self, name: str) -> list[Any]:
         """Extract one column by header name."""

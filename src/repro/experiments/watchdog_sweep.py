@@ -273,6 +273,11 @@ def run(preset: Preset = QUICK) -> FigureResult:
                 "accusation_fusion_samples": len(fusion_latencies),
             }
         },
+        checks={
+            "all_strict": all_strict,
+            "framing_clean": framing_clean,
+            "wd_false_clean": wd_false_clean,
+        },
     )
 
 

@@ -134,6 +134,7 @@ def run(preset: Preset = QUICK) -> FigureResult:
         columns=["config", "packets", "seconds", "packets_per_s", "vs_inproc"],
         rows=rows,
         notes=notes,
+        checks={"parity": measured["parity"]},
     )
 
 

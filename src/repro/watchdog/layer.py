@@ -77,11 +77,6 @@ class WatchdogLayer:
         self.rng = rng if rng is not None else random.Random("watchdog")
         self.obs = resolve_provider(obs)
         self.monitors: dict[int, WatchdogMonitor] = {}
-        # Hot-path copies of the config scalars the inlined bookkeeping
-        # in :meth:`on_transmission` needs (every monitor this layer
-        # creates shares ``self.config``, so these are authoritative).
-        self._timeout = self.config.pending_timeout
-        self._max_pending = self.config.max_pending
         self.sink_log = WatchdogSinkLog()
         self.emitted: list[LocalAccusation] = []
         self.suppressed: list[LocalAccusation] = []
@@ -92,11 +87,6 @@ class WatchdogLayer:
         self._suppressors = {s.node: s.protects for s in suppressors}
         self._sim = None
         self._sink = model.topology.sink
-        # Report-digest memo: the same report is re-keyed at every hop
-        # of its journey, so one digest per report, not per transmission.
-        # Keyed by object id -- the memo pins the report itself so the id
-        # cannot be recycled while its entry is alive.
-        self._keys: dict[int, tuple[object, bytes]] = {}
         # Overhears are counted locally on the hot path and flushed to
         # the provider once per run in :meth:`finalize`.  The bound hot
         # path keeps its own closure-local count; ``_flush_overhears``
@@ -437,63 +427,21 @@ class WatchdogLayer:
         """
         sim = self._sim
         model = self.model
-        monitors = self.monitors
         liars = self._liars
-        tracer = sim.tracer if sim is not None else None
-        node_down = sim.node_is_down if sim is not None else None
-        # Report digest, memoized inline by object identity (the memo
-        # pins the report so its id cannot be recycled while cached).
-        report = packet.report
-        keys = self._keys
-        rid = id(report)
-        entry = keys.get(rid)
-        if entry is None:
-            if len(keys) > 64:
-                keys.clear()
-            key = _report_key(report)
-            keys[rid] = (report, key)
-        else:
-            key = entry[1]
+        key = _report_key(packet.report)
         receiver_watchable = receiver != self._sink
         if receiver_watchable and sender not in liars:
-            monitor = monitors.get(sender)
-            if monitor is None:
-                monitor = self.monitor_for(sender)
-            # Inlined WatchdogMonitor.record_inbound (the certain-path
-            # insert runs once per transmission; keep the two in sync).
-            pend = monitor._pending
-            queue = pend.get(receiver)
-            if queue is None:
-                queue = pend[receiver] = {}
-            elif queue:
-                if queue[next(iter(queue))][1] <= now - self._timeout:
-                    monitor._expire_queue(now, receiver, queue)
-                if len(queue) >= self._max_pending:
-                    del queue[next(iter(queue))]
-                    monitor._score_missing(receiver)
-            queue[key] = (packet.marks, now, report)
-            if monitor.maybe_due:
-                for accusation in monitor.accusations_due(now):
-                    self._emit(accusation)
+            monitor = self.monitor_for(sender)
+            monitor.record_inbound(now, receiver, packet, key)
+            self._emit_due(monitor, now)
         receiver_neighbors = (
             model.neighbor_set(receiver) if receiver_watchable else ()
         )
-        # Overhear probabilities, read through the model's version-keyed
-        # cache without a method call per watcher.
-        links = model.links
-        probs = model._probs
-        if links.version != model._probs_version:
-            probs.clear()
-            model._probs_version = links.version
-        rng_random = self.rng.random
-        watchers = model._watchers.get(sender)
-        if watchers is None:
-            watchers = model.watchers_of(sender)
-        for watcher in watchers:
+        for watcher in model.watchers_of(sender):
             if watcher == sender:
                 continue
-            monitor = monitors.get(watcher)
-            pending = None if monitor is None else monitor._pending.get(sender)
+            monitor = self.monitors.get(watcher)
+            pending = monitor is not None and monitor.pending_count(sender) > 0
             # Only track the receiver's inbound if this watcher can also
             # overhear the receiver's *outbound* -- i.e. they are radio
             # neighbors.  Without the gate, a watcher two hops upstream
@@ -506,33 +454,29 @@ class WatchdogLayer:
             )
             if not can_track_inbound and not pending and watcher not in liars:
                 continue
-            if node_down is not None and node_down(watcher):
+            if sim is not None and sim.node_is_down(watcher):
                 continue
-            prob = probs.get((sender, watcher))
-            if prob is None:
-                prob = model.overhear_prob(sender, watcher)
-            if prob < 1.0 and (prob <= 0.0 or rng_random() >= prob):
+            prob = model.overhear_prob(sender, watcher)
+            if prob < 1.0 and (prob <= 0.0 or self.rng.random() >= prob):
                 continue
             self._overhears += 1
-            if tracer is not None:
-                tracer.record(now, "overhear", watcher, report)
-            if liars:
-                liar = liars.get(watcher)
-                if liar is not None:
-                    self._liar_overheard(now, liar)
-                    continue
-            if monitor is None:
-                monitor = self.monitor_for(watcher)
-            if pending:
-                outcome = monitor.record_outbound(now, sender, packet, key)
-                if outcome is False:
-                    self.obs.inc("watchdog_flags_total")
-                    self._trace(now, "flag", watcher, packet)
+            self._trace(now, "overhear", watcher, packet)
+            if watcher in liars:
+                self._liar_overheard(now, liars[watcher])
+                continue
+            monitor = self.monitor_for(watcher)
+            if pending and monitor.record_outbound(now, sender, packet, key) is False:
+                self.obs.inc("watchdog_flags_total")
+                self._trace(now, "flag", watcher, packet)
             if can_track_inbound:
                 monitor.record_inbound(now, receiver, packet, key)
-            if monitor.maybe_due:
-                for accusation in monitor.accusations_due(now):
-                    self._emit(accusation)
+            self._emit_due(monitor, now)
+
+    def _emit_due(self, monitor: WatchdogMonitor, now: float) -> None:
+        """Emit every accusation ``monitor`` has newly crossed into."""
+        if monitor.maybe_due:
+            for accusation in monitor.accusations_due(now):
+                self._emit(accusation)
 
     def finalize(self, now: float) -> None:
         """End-of-run flush: expire pendings, emit overdue accusations.

@@ -77,6 +77,28 @@ class TestCli:
         assert main(["ablation-anonymity", "--preset", "ci"]) == 0
         assert "selective dropping" in capsys.readouterr().out.lower()
 
+    def test_failed_check_exits_nonzero(self, capsys, monkeypatch):
+        from repro.experiments import cli
+
+        def runner(preset):
+            return FigureResult(
+                "x", "t", ["a"], [[1]], checks={"held": True, "claim": False}
+            )
+
+        monkeypatch.setitem(cli._SINGLE_RUNNERS, "fig4", runner)
+        assert cli.main(["fig4", "--preset", "ci"]) == 1
+        captured = capsys.readouterr()
+        assert "== x: t ==" in captured.out
+        assert captured.err.splitlines() == [
+            "pnm-experiment: fig4: check failed: claim"
+        ]
+
+    def test_sweep_checks_hold(self, capsys):
+        from repro.experiments.cli import main
+
+        assert main(["faults-sweep", "--preset", "ci"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestSinkCost:
     def test_table_shape_and_feasibility(self):

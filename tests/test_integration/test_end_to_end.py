@@ -9,11 +9,8 @@ import random
 
 import pytest
 
-from repro.core.build import _node_rng
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.core.build import deploy
 from repro.isolation.quarantine import QuarantineManager, QuarantinePolicy
-from repro.marking.base import NodeContext
 from repro.marking.pnm import PNMMarking
 from repro.net.links import LinkModel
 from repro.net.topology import random_topology
@@ -35,16 +32,10 @@ def build_deployment(seed: int, routing_style: str = "geographic"):
         from repro.routing.tree import build_routing_tree
 
         routing = build_routing_tree(topo)
-    provider = HmacProvider()
-    keystore = KeyStore.from_master_secret(MASTER, topo.sensor_nodes())
+    dep = deploy(topo, MASTER, f"{seed}:node")
     scheme = PNMMarking(mark_prob=0.4)
-    behaviors = {
-        nid: HonestForwarder(
-            NodeContext(nid, keystore[nid], provider, _node_rng(seed, nid)), scheme
-        )
-        for nid in topo.sensor_nodes()
-    }
-    sink = TracebackSink(scheme, keystore, provider, topo)
+    behaviors = {nid: HonestForwarder(dep.ctx(nid), scheme) for nid in topo.sensor_nodes()}
+    sink = TracebackSink(scheme, dep.keystore, dep.provider, topo)
     return topo, routing, behaviors, sink
 
 

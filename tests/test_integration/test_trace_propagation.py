@@ -8,10 +8,7 @@ ingest queue, MAC verification, and the sink's verdict.
 
 import random
 
-from repro.core.build import _node_rng
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
-from repro.marking.base import NodeContext
+from repro.core.build import deploy
 from repro.marking.pnm import PNMMarking
 from repro.net.links import LinkModel
 from repro.net.topology import random_topology
@@ -32,20 +29,13 @@ def run_traced_deployment(seed: int = 11):
         num_nodes=40, width=8, height=8, radio_range=2.6, seed=seed
     )
     routing = build_routing_tree(topo)
-    provider = HmacProvider()
-    keystore = KeyStore.from_master_secret(MASTER, topo.sensor_nodes())
+    dep = deploy(topo, MASTER, f"{seed}:node")
     scheme = PNMMarking(mark_prob=0.4)
-    behaviors = {
-        nid: HonestForwarder(
-            NodeContext(nid, keystore[nid], provider, _node_rng(seed, nid)),
-            scheme,
-        )
-        for nid in topo.sensor_nodes()
-    }
+    behaviors = {nid: HonestForwarder(dep.ctx(nid), scheme) for nid in topo.sensor_nodes()}
 
     tracer = Tracer()
     obs = ObsProvider(tracer=tracer)
-    sink = TracebackSink(scheme, keystore, provider, topo, obs=obs)
+    sink = TracebackSink(scheme, dep.keystore, dep.provider, topo, obs=obs)
     service = SinkIngestService(sink, capacity=1024)
     routed = [n for n in topo.sensor_nodes() if routing.has_route(n)]
     mole = max(routed, key=lambda nid: (routing.hop_count(nid), nid))

@@ -4,10 +4,8 @@ import random
 
 import pytest
 
-from repro.core.build import _node_rng
+from repro.core.build import deploy
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
-from repro.marking.base import NodeContext
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import grid_topology
 from repro.routing.tree import build_routing_tree
@@ -21,18 +19,12 @@ from tests.conftest import MASTER
 def deployment():
     topo = grid_topology(5, 5, sink_at="corner")
     routing = build_routing_tree(topo)
-    provider = HmacProvider()
-    keystore = KeyStore.from_master_secret(MASTER, topo.sensor_nodes())
+    dep = deploy(topo, MASTER, "1:node")
     scheme = PNMMarking(mark_prob=0.4)
     sink = MultiSourceTracebackSink(
-        scheme, keystore, provider, topo, min_support=3
+        scheme, dep.keystore, dep.provider, topo, min_support=3
     )
-    behaviors = {
-        nid: HonestForwarder(
-            NodeContext(nid, keystore[nid], provider, _node_rng(1, nid)), scheme
-        )
-        for nid in topo.sensor_nodes()
-    }
+    behaviors = {nid: HonestForwarder(dep.ctx(nid), scheme) for nid in topo.sensor_nodes()}
     return topo, routing, behaviors, sink
 
 
