@@ -1,4 +1,4 @@
-"""RL001/RL002: cryptographic hygiene rules.
+"""RL001/RL002/RL008: cryptographic hygiene rules.
 
 RL001 guards the paper's Section 3 nested-MAC argument: the sink decides
 mole-vs-honest by comparing recomputed MACs against received ones, and a
@@ -12,6 +12,13 @@ or ``repro.adversary`` that draws randomness must use ``secrets`` or an
 *injected* seeded ``random.Random`` (the simulation's reproducibility
 contract) -- never the shared module-level ``random`` stream, which is both
 non-cryptographic and invisible to experiment seeding.
+
+RL008 keeps the sink's hashing countable: under ``repro.marking``,
+``repro.traceback`` and ``repro.service`` every MAC and anonymous ID goes
+through the injected ``MacProvider``, so a counting provider sees exactly
+the work Section 4.2's feasibility argument is about.  ``hmac.new``,
+``hmac.digest`` and reaching into ``HmacProvider``'s pad states
+(``_pads``/``_build_pads``) would hash behind the provider's back.
 """
 
 from __future__ import annotations
@@ -24,7 +31,11 @@ from repro.lint.registry import Rule, register
 from repro.lint.rules.common import identifier_of, identifier_tokens
 from repro.lint.walker import FileContext
 
-__all__ = ["ConstantTimeCompareRule", "RandomInKeyMaterialRule"]
+__all__ = [
+    "ConstantTimeCompareRule",
+    "RandomInKeyMaterialRule",
+    "UncountedPrfRule",
+]
 
 #: Identifier word-tokens that mark a value as secret digest material.
 _SECRET_TOKENS = {
@@ -147,5 +158,54 @@ class RandomInKeyMaterialRule(Rule):
                     )
 
 
+_RL008_SCOPE = (
+    "repro/marking/",
+    "repro/traceback/",
+    "repro/service/",
+)
+
+#: ``hmac`` functions that compute a PRF outright (``compare_digest`` is
+#: a comparison and stays legal).
+_HMAC_PRFS = {"new", "digest"}
+
+#: ``HmacProvider`` internals that would let a caller finish a hash itself.
+_PAD_ATTRS = {"_pads", "_build_pads"}
+
+
+class UncountedPrfRule(Rule):
+    """RL008: a sink-side PRF computed outside the ``MacProvider``."""
+
+    rule_id = "RL008"
+    summary = "MAC/anonymous-ID hash computed outside the MacProvider"
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if not ctx.in_scope(_RL008_SCOPE):
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "hmac":
+                names = [a.name for a in node.names if a.name in _HMAC_PRFS]
+            elif isinstance(node, ast.Attribute) and (
+                node.attr in _PAD_ATTRS
+                or (
+                    node.attr in _HMAC_PRFS
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "hmac"
+                )
+            ):
+                names = [node.attr]
+            else:
+                continue
+            if names:
+                yield self.finding(
+                    ctx,
+                    node.lineno,
+                    node.col_offset,
+                    f"{', '.join(names)} hashes outside the MacProvider; "
+                    "call provider.mac/provider.anon_id so every sink PRF "
+                    "stays countable",
+                )
+
+
 register(ConstantTimeCompareRule())
 register(RandomInKeyMaterialRule())
+register(UncountedPrfRule())

@@ -12,6 +12,7 @@ moles) produces new packets via :meth:`with_mark` / :meth:`with_marks`.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -150,12 +151,10 @@ class MarkedPacket:
                 f"{remainder} trailing bytes is not a multiple of "
                 f"mark length {mark_len}"
             )
-        id_len = fmt.id_len
-        marks = [
-            Mark(buffer[at : at + id_len], buffer[at + id_len : at + mark_len])
-            for at in range(consumed, size, mark_len)
-        ]
-        packet = cls(report=report, marks=tuple(marks))
+        # One C-level unpack per mark, straight into the named tuple.
+        unpack = struct.Struct(f"{fmt.id_len}s{fmt.mac_len}s").iter_unpack
+        marks = tuple(map(Mark._make, unpack(memoryview(buffer)[consumed:])))
+        packet = cls(report=report, marks=marks)
         # Report encoding is canonical (decode then encode gives the same
         # bytes), so the received buffer is the packet's wire form: seed
         # both caches with it and verification MACs the bytes as received.

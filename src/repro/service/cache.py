@@ -40,7 +40,7 @@ from repro.crypto.mac import MacProvider
 from repro.marking.base import MarkingScheme
 from repro.packets.packet import MarkedPacket
 from repro.traceback.reconstruct import PrecedenceGraph
-from repro.traceback.resolver import ExhaustiveResolver
+from repro.traceback.resolver import ExhaustiveResolver, SearchSets
 
 __all__ = ["ResolverCache", "CachingResolver"]
 
@@ -233,27 +233,56 @@ class ResolverCache:
         )
 
 
+class _LearnedSets(dict[int | None, list[int] | None]):
+    """``prev_verified -> learned search set`` for one graph version and
+    cache epoch, filled on first lookup: the hot precedence predecessors
+    of ``prev_verified`` (the hot last hops for ``None``), or ``None``
+    (search everything) when there are none."""
+
+    def __init__(self, cache: ResolverCache, precedence: PrecedenceGraph):
+        super().__init__()
+        self._cache = cache
+        self._precedence = precedence
+
+    def __missing__(self, key: int | None) -> list[int] | None:
+        learned = self[key] = (
+            self._cache.hot_members(
+                None if key is None else self._precedence.predecessors(key)
+            )
+            or None
+        )
+        return learned
+
+
 class CachingResolver:
     """Resolver adapter that searches the learned route before everything.
 
-    Wraps an inner resolver: bounded inner searches pass through
-    untouched.  When the inner resolver would search exhaustively
-    (returns ``None``), mark ``i`` is offered the precedence predecessors
-    of the node that verified mark ``i+1`` -- the last-hop markers for the
-    most downstream mark -- intersected with the cache's hot-set, or
-    ``None`` (everything) when that set is empty.  Requires the
-    verifier's ``exhaustive_fallback`` so a wrong guess can never change
-    verification results -- the same contract topology-bounded search
-    already relies on.
+    Wraps an inner resolver: a bounded inner resolver's search sets pass
+    through untouched.  When the inner resolver searches exhaustively
+    (its :meth:`search_sets` returns ``None``), mark ``i`` is offered the
+    precedence predecessors of the node that verified mark ``i+1`` -- the
+    last-hop markers for the most downstream mark -- intersected with the
+    cache's hot-set, or ``None`` (everything) when that set is empty.
+    Requires the verifier's ``exhaustive_fallback`` so a wrong guess can
+    never change verification results -- the same contract
+    topology-bounded search already relies on.
 
-    Search sets are memoized per node until the graph's version or the
-    cache's epoch moves.  Learned searches, and the ``notify_miss``
-    feedback (forwarded to adaptive inner resolvers; a learned-search
-    miss unless the missed set was the inner one's), are tallied here
-    without a lock and added to the cache's
-    ``hot_searches``/``hot_misses`` under its lock once per packet, at
-    ``notify_packet_done``.  So, like the memo, the tallies belong to the
-    one thread that verifies.
+    The learned sets live in one memo, a dict the verifier subscripts per
+    mark.  :meth:`search_sets` checks the graph's version and the cache's
+    epoch once per packet and empties the memo when either moved; a miss
+    fills from :meth:`ResolverCache.hot_members`.  The epoch is read
+    without the cache's lock, and an invalidation that lands mid-packet
+    takes effect from the next packet: a stale set costs hashes, never a
+    verdict, because every candidate still needs its anonymous-ID match
+    and its MAC.
+
+    Learned searches (the verifier's per-packet count of bounded
+    searches, when the sets were learned) and learned-set misses
+    (``notify_miss`` while the sets were learned; an inner resolver's
+    misses never count, and are forwarded to it) are tallied here without
+    a lock and added to the cache's ``hot_searches``/``hot_misses`` under
+    its lock once per packet, at ``notify_packet_done``.  So, like the
+    memo, the tallies belong to the one thread that verifies.
     """
 
     def __init__(
@@ -263,50 +292,38 @@ class CachingResolver:
         self.cache = cache
         self.precedence = precedence
         # The exhaustive resolver always answers None: skip the call.
-        self._inner_search = (
-            None if isinstance(inner, ExhaustiveResolver) else inner.search_ids
+        self._inner_sets = (
+            None if isinstance(inner, ExhaustiveResolver) else inner.search_sets
         )
-        self._sets: dict[int | None, list[int]] = {}
+        self._sets = _LearnedSets(cache, precedence)
         self._sets_key = (-1, -1)
-        self._offered = 0
         self._missed = 0
-        # Whether the last search was the inner resolver's own set, whose
-        # misses are not learned-set misses.  Never set when the inner
-        # resolver is exhaustive: every offered set is then learned.
+        # Whether the current packet's sets are the inner resolver's own,
+        # whose misses are not learned-set misses.
         self._passed = False
 
-    def search_ids(
-        self, packet: MarkedPacket, prev_verified: int | None
-    ) -> list[int] | None:
-        """The inner search space, with the learned route replacing
-        'everything' where it is known.  Callers must not mutate it."""
-        if self._inner_search is not None:
-            search = self._inner_search(packet, prev_verified)
-            self._passed = search is not None
-            if search is not None:
-                return search
+    def search_sets(self, packet: MarkedPacket) -> SearchSets | None:
+        """The inner resolver's sets when it bounds the search, else the
+        learned-route memo.  Callers must not mutate what it holds."""
+        if self._inner_sets is not None:
+            inner = self._inner_sets(packet)
+            self._passed = inner is not None
+            if inner is not None:
+                return inner
         key = (self.precedence.version, self.cache.epoch)
         if key != self._sets_key:
             self._sets.clear()
             self._sets_key = key
-        learned = self._sets.get(prev_verified)
-        if learned is None:
-            learned = self._sets[prev_verified] = self.cache.hot_members(
-                None
-                if prev_verified is None
-                else self.precedence.predecessors(prev_verified)
-            )
-        if not learned:
-            return None
-        self._offered += 1
-        return learned
+        return self._sets
 
-    def notify_packet_done(self) -> None:
-        """Verifier feedback: one packet's marks are checked.  Adds its
-        learned searches and misses to the cache's counts."""
-        if self._offered or self._missed:
-            self.cache.record_hot_searches(self._offered, self._missed)
-            self._offered = self._missed = 0
+    def notify_packet_done(self, searches: int) -> None:
+        """Verifier feedback: one packet's marks are checked, ``searches``
+        of them against a bounded set.  Adds its learned searches and
+        misses to the cache's counts."""
+        offered = 0 if self._passed else searches
+        if offered or self._missed:
+            self.cache.record_hot_searches(offered, self._missed)
+            self._missed = 0
 
     def notify_miss(self) -> None:
         """Verifier feedback: the offered search space missed a mark.

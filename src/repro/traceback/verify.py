@@ -1,10 +1,12 @@
 """Per-packet backward mark verification (Section 4.1's procedure).
 
-The sink verifies marks from the most downstream one backwards.  For each
-mark the scheme's per-packet checker (:meth:`MarkingScheme.mark_checker`)
-resolves candidate marker IDs (trivially for plain-ID schemes, via key
-search for anonymous IDs) and checks the MAC against each candidate's key
-over the exact received bytes.
+The sink verifies marks from the most downstream one backwards, in one
+scan that serves every scheme.  For each mark the scheme's per-packet
+checker (:meth:`MarkingScheme.mark_checker`) resolves candidate marker IDs
+(trivially for plain-ID schemes, via key search for anonymous IDs) and
+checks the MAC against each candidate's key over the exact received bytes.
+The key search space comes from the resolver, which answers once per
+packet with a ``previous verified node -> search set`` mapping.
 
 Two policies, selected by the scheme:
 
@@ -110,7 +112,9 @@ class PacketVerifier:
         scheme: the deployed marking scheme (defines wire semantics).
         keystore: the sink's ``node ID -> key`` table.
         provider: MAC provider matching the one nodes used.
-        resolver: anonymous-ID search strategy; defaults to exhaustive.
+        resolver: anonymous-ID search strategy, asked once per packet for
+            its search sets (see :class:`~repro.traceback.resolver.Resolver`);
+            defaults to exhaustive.
         exhaustive_fallback: when a bounded resolver finds no validating
             candidate, retry with the full key table (recommended: bounded
             search is an optimization and must not change results).
@@ -183,30 +187,36 @@ class PacketVerifier:
             packet, self.keystore, self.provider, resolution
         )
         resolver = self.resolver
-        search_ids = resolver.search_ids
+        sets = resolver.search_sets(packet)
+        notify_miss = getattr(resolver, "notify_miss", None)
         fallback = self.exhaustive_fallback
         suffix = self.scheme.verification_policy == "suffix"
+        make = VerifiedMark._make
         result = PacketVerification(packet=packet)
         verified, invalid = result.verified, result.invalid_indices
         prev_verified: int | None = None
+        searches = 0
         for index in range(len(packet.marks) - 1, -1, -1):
-            search = search_ids(packet, prev_verified)
-            valid_ids = check(index, search)
-            if not valid_ids and search is not None and fallback:
-                result.fallback_searches += 1
+            if sets is None:
                 valid_ids = check(index, None)
-                if valid_ids:
-                    # The bounded search missed a mark the exhaustive one
-                    # found: adaptive resolvers use this to widen their ball.
-                    notify = getattr(resolver, "notify_miss", None)
-                    if notify is not None:
-                        notify()
+            else:
+                search = sets[prev_verified]
+                valid_ids = check(index, search)
+                if search is not None:
+                    searches += 1
+                    if not valid_ids and fallback:
+                        result.fallback_searches += 1
+                        valid_ids = check(index, None)
+                        # The bounded search missed a mark the exhaustive
+                        # one found: adaptive resolvers widen their ball.
+                        if valid_ids and notify_miss is not None:
+                            notify_miss()
             if len(valid_ids) == 1:
                 prev_verified = valid_ids[0]
-                verified.append(VerifiedMark(index, prev_verified))
+                verified.append(make((index, prev_verified, False)))
             elif valid_ids:
                 prev_verified = min(valid_ids)
-                verified.append(VerifiedMark(index, prev_verified, True))
+                verified.append(make((index, prev_verified, True)))
             else:
                 invalid.append(index)
                 if suffix:
@@ -216,7 +226,7 @@ class PacketVerifier:
                 # marker, which prev_verified already holds.
         done = getattr(resolver, "notify_packet_done", None)
         if done is not None:
-            done()
+            done(searches)
         # Scanned backwards; both lists are reported in wire order.
         verified.reverse()
         invalid.reverse()

@@ -112,6 +112,7 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in (
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
+            "RL008",
         ):
             assert rule_id in out
 

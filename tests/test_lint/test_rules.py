@@ -14,7 +14,7 @@ from repro.lint.registry import all_rules
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-RULE_IDS = ["RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"]
+RULE_IDS = ["RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007", "RL008"]
 
 
 def _lint_fixture(name: str):

@@ -77,13 +77,13 @@ class TestHotSet:
         resolver = CachingResolver(ExhaustiveResolver(), cache, graph)
         packet = packet_for(1)
         cache.touch([1, 2, 3])
-        first = resolver.search_ids(packet, 3)
+        first = resolver.search_sets(packet)[3]
         assert first == [2]
         cache.touch([2, 1, 3])  # LRU refresh only, same membership
-        assert resolver.search_ids(packet, 3) is first
+        assert resolver.search_sets(packet)[3] is first
         graph.add_chain([7, 3])  # new evidence: the set is recomputed
         cache.touch([7, 3])
-        assert resolver.search_ids(packet, 3) == [2, 7]
+        assert resolver.search_sets(packet)[3] == [2, 7]
 
     def test_lru_eviction_of_cold_markers(self, keystore):
         cache = ResolverCache(SCHEME, keystore, PROVIDER, hot_capacity=3)
@@ -141,38 +141,44 @@ class TestCachingResolver:
         resolver = CachingResolver(inner, cache, PrecedenceGraph())
         cache.touch([99])
         packet = packet_for(1)
-        assert resolver.search_ids(packet, 3) == inner.search_ids(packet, 3)
+        assert resolver.search_sets(packet) is inner.search_sets(packet)
+        # The inner ball's searches are not learned searches.
+        resolver.notify_packet_done(4)
+        assert cache.hot_searches == 0
 
     def test_offers_learned_route_for_exhaustive_inner(self, cache):
         graph = PrecedenceGraph()
         resolver = CachingResolver(ExhaustiveResolver(), cache, graph)
         packet = packet_for(1)
-        assert resolver.search_ids(packet, None) is None  # cold
+        assert resolver.search_sets(packet)[None] is None  # cold
         graph.add_chain([1, 2, 7])
         graph.add_chain([4, 2])
         cache.touch([1, 2, 7])
+        sets = resolver.search_sets(packet)
         # Most downstream mark: the last hops seen so far.
-        assert resolver.search_ids(packet, None) == [7]
+        assert sets[None] == [7]
         # Mark i: the hot predecessors of mark i+1's verifier; 4 is an
         # upstream of 2 in the graph but has not verified recently.
-        assert resolver.search_ids(packet, 2) == [1]
-        assert resolver.search_ids(packet, 7) == [2]
+        assert sets[2] == [1]
+        assert sets[7] == [2]
         # No hot predecessor (or an unobserved node): search everything.
-        assert resolver.search_ids(packet, 1) is None
-        assert resolver.search_ids(packet, 42) is None
-        # Learned searches reach the cache's count once per packet.
+        assert sets[1] is None
+        assert sets[42] is None
+        # The verifier's learned searches reach the cache's count once per
+        # packet.
         assert cache.hot_searches == 0
-        resolver.notify_packet_done()
+        resolver.notify_packet_done(3)
         assert cache.hot_searches == 3
         cache.touch([4, 2])
-        assert resolver.search_ids(packet, 2) == [1, 4]
-        assert resolver.search_ids(packet, None) == [2, 7]
+        sets = resolver.search_sets(packet)
+        assert sets[2] == [1, 4]
+        assert sets[None] == [2, 7]
 
     def test_notify_miss_counts_and_forwards(self, cache):
         class Recorder:
             notified = 0
 
-            def search_ids(self, packet, prev_verified):
+            def search_sets(self, packet):
                 return None
 
             def notify_miss(self):
@@ -184,7 +190,7 @@ class TestCachingResolver:
         assert inner.notified == 1
         # Misses reach the cache's count with the packet's searches.
         assert cache.hot_misses == 0
-        resolver.notify_packet_done()
+        resolver.notify_packet_done(0)
         assert cache.hot_misses == 1
 
     def test_bounded_inner_misses_are_not_learned_misses(self):

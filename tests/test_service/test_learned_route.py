@@ -52,14 +52,10 @@ def make_service(deployment) -> SinkIngestService:
 
 def offered_ids(service) -> set[int]:
     """Every node some learned search set of ``service`` would offer."""
-    resolver = service.verifier.resolver
     packet = packets_along(service.sink.verifier.keystore, ROUTE, 0, 1)[0]
+    sets = service.verifier.resolver.search_sets(packet)
     anchors = [None, *sorted(service.sink.precedence.observed)]
-    return {
-        node
-        for anchor in anchors
-        for node in resolver.search_ids(packet, anchor) or ()
-    }
+    return {node for anchor in anchors for node in sets[anchor] or ()}
 
 
 @pytest.mark.parametrize(

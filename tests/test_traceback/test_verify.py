@@ -181,3 +181,73 @@ class TestAdaptiveResolver:
             AdaptiveBoundedResolver(topo, initial_radius=0)
         with pytest.raises(ValueError):
             AdaptiveBoundedResolver(topo, initial_radius=4, max_radius=2)
+
+
+def brute_force_ball(topology, center, radius):
+    """Every node within ``radius`` hops of ``center``, by repeated
+    expansion over the whole node list."""
+    ball = {center}
+    for _ in range(radius):
+        ball |= {
+            node
+            for node in topology.nodes()
+            if topology.neighbors(node) & ball
+        }
+    return sorted(ball)
+
+
+class TestBallMemo:
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    def test_bounded_sets_are_bfs_balls(self, packet, radius):
+        from repro.net.topology import grid_topology
+        from repro.traceback.resolver import (
+            AdaptiveBoundedResolver,
+            TopologyBoundedResolver,
+        )
+
+        topo = grid_topology(6, 6)
+        for resolver in (
+            TopologyBoundedResolver(topo, radius=radius),
+            AdaptiveBoundedResolver(topo, initial_radius=radius),
+        ):
+            sets = resolver.search_sets(packet)
+            assert sets[None] == brute_force_ball(topo, topo.sink, radius)
+            for center in topo.nodes():
+                assert sets[center] == brute_force_ball(topo, center, radius)
+            # Memoized: the next packet gets the same ball objects back.
+            assert resolver.search_sets(packet)[7] is sets[7]
+
+    def test_adaptive_miss_widens_the_next_mark_of_the_packet(
+        self, keystore, provider, packet, monkeypatch
+    ):
+        from repro.net.topology import linear_path_topology
+        from repro.traceback.resolver import AdaptiveBoundedResolver
+
+        scheme = PNMMarking(mark_prob=1.0)
+        topo, _source = linear_path_topology(12)
+        resolver = AdaptiveBoundedResolver(topo, initial_radius=1)
+        offered = []
+        checker = scheme.mark_checker
+
+        def recording(*args):
+            check = checker(*args)
+
+            def recorded(index, search):
+                offered.append((index, search))
+                return check(index, search)
+
+            return recorded
+
+        monkeypatch.setattr(scheme, "mark_checker", recording)
+        marked = mark_through_path(scheme, keystore, provider, [3, 9], packet)
+        result = PacketVerifier(scheme, keystore, provider, resolver).verify(marked)
+        assert result.chain_ids == [3, 9]
+        # Mark 1 (node 9) misses the radius-1 ball around the sink and is
+        # found exhaustively; mark 0 (node 3) is then offered the radius-2
+        # ball around node 9, within the same packet.
+        assert offered[:3] == [
+            (1, brute_force_ball(topo, topo.sink, 1)),
+            (1, None),
+            (0, brute_force_ball(topo, 9, 2)),
+        ]
+        assert resolver.radius == 4  # node 3 missed the radius-2 ball too

@@ -191,7 +191,10 @@ class OfferResolver:
     def __init__(self, node_ids):
         self.node_ids = node_ids
 
-    def search_ids(self, packet, prev_verified):
+    def search_sets(self, packet):
+        return self
+
+    def __getitem__(self, prev_verified):
         return self.node_ids
 
 
