@@ -16,12 +16,17 @@ from __future__ import annotations
 import hashlib
 import hmac
 from collections.abc import Iterable, Iterator, Mapping
+from functools import cached_property
 from types import MappingProxyType
 
-__all__ = ["derive_node_key", "KeyStore"]
+__all__ = ["derive_node_key", "KeyStore", "NODE_ID_BYTES"]
 
 #: Length of every node key in bytes (SHA-256 output size).
 KEY_LEN = 32
+
+#: Width of the big-endian node ID inside keyed inputs: the KDF's info
+#: string and PNM's anonymous-ID input ``M | i``.
+NODE_ID_BYTES = 8
 
 
 def derive_node_key(master_secret: bytes, node_id: int) -> bytes:
@@ -44,7 +49,7 @@ def derive_node_key(master_secret: bytes, node_id: int) -> bytes:
     """
     if node_id < 0:
         raise ValueError(f"node_id must be non-negative, got {node_id}")
-    info = b"pnm-node-key" + node_id.to_bytes(8, "big")
+    info = b"pnm-node-key" + node_id.to_bytes(NODE_ID_BYTES, "big")
     return hmac.new(master_secret, info, hashlib.sha256).digest()
 
 
@@ -96,6 +101,20 @@ class KeyStore(Mapping[int, bytes]):
     def node_ids(self) -> list[int]:
         """All known node IDs, sorted ascending."""
         return sorted(self._keys)
+
+    @cached_property
+    def id_entries(self) -> tuple[tuple[int, bytes, bytes], ...]:
+        """Every node as ``(node_id, key, id_bytes)``, sorted by ID.
+
+        ``id_bytes`` is the ID as :data:`NODE_ID_BYTES` big-endian bytes.
+        Built once (the store is immutable) for the sink's exhaustive
+        anonymous-ID table, which walks every key for every report.
+        """
+        keys = self._keys
+        return tuple(
+            (node_id, keys[node_id], node_id.to_bytes(NODE_ID_BYTES, "big"))
+            for node_id in sorted(keys)
+        )
 
     # Mapping interface -----------------------------------------------------
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from hmac import compare_digest
 
-from repro.crypto.keys import KeyStore
+from repro.crypto.keys import NODE_ID_BYTES, KeyStore
 from repro.crypto.mac import MacProvider, constant_time_equal
 from repro.marking.base import (
     MarkCheck,
@@ -37,14 +37,13 @@ from repro.packets.packet import MarkedPacket
 
 __all__ = ["PNMMarking"]
 
-# Real node IDs are fed to H' with a fixed-width encoding, independent of
-# the on-wire id_len, so anonymity does not depend on wire-format choices.
-_ANON_INPUT_ID_LEN = 8
 
-
+# Real node IDs are fed to H' with a fixed-width encoding (NODE_ID_BYTES),
+# independent of the on-wire id_len, so anonymity does not depend on
+# wire-format choices.
 def _anon_input(report_wire: bytes, node_id: int) -> bytes:
     """The ``M | i`` input to the anonymous-ID function ``H'``."""
-    return report_wire + node_id.to_bytes(_ANON_INPUT_ID_LEN, "big")
+    return report_wire + node_id.to_bytes(NODE_ID_BYTES, "big")
 
 
 class PNMMarking(MarkingScheme):
@@ -91,18 +90,29 @@ class PNMMarking(MarkingScheme):
         """The sink's per-message ``anonymous ID -> real IDs`` table.
 
         Truncated anonymous IDs can collide, so a table entry may hold
-        several candidate real IDs; MAC verification disambiguates.
+        several candidate real IDs, in ascending ID order for the
+        exhaustive table; MAC verification disambiguates.  The exhaustive
+        table walks :attr:`KeyStore.id_entries` and still calls
+        ``provider.anon_id`` once per key.
         """
-        ids = keystore.node_ids() if search_ids is None else search_ids
         report_wire = packet.report_wire
+        anon_id = provider.anon_id
         table: dict[bytes, list[int]] = {}
-        for node_id in ids:
+        if search_ids is None:
+            for node_id, key, id_bytes in keystore.id_entries:
+                anon = anon_id(key, report_wire + id_bytes)
+                if anon in table:
+                    table[anon].append(node_id)
+                else:
+                    table[anon] = [node_id]
+            return table
+        for node_id in search_ids:
             key = keystore.get(node_id)
             if key is None:
                 # The search space may include keyless nodes (e.g. the sink
                 # when a topology-bounded ball touches it); skip them.
                 continue
-            anon = provider.anon_id(key, _anon_input(report_wire, node_id))
+            anon = anon_id(key, _anon_input(report_wire, node_id))
             table.setdefault(anon, []).append(node_id)
         return table
 
@@ -199,7 +209,7 @@ class PNMMarking(MarkingScheme):
                             else anon_id(
                                 key,
                                 report_wire
-                                + node_id.to_bytes(_ANON_INPUT_ID_LEN, "big"),
+                                + node_id.to_bytes(NODE_ID_BYTES, "big"),
                             )
                         )
                     if anon == id_field:

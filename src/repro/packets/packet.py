@@ -77,9 +77,10 @@ class MarkedPacket:
         ``ends[i]`` is the length of ``prefix_wire(i)``; the sink slices
         MAC inputs with it directly.  The offsets are summed mark by mark,
         not ``i * mark_len``: a mole may put marks of the wrong length on
-        the wire.  Not a field, so equality, hashing and repr ignore it,
-        and ``with_mark``/``replace`` copies start afresh.  :meth:`decode`
-        seeds it with the received buffer.
+        the wire.  Not a field, so equality, hashing and repr ignore it.
+        :meth:`decode` seeds it with the received buffer; :meth:`with_mark`
+        extends a parent's cached layout by the new mark; ``with_marks``
+        and ``dataclasses.replace`` copies start afresh.
         """
         report_wire = self.report.encode()
         parts = [report_wire]
@@ -95,8 +96,22 @@ class MarkedPacket:
         return len(self.marks)
 
     def with_mark(self, mark: Mark) -> "MarkedPacket":
-        """Return a copy with ``mark`` appended (what a marking node sends)."""
-        return replace(self, marks=self.marks + (mark,))
+        """Return a copy with ``mark`` appended (what a marking node sends).
+
+        When this packet's :attr:`layout` is already encoded, the copy's
+        is seeded by extending it with the mark's bytes, so a path of
+        marking hops encodes the report and each mark once.
+        """
+        copy = MarkedPacket(self.report, self.marks + (mark,), self.origin)
+        layout = self.__dict__.get("layout")
+        if layout is not None:
+            wire, ends = layout
+            id_field, mac = mark
+            copy.__dict__["layout"] = (
+                wire + id_field + mac,
+                (*ends, ends[-1] + len(id_field) + len(mac)),
+            )
+        return copy
 
     def with_marks(self, marks: tuple[Mark, ...]) -> "MarkedPacket":
         """Return a copy with the mark list replaced (what a mole may send)."""
@@ -119,8 +134,8 @@ class MarkedPacket:
         The decoded packet keeps the received bytes: ``wire()``,
         ``prefix_wire(i)`` and ``report.encode()`` are slices of ``data``,
         not a re-encoding, so every MAC the sink checks covers the bytes
-        exactly as received.  ``with_mark``/``with_marks`` copies encode
-        afresh.
+        exactly as received.  A ``with_mark`` copy extends those bytes by
+        its mark; ``with_marks`` copies encode afresh.
 
         Raises:
             ValueError: if the report does not parse, or the trailing

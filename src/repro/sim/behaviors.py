@@ -39,6 +39,11 @@ class ForwardingBehavior(Protocol):
 class HonestForwarder:
     """A legitimate node: apply the marking scheme, forward everything.
 
+    A hop's work is the scheme's ``on_forward`` (the marking coin, plus
+    the mark's hashes when the coin says mark) and the duplicate
+    check when a suppressor is set.  A hop that does not mark returns
+    the packet it was given, the same object.
+
     Args:
         ctx: the node's identity and key material.
         scheme: the deployed marking scheme.
@@ -46,6 +51,9 @@ class HonestForwarder:
             (:class:`repro.filtering.DuplicateSuppressor`); duplicates are
             dropped before marking, which is the paper's first line of
             defense against replay attacks (Section 7).
+
+    Attributes:
+        node_id: ``ctx.node_id``, read once at construction.
     """
 
     def __init__(
@@ -55,12 +63,9 @@ class HonestForwarder:
         suppressor: object | None = None,
     ):
         self.ctx = ctx
+        self.node_id = ctx.node_id
         self.scheme = scheme
         self.suppressor = suppressor
-
-    @property
-    def node_id(self) -> int:
-        return self.ctx.node_id
 
     def forward(self, packet: MarkedPacket) -> MarkedPacket | None:
         """Suppress duplicates, then apply the marking scheme."""

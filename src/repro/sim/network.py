@@ -112,6 +112,16 @@ class NetworkSimulation:
         self.ingest = ingest
         self.obs = resolve_provider(obs)
         self.repair_policy = repair if repair is not None else RepairPolicy()
+        self.sim = Simulator()
+        self.delivered: list[MarkedPacket] = []
+        self._quarantined: set[int] = set()
+        self._down: set[int] = set()
+        #: Callbacks fired after every radio transmission with
+        #: ``(node_id, packet_len)`` -- the fault injector's energy
+        #: bookkeeping hook.
+        self.transmission_listeners: list[Callable[[int, int], None]] = []
+        # Attach last: the layer binds live simulation state (the
+        # down-node set among it) into its tap.
         self.watchdog = watchdog
         if watchdog is not None:
             watchdog.attach(self)
@@ -121,14 +131,6 @@ class NetworkSimulation:
         self._watchdog_tap = (
             watchdog.on_transmission if watchdog is not None else None
         )
-        self.sim = Simulator()
-        self.delivered: list[MarkedPacket] = []
-        self._quarantined: set[int] = set()
-        self._down: set[int] = set()
-        #: Callbacks fired after every radio transmission with
-        #: ``(node_id, packet_len)`` -- the fault injector's energy
-        #: bookkeeping hook.
-        self.transmission_listeners: list[Callable[[int, int], None]] = []
 
     @property
     def link(self) -> LinkModel:

@@ -14,12 +14,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.obs.profiling import NoopObsProvider, ObsProvider, resolve_provider
-from repro.packets.packet import MarkedPacket
 from repro.sim.behaviors import ForwardingBehavior
 from repro.sim.metrics import MetricsCollector
 from repro.sim.sources import ReportSource
-from repro.sim.tracing import PacketTracer
 from repro.traceback.sink import TracebackSink
 from repro.traceback.verify import PacketVerification
 
@@ -29,18 +26,19 @@ __all__ = ["PathPipeline"]
 class PathPipeline:
     """Pushes packets along a fixed forwarding path into a traceback sink.
 
+    A hop costs its behavior's work (for an honest node: the marking coin,
+    plus its mark's hashes when it marks) and one transmission record.  The
+    packet's size is re-read only when a behavior returns a different
+    packet object; ``MarkedPacket.with_mark`` carries the encoded wire
+    forward, so even that read encodes nothing.  Event-level packet
+    tracing belongs to :class:`~repro.sim.network.NetworkSimulation`.
+
     Args:
         source: the injecting node (mole or honest).
         forwarders: behaviors in path order -- ``V_1`` (the source's next
             hop) first, the sink's neighbor ``V_n`` last.
         sink: the traceback sink receiving surviving packets.
         metrics: optional traffic/energy accounting.
-        tracer: optional packet tracer; each push records the packet's
-            inject/forward/drop/deliver lifecycle (and, when the tracer
-            carries a span bridge, emits the matching spans).
-        obs: observability provider; ``None`` resolves to the process
-            default.  :meth:`publish_metrics` mirrors the metrics summary
-            into its registry.
     """
 
     def __init__(
@@ -49,8 +47,6 @@ class PathPipeline:
         forwarders: Sequence[ForwardingBehavior],
         sink: TracebackSink,
         metrics: MetricsCollector | None = None,
-        tracer: PacketTracer | None = None,
-        obs: ObsProvider | NoopObsProvider | None = None,
     ):
         if not forwarders:
             raise ValueError("a forwarding path needs at least one forwarder")
@@ -58,8 +54,6 @@ class PathPipeline:
         self.forwarders = list(forwarders)
         self.sink = sink
         self.metrics = metrics if metrics is not None else MetricsCollector()
-        self.tracer = tracer
-        self.obs = resolve_provider(obs)
         self._clock = 0
 
     @property
@@ -75,35 +69,26 @@ class PathPipeline:
             behavior dropped it en route.
         """
         self._clock += 1
+        metrics = self.metrics
+        record = metrics.record_transmission
         packet = self.source.next_packet(timestamp=self._clock)
-        self.metrics.record_injection()
-        self.metrics.record_transmission(self.source.node_id, packet.wire_len)
-        self._trace("inject", self.source.node_id, packet)
+        metrics.record_injection()
+        size = packet.wire_len
+        record(self.source.node_id, size)
 
         for behavior in self.forwarders:
             forwarded = behavior.forward(packet)
             if forwarded is None:
-                self.metrics.record_drop()
-                self._trace("drop", behavior.node_id, packet)
+                metrics.record_drop()
                 return None
-            packet = forwarded
-            self.metrics.record_transmission(behavior.node_id, packet.wire_len)
-            self._trace("forward", behavior.node_id, packet)
+            if forwarded is not packet:
+                packet = forwarded
+                size = packet.wire_len
+            record(behavior.node_id, size)
 
-        delivering_node = self.forwarders[-1].node_id
-        self._trace("deliver", delivering_node, packet)
-        verification = self.sink.receive(packet, delivering_node)
-        self.metrics.record_delivery(delay=0.0)
+        verification = self.sink.receive(packet, self.forwarders[-1].node_id)
+        metrics.record_delivery(delay=0.0)
         return verification
-
-    def _trace(self, kind: str, node: int, packet: MarkedPacket) -> None:
-        if self.tracer is not None:
-            self.tracer.record(float(self._clock), kind, node, packet.report)
-
-    def publish_metrics(self) -> None:
-        """Mirror the run's metrics summary into the obs registry."""
-        if self.obs.enabled:
-            self.metrics.publish(self.obs)
 
     def push_many(self, count: int) -> list[PacketVerification]:
         """Inject ``count`` packets; returns verifications of survivors."""

@@ -263,6 +263,7 @@ class WatchdogLayer:
         ) -> None:
             nonlocal overhears, plans_version
             report = packet.report
+            marks = packet.marks
             # Frame identity: the pinned object id, not the report
             # digest.  Every pending entry holds the report itself, so a
             # live entry's id cannot be recycled; reports are frozen and
@@ -279,12 +280,10 @@ class WatchdogLayer:
             plan = plans.get(edge)
             if plan is None:
                 plan = plans[edge] = build_plan(sender, receiver)
-            cmon = plan[0]
+            cmon, cq, cbox, steps = plan
             cutoff = now - timeout
             if cmon is not None:
                 # Inlined WatchdogMonitor.record_inbound (certain path).
-                cq = plan[1]
-                cbox = plan[2]
                 if cq:
                     if cbox[0] <= cutoff:
                         cmon._expire_queue(now, receiver, cq)
@@ -294,7 +293,7 @@ class WatchdogLayer:
                         cmon._score_missing(receiver)
                 else:
                     cbox[0] = now
-                cq[key] = (packet.marks, now, report)
+                cq[key] = (marks, now, report)
                 if cmon.maybe_due:
                     for accusation in cmon.accusations_due(now):
                         emit(accusation)
@@ -308,7 +307,7 @@ class WatchdogLayer:
                 can_track,
                 prob,
                 is_liar,
-            ) in plan[3]:
+            ) in steps:
                 if is_liar:
                     if (
                         watcher in down_nodes
@@ -352,7 +351,6 @@ class WatchdogLayer:
                         entry.observations += 1
                         inbound_marks = hit[0]
                         inbound_len = len(inbound_marks)
-                        marks = packet.marks
                         appended = len(marks) - inbound_len
                         # ``marks is inbound_marks`` is the no-mark honest
                         # forwarding (the tuple rides through unchanged):
@@ -390,7 +388,7 @@ class WatchdogLayer:
                             monitor._score_missing(receiver)
                     else:
                         in_box[0] = now
-                    in_q[key] = (packet.marks, now, report)
+                    in_q[key] = (marks, now, report)
                 if monitor.maybe_due:
                     for accusation in monitor.accusations_due(now):
                         emit(accusation)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.crypto.keys import KeyStore, derive_node_key
+from repro.crypto.mac import HmacProvider, NullMacProvider
 from repro.marking.pnm import PNMMarking
 from repro.packets.packet import MarkedPacket
 from repro.packets.report import Report
@@ -128,3 +130,77 @@ class TestNestedProtection:
             report=Report(event=b"zz", location=(0, 0), timestamp=2)
         ).with_mark(marked.marks[0])
         assert not scheme.verify_mark_as(other, 0, 1, keystore[1], provider)
+
+
+class CountingProvider(HmacProvider):
+    """An :class:`HmacProvider` that counts its anonymous-ID calls."""
+
+    def __init__(self, anon_id_len: int) -> None:
+        super().__init__(anon_id_len=anon_id_len)
+        self.anon_ids = 0
+
+    def anon_id(self, key: bytes, data: bytes) -> bytes:
+        self.anon_ids += 1
+        return super().anon_id(key, data)
+
+
+def reference_table(packet, keystore, provider, ids):
+    """``anonymous ID -> real IDs`` built key by key from ``M | i``."""
+    table: dict[bytes, list[int]] = {}
+    for node_id in ids:
+        if node_id not in keystore:
+            continue
+        data = packet.report_wire + node_id.to_bytes(8, "big")
+        table.setdefault(provider.anon_id(keystore[node_id], data), []).append(
+            node_id
+        )
+    return table
+
+
+# An explicit table built in no particular order and with gaps, large
+# enough that one-byte anonymous IDs collide.
+GAPPY = KeyStore(
+    {
+        node_id: derive_node_key(b"gappy", node_id)
+        for node_id in list(range(1057, 999, -3))
+        + [907, 3, 41, 0, 512, 77, 12, 600, 5, 999, 230, 18, 64]
+    }
+)
+
+
+class TestExhaustiveTable:
+    @pytest.mark.parametrize(
+        "provider",
+        [HmacProvider(), HmacProvider(anon_id_len=1), NullMacProvider()],
+        ids=["hmac", "hmac-1-byte", "null"],
+    )
+    def test_matches_per_key_reference(self, provider, report):
+        scheme = PNMMarking(mark_prob=1.0, anon_id_len=provider.anon_id_len)
+        packet = MarkedPacket(report=report)
+        table = scheme.build_resolution_table(packet, GAPPY, provider)
+        assert table == reference_table(packet, GAPPY, provider, sorted(GAPPY))
+        if provider.anon_id_len == 1:  # collisions keep ascending order
+            assert any(len(ids) > 1 for ids in table.values())
+            assert all(ids == sorted(ids) for ids in table.values())
+
+    def test_bounded_branch_skips_keyless_ids(self, report):
+        provider = HmacProvider(anon_id_len=1)
+        scheme = PNMMarking(mark_prob=1.0, anon_id_len=1)
+        packet = MarkedPacket(report=report)
+        search = [999, 4, 3, 1000, 2000, 41, 0, 1003, 7]
+        table = scheme.build_resolution_table(packet, GAPPY, provider, search)
+        assert table == reference_table(packet, GAPPY, provider, search)
+        assert sorted(i for ids in table.values() for i in ids) == [
+            0, 3, 41, 999, 1000, 1003
+        ]
+
+    def test_one_anon_id_call_per_key(self, report):
+        provider = CountingProvider(anon_id_len=4)
+        scheme = PNMMarking(mark_prob=1.0)
+        for timestamp in range(3):
+            packet = MarkedPacket(
+                report=Report(report.event, report.location, timestamp)
+            )
+            before = provider.anon_ids
+            scheme.build_resolution_table(packet, GAPPY, provider)
+            assert provider.anon_ids - before == len(GAPPY)

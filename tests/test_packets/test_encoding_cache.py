@@ -1,12 +1,14 @@
 """Encode-once packets: cached wire bytes equal a fresh encoding.
 
 ``Report.encode`` and ``MarkedPacket.prefix_wire``/``wire``/``wire_len``
-read bytes computed once per value.  These tests pin them to the
-uncached definition -- the report's canonical bytes followed by every
-earlier mark's bytes -- for honest packets, mole-built packets whose
-marks have the wrong length, packets grown by ``with_mark``/``with_marks``
-and ``dataclasses.replace`` copies, and check that the cache never shows
-in equality, hashing or ``repr``.
+read bytes computed once per value, and ``with_mark`` carries a parent's
+encoded bytes forward to the copy.  These tests pin them to the uncached
+definition -- the report's canonical bytes followed by every earlier
+mark's bytes -- for honest packets, mole-built packets whose marks have
+the wrong length, chains of ``with_mark`` from built and decoded parents
+whose bytes were or were not encoded yet, ``with_marks`` and
+``dataclasses.replace`` copies (which encode afresh), and check that the
+cache never shows in equality, hashing or ``repr``.
 """
 
 import dataclasses
@@ -15,7 +17,7 @@ import struct
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.packets.marks import Mark
+from repro.packets.marks import Mark, MarkFormat
 from repro.packets.packet import MarkedPacket
 from repro.packets.report import Report
 
@@ -109,6 +111,68 @@ class TestCachedWire:
         assert_wire_matches(copy)
         assert copy.wire() != packet.wire()
         assert_wire_matches(dataclasses.replace(packet, marks=()))
+
+
+FORMAT = MarkFormat(id_len=4, mac_len=4)
+
+# Marks of the deployment's format, as an honest node writes them.
+format_marks = st.builds(
+    Mark,
+    id_field=st.binary(min_size=FORMAT.id_len, max_size=FORMAT.id_len),
+    mac=st.binary(min_size=FORMAT.mac_len, max_size=FORMAT.mac_len),
+)
+
+
+def is_cached(packet: MarkedPacket) -> bool:
+    return "layout" in packet.__dict__
+
+
+class TestCarriedLayout:
+    """``with_mark`` extends a parent's encoded bytes; nothing else does."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        report=reports,
+        base=st.lists(format_marks, max_size=5),
+        chain=st.lists(st.one_of(format_marks, marks), min_size=1, max_size=8),
+        decoded=st.booleans(),
+        warm=st.booleans(),
+        replacement=st.lists(marks, max_size=4),
+    )
+    def test_with_mark_chain(self, report, base, chain, decoded, warm, replacement):
+        packet = MarkedPacket(report=report, marks=tuple(base))
+        if decoded:
+            packet = MarkedPacket.decode(packet.wire(), FORMAT)
+        elif warm:
+            packet.wire()
+        else:
+            assert not is_cached(packet)
+        for mark in chain:
+            parent_cached = is_cached(packet)
+            child = packet.with_mark(mark)
+            assert child.marks == packet.marks + (mark,)
+            assert is_cached(child) == parent_cached
+            assert_wire_matches(child)
+            assert child.prefix_wire(len(packet.marks)) == packet.wire()
+            packet = child
+
+        for copy in (
+            packet.with_marks(tuple(replacement)),
+            dataclasses.replace(packet, marks=tuple(replacement)),
+            dataclasses.replace(packet),
+        ):
+            assert not is_cached(copy)
+            assert_wire_matches(copy)
+
+        sent = packet.report
+        cold = MarkedPacket(
+            report=Report(sent.event, sent.location, sent.timestamp),
+            marks=packet.marks,
+        )
+        assert not is_cached(cold)
+        assert packet == cold
+        assert hash(packet) == hash(cold)
+        assert repr(packet) == repr(cold)
 
 
 class TestCacheIsInvisible:

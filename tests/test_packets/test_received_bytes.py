@@ -7,9 +7,10 @@ exactly as received.  That is only sound because report encoding is
 canonical: these properties pin ``decode_packet(encode_packet(p))`` to
 ``p`` and its fresh encoding over the whole encodable range (event
 lengths up to a few hundred bytes, coordinates at the int32 millimetre
-extremes, timestamps at the u32 edges, 0-40 marks), check that
-``with_mark``/``with_marks`` copies encode afresh, and that malformed
-buffers still raise the typed wire errors.
+extremes, timestamps at the u32 edges, 0-40 marks), check that a
+``with_mark`` copy extends the received bytes by its mark while
+``with_marks`` copies encode afresh, and that malformed buffers still
+raise the typed wire errors.
 """
 
 import struct

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+from repro.core.build import build_scenario
+from repro.core.scenario import ATTACK_NAMES, Scenario
 from repro.crypto.keys import KeyStore
 from repro.filtering.suppression import DuplicateSuppressor
 from repro.marking.nested import NestedMarking
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import linear_path_topology
+from repro.packets.packet import MarkedPacket
 from repro.sim.behaviors import HonestForwarder
 from repro.sim.metrics import EnergyModel, MetricsCollector
 from repro.sim.pipeline import PathPipeline
@@ -85,6 +88,96 @@ class TestPathPipeline:
         pipeline, _ = make_pipeline(n=2)
         with pytest.raises(ValueError):
             PathPipeline(pipeline.source, [], pipeline.sink)
+
+
+def reference_push(pipeline: PathPipeline, clock: int):
+    """The plain hop loop: one transmission record per hop, each sized by
+    a fresh encoding of the packet that hop sent."""
+
+    def fresh_len(packet: MarkedPacket) -> int:
+        return MarkedPacket(packet.report, packet.marks).wire_len
+
+    metrics = pipeline.metrics
+    packet = pipeline.source.next_packet(timestamp=clock)
+    metrics.record_injection()
+    metrics.record_transmission(pipeline.source.node_id, fresh_len(packet))
+    for behavior in pipeline.forwarders:
+        forwarded = behavior.forward(packet)
+        if forwarded is None:
+            metrics.record_drop()
+            return None
+        packet = forwarded
+        metrics.record_transmission(behavior.node_id, fresh_len(packet))
+    verification = pipeline.sink.receive(packet, pipeline.forwarders[-1].node_id)
+    metrics.record_delivery(delay=0.0)
+    return verification
+
+
+class TestHopLoopEquivalence:
+    """``push`` records what the plain hop loop records, for every attack
+    under PNM and under plain-ID nested marking: drops (``selective-drop``
+    can read plain IDs only), equal-length rewrites (``alter``,
+    ``reorder``, ``remove-all``), insertions and honest marking."""
+
+    @pytest.mark.parametrize("scheme", ["pnm", "nested"])
+    @pytest.mark.parametrize("attack", ATTACK_NAMES)
+    def test_push_matches_reference_loop(self, attack, scheme):
+        scenario = Scenario(n_forwarders=10, scheme=scheme, attack=attack, seed=3)
+        fast, slow = build_scenario(scenario), build_scenario(scenario)
+        for clock in range(1, 61):
+            fast.pipeline.push()
+            reference_push(slow.pipeline, clock)
+        got, want = fast.pipeline.metrics, slow.pipeline.metrics
+        assert got.transmissions == want.transmissions
+        assert got.bytes_transmitted == want.bytes_transmitted
+        assert got.packets_dropped == want.packets_dropped
+        assert got.packets_delivered == want.packets_delivered
+        assert got.packets_dropped + got.packets_delivered == 60
+        assert fast.sink.evidence() == slow.sink.evidence()
+        assert fast.sink.verdict() == slow.sink.verdict()
+
+    def test_attacks_cover_both_branches(self):
+        """The drop branch and the equal-length rewrite branch both run."""
+        dropping = build_scenario(
+            Scenario(n_forwarders=10, scheme="nested", attack="selective-drop", seed=3)
+        )
+        dropping.pipeline.push_many(60)
+        assert dropping.pipeline.metrics.packets_dropped > 0
+        for attack in ("alter", "reorder", "remove-all"):
+            built = build_scenario(
+                Scenario(n_forwarders=10, scheme="pnm", attack=attack, seed=3)
+            )
+            mole = next(b for b in built.pipeline.forwarders if hasattr(b, "attack"))
+            rewrote = 0
+            for clock in range(1, 61):
+                packet = built.pipeline.source.next_packet(timestamp=clock)
+                for behavior in built.pipeline.forwarders:
+                    forwarded = behavior.forward(packet)
+                    if behavior is mole and forwarded is not packet:
+                        rewrote += forwarded.wire_len == packet.wire_len
+                    packet = forwarded
+            assert rewrote > 0, attack
+
+
+#: ``run_until_identified(max_packets=2000)`` at n = 30, seeds 0-4,
+#: recorded before the hop loop was last rewritten.  Any change to the
+#: order in which nodes draw their marking coins moves these.
+IDENTIFIED_PINS = {
+    "no-mark": [(238, 1), (59, 1), (83, 1), (93, 1), (99, 1)],
+    "identity-swap": [(54, 30), (67, 16), (39, 30), (58, 30), (119, 16)],
+    "alter": [(33, 30), (49, 16), (45, 16), (35, 20), (30, 17)],
+}
+
+
+@pytest.mark.parametrize("attack", sorted(IDENTIFIED_PINS))
+def test_identification_pinned(attack):
+    got = [
+        build_scenario(
+            Scenario(n_forwarders=30, scheme="pnm", attack=attack, seed=seed)
+        ).pipeline.run_until_identified(max_packets=2000)
+        for seed in range(5)
+    ]
+    assert got == IDENTIFIED_PINS[attack]
 
 
 class TestHonestForwarderSuppression:

@@ -150,6 +150,25 @@ def layer_outcome(layer: WatchdogLayer) -> dict:
     }
 
 
+def test_hot_path_reads_the_live_down_set(monkeypatch):
+    """The bound tap tests watcher liveness against the simulation's own
+    down-node set instead of calling ``node_is_down`` per watcher, so the
+    set must exist when the simulation attaches the layer."""
+    calls = []
+    real = NetworkSimulation.node_is_down
+
+    def counting(self, node_id):
+        calls.append(node_id)
+        return real(self, node_id)
+
+    monkeypatch.setattr(NetworkSimulation, "node_is_down", counting)
+    sim, layer, _ = build_sim("honest")
+    sim.sim.schedule(1.0, lambda: sim.fail_node(3))
+    sim.run()
+    assert layer.monitors
+    assert calls == []
+
+
 class TestHotPathEquivalence:
     """The attach-bound closure and the reference method must be
     indistinguishable in every observable outcome, RNG draw for RNG
