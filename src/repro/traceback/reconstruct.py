@@ -17,19 +17,21 @@ Two route shapes can emerge:
   hop of the line node where the loop attaches (Theorem 4's proof).
 
 The graph is maintained incrementally, so the sink keeps up with the
-packet rate (Section 4.2's feasibility argument): while it is loop-free
-the source candidates are exactly the in-degree-zero nodes, kept up to
-date as chains arrive; SCC work starts only once a new edge closes a loop.
+packet rate (Section 4.2's feasibility argument).  Besides the edges it
+keeps the reflexive transitive closure of the upstream relation: for
+every node, the set it reaches and the set that reaches it.  A new edge
+updates both only when it orders two nodes that were not ordered yet,
+so every reachability question -- loop membership, source components,
+the loop's attachment point, the most upstream tamper stop -- is a set
+lookup, and no strongly-connected-component pass remains.  The closure
+holds O(sum over nodes of their reach) entries: at most n^2 for n
+observed markers, about n^2/2 on a line.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Set
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = ["PrecedenceGraph", "RouteAnalysis"]
 
@@ -74,15 +76,20 @@ class PrecedenceGraph:
     Edges mean "verified directly before within some packet", i.e. the
     upstream relation of Section 4.2's matrix ``M``.  Successor and
     predecessor sets are kept per node (in first-seen order) together
-    with the in-degree-zero nodes and a sticky "has a cycle" flag, so
-    :meth:`analyze` costs O(1) per new evidence while the graph is
-    loop-free and one SCC pass per new evidence once it is not.
+    with the in-degree-zero nodes, a sticky "has a cycle" flag and the
+    reflexive transitive closure (``_desc``: the nodes a node reaches;
+    ``_anc``: the nodes that reach it).  :meth:`analyze` costs O(1) per
+    new evidence while the graph is loop-free; once it is not, a node's
+    strongly connected component is ``_desc[x] & _anc[x]``, read off
+    the closure rather than found by a graph walk.
     """
 
     def __init__(self) -> None:
         self._succ: dict[int, set[int]] = {}
         self._pred: dict[int, set[int]] = {}
         self._roots: set[int] = set()
+        self._desc: dict[int, set[int]] = {}
+        self._anc: dict[int, set[int]] = {}
         self._cyclic = False
         # Bumped on every new node or edge; keys the memoized analysis.
         self._version = 0
@@ -95,24 +102,34 @@ class PrecedenceGraph:
         A single-element chain only records the node's existence; longer
         chains add a precedence edge per consecutive pair.
         """
-        succ, pred = self._succ, self._pred
+        succ, pred, desc, anc = self._succ, self._pred, self._desc, self._anc
         for node in chain_ids:
             if node not in succ:
                 succ[node] = set()
                 pred[node] = set()
+                desc[node] = {node}
+                anc[node] = {node}
                 self._roots.add(node)
                 self._version += 1
         for upstream, downstream in zip(chain_ids, chain_ids[1:], strict=False):
             if upstream == downstream or downstream in succ[upstream]:
                 continue
-            # Nothing reaches a node without upstream edges, so only then
-            # can the new edge close a cycle.
-            if not self._cyclic and pred[upstream]:
-                self._cyclic = self.reaches(downstream, upstream)
             succ[upstream].add(downstream)
             pred[downstream].add(upstream)
             self._roots.discard(downstream)
             self._version += 1
+            if downstream in desc[upstream]:
+                continue  # already ordered: the closure stands
+            # Everything at or above ``upstream`` now reaches everything
+            # at or below ``downstream``.  Neither operand changes while
+            # it is read: when the edge closes a loop, ``below`` is only
+            # unioned with itself, and so is ``above``.
+            below, above = desc[downstream], anc[upstream]
+            self._cyclic = self._cyclic or upstream in below
+            for node in above:
+                desc[node] |= below
+            for node in below:
+                anc[node] |= above
 
     @property
     def observed(self) -> set[int]:
@@ -149,22 +166,19 @@ class PrecedenceGraph:
         True when a directed path leads from ``source`` to ``target``
         (a node reaches itself); False when either node is unobserved.
         """
-        return target in self.descendants(source)
+        return target in self._desc.get(source, ())
 
-    def descendants(self, source: int) -> set[int]:
+    def descendants(self, source: int) -> Set[int]:
         """Every node ``source`` reaches, itself included (empty when
-        ``source`` is unobserved)."""
-        succ = self._succ
-        if source not in succ:
-            return set()
-        seen = {source}
-        frontier = [source]
-        while frontier:
-            for nxt in succ[frontier.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return seen
+        ``source`` is unobserved): a live view, not a copy; callers must
+        not mutate it."""
+        return self._desc.get(source, frozenset())
+
+    def ancestors(self, target: int) -> Set[int]:
+        """Every node that reaches ``target``, itself included (empty when
+        ``target`` is unobserved): a live view, not a copy; callers must
+        not mutate it."""
+        return self._anc.get(target, frozenset())
 
     def analyze(self) -> RouteAnalysis:
         """Interpret the current evidence (see :class:`RouteAnalysis`).
@@ -191,16 +205,22 @@ class PrecedenceGraph:
                 loop_attachment=None,
             )
 
-        pred = self._pred
-        components = self._strong_components()
-        sources = [
-            comp
-            for comp in components
-            if all(up in comp for member in comp for up in pred[member])
-        ]
-        loops = tuple(
-            sorted((frozenset(comp) for comp in components if len(comp) > 1), key=min)
-        )
+        # A node's strongly connected component is what it both reaches
+        # and is reached by; the component is a source component when
+        # nothing outside it reaches the node.
+        desc, anc = self._desc, self._anc
+        sources: list[set[int]] = []
+        loops: list[frozenset[int]] = []
+        placed: set[int] = set()
+        for node in self._succ:
+            if node in placed:
+                continue
+            component = desc[node] & anc[node]
+            placed |= component
+            if len(component) > 1:
+                loops.append(frozenset(component))
+            if len(anc[node]) == len(component):
+                sources.append(component)
         most_upstream: int | None = None
         loop_attachment: int | None = None
         if len(sources) == 1:
@@ -216,50 +236,9 @@ class PrecedenceGraph:
             source_candidates=frozenset().union(*sources),
             unequivocal=most_upstream is not None,
             most_upstream=most_upstream,
-            loops=loops,
+            loops=tuple(sorted(loops, key=min)),
             loop_attachment=loop_attachment,
         )
-
-    def _strong_components(self) -> list[set[int]]:
-        """Tarjan's strongly connected components, iteratively."""
-        succ = self._succ
-        index: dict[int, int] = {}
-        low: dict[int, int] = {}
-        stack: list[int] = []
-        on_stack: set[int] = set()
-        components: list[set[int]] = []
-        for root in succ:
-            if root in index:
-                continue
-            index[root] = low[root] = len(index)
-            stack.append(root)
-            on_stack.add(root)
-            work: list[tuple[int, Iterator[int]]] = [(root, iter(succ[root]))]
-            while work:
-                node, children = work[-1]
-                for child in children:
-                    if child not in index:
-                        index[child] = low[child] = len(index)
-                        stack.append(child)
-                        on_stack.add(child)
-                        work.append((child, iter(succ[child])))
-                        break
-                    if child in on_stack and index[child] < low[node]:
-                        low[node] = index[child]
-                else:
-                    work.pop()
-                    if work and low[node] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[node]
-                    if low[node] == index[node]:
-                        component = set()
-                        while True:
-                            member = stack.pop()
-                            on_stack.discard(member)
-                            component.add(member)
-                            if member == node:
-                                break
-                        components.append(component)
-        return components
 
     def _attachment_point(self, loop: Set[int]) -> int | None:
         """The line node the loop feeds into (Figure 2's intersection).
@@ -286,15 +265,6 @@ class PrecedenceGraph:
             ):
                 return node
         return min(direct)
-
-    def to_networkx(self) -> nx.DiGraph:
-        """A networkx copy of the precedence digraph (an export only)."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        graph.add_nodes_from(self._succ)
-        graph.add_edges_from(self.edges())
-        return graph
 
     def __repr__(self) -> str:
         edges = sum(1 for _ in self.edges())

@@ -185,19 +185,17 @@ def _tamper_suspect(
     if not tamper_stops:
         return None
     stops = sorted(tamper_stops)
-    # One reachability search per stop: ``s in below[t]`` is
-    # ``precedence.reaches(t, s)``.
-    below = {t: precedence.descendants(t) for t in stops}
-    most_upstream = [
-        s for s in stops if not any(t != s and s in below[t] for t in stops)
-    ]
+    stop_set = frozenset(stops)
+    # The stops reaching ``s``, read off the closure.  A stop the graph
+    # never observed (a delivering node of a packet without a verified
+    # mark) has no ancestors, not even itself, so it counts as upstream.
+    above = {s: precedence.ancestors(s) & stop_set for s in stops}
+    most_upstream = [s for s in stops if above[s] <= {s}]
     if not most_upstream:
         # Every stop is reached from another one, which only loops allow:
         # keep the stops that no stop outside their own loop reaches.
         most_upstream = [
-            s
-            for s in stops
-            if not any(s in below[t] and t not in below[s] for t in stops)
+            s for s in stops if above[s] <= precedence.descendants(s)
         ]
     # Deterministic choice among incomparable stops: the most frequent,
     # then the smallest ID.

@@ -1,11 +1,13 @@
 """The incremental precedence graph against a networkx oracle.
 
 The reference below is the straightforward networkx formulation of the
-route analysis (SCC condensation per call) and of the tamper-stop
+reachability closure (``nx.descendants``/``nx.ancestors`` per node), of
+the route analysis (SCC condensation per call) and of the tamper-stop
 localizer (pairwise ``has_path``).  Random chain streams -- with repeated
-chains, self-pairs and identity-swap loops -- must give the same
-:class:`RouteAnalysis` and byte-identical verdicts from the incremental
-graph, however ``analyze`` calls interleave with new evidence.
+chains, self-pairs and identity-swap loops -- must give the same closure
+after every chain, the same :class:`RouteAnalysis` and byte-identical
+verdicts from the incremental graph, however ``analyze`` calls
+interleave with new evidence.
 """
 
 from collections.abc import Mapping
@@ -175,6 +177,23 @@ def reference_verdict(
     )
 
 
+def assert_closure_matches(graph: PrecedenceGraph, reference: nx.DiGraph) -> None:
+    """``reaches``/``descendants``/``ancestors`` equal networkx's
+    reachability plus the node itself, and are empty (``False``) for
+    nodes the evidence never observed -- the sink among them."""
+    nodes = [TOPOLOGY.sink, *MARKERS]
+    for node in nodes:
+        if node in reference:
+            below = nx.descendants(reference, node) | {node}
+            above = nx.ancestors(reference, node) | {node}
+        else:
+            below = above = set()
+        assert graph.descendants(node) == below
+        assert graph.ancestors(node) == above
+        for other in nodes:
+            assert graph.reaches(node, other) == (other in below)
+
+
 # Strategies ------------------------------------------------------------------
 
 node_ids = st.sampled_from(MARKERS)
@@ -196,24 +215,15 @@ class TestAnalysisOracle:
         graph = PrecedenceGraph()
         for i, chain in enumerate(stream):
             graph.add_chain(chain)
+            prefix = reference_graph(stream[: i + 1])
+            assert_closure_matches(graph, prefix)
             # Interleaved calls exercise the memo across new evidence.
             if data.draw(st.booleans(), label=f"analyze{i}"):
-                assert graph.analyze() == reference_analysis(
-                    reference_graph(stream[: i + 1])
-                )
+                assert graph.analyze() == reference_analysis(prefix)
         reference = reference_graph(stream)
         assert graph.analyze() == reference_analysis(reference)
         assert graph.analyze() is graph.analyze()
         assert set(graph.edges()) == set(reference.edges)
-        assert set(graph.to_networkx().edges) == set(reference.edges)
-        for source in MARKERS:
-            for target in MARKERS:
-                expected = (
-                    source in reference
-                    and target in reference
-                    and nx.has_path(reference, source, target)
-                )
-                assert graph.reaches(source, target) == expected
 
 
 class TestVerdictOracle:
@@ -305,3 +315,38 @@ class TestVerdictOracle:
         )
         assert rebuilt.analysis == live.analysis
         assert verdict_json(rebuilt) == verdict_json(live)
+
+
+class TestTamperStops:
+    def test_unobserved_delivering_stop_stays_most_upstream(self):
+        """A tampered packet with no verified mark stops at its delivering
+        node, which the graph never observed: nothing reaches it, so it
+        stays a most-upstream candidate and, being the most frequent
+        stop, the center."""
+        sink = TracebackSink(SCHEME, KEYSTORE, PROVIDER, TOPOLOGY)
+        packets = [([1, 2, 3], False, 3), ([2, 3], True, 3), ([], True, 6), ([], True, 6)]
+        for i, (chain, tampered, deliverer) in enumerate(packets):
+            report = Report(event=bytes([i]), location=(0.0, 0.0), timestamp=i)
+            sink.ingest(
+                PacketVerification(
+                    packet=MarkedPacket(report=report),
+                    verified=[
+                        VerifiedMark(index=j, real_id=n) for j, n in enumerate(chain)
+                    ],
+                    invalid_indices=[0] if tampered else [],
+                ),
+                deliverer,
+            )
+        assert 6 not in sink.precedence.observed
+        stops = {2: 1, 6: 2}
+        assert sink._tamper_stop_nodes == stops
+        suspect = _tamper_suspect(sink.precedence, stops, TOPOLOGY)
+        assert suspect is not None and suspect.center == 6
+        # Three tampered packets outweigh one clean chain, so the tamper
+        # stops decide over the unequivocal most upstream node 1.
+        verdict = sink.verdict()
+        assert verdict.analysis.most_upstream == 1
+        assert verdict.suspect == suspect
+        assert reference_tamper_suspect(
+            reference_graph([chain for chain, _, _ in packets]), stops, TOPOLOGY
+        ) == suspect

@@ -112,9 +112,7 @@ class TestServiceEquivalence:
             service.close()
 
         assert verdict == serial.verdict()
-        assert set(sink.precedence.to_networkx().edges) == set(
-            serial.precedence.to_networkx().edges
-        )
+        assert set(sink.precedence.edges()) == set(serial.precedence.edges())
         assert sink.packets_received == serial.packets_received
         assert sink.tampered_packets == serial.tampered_packets
         assert sink.chains_with_marks == serial.chains_with_marks
@@ -146,9 +144,7 @@ class TestServiceEquivalence:
                 serial.receive(packet, delivering)
 
         assert verdict == serial.verdict()
-        assert set(sink.precedence.to_networkx().edges) == set(
-            serial.precedence.to_networkx().edges
-        )
+        assert set(sink.precedence.edges()) == set(serial.precedence.edges())
         assert sink.packets_received == serial.packets_received
         assert sink.tampered_packets == serial.tampered_packets
         stats = service.stats()

@@ -78,9 +78,7 @@ class TestEquivalence:
             assert service.verdict() == serial.verdict()
         finally:
             service.close()
-        assert set(sink.precedence.to_networkx().edges) == set(
-            serial.precedence.to_networkx().edges
-        )
+        assert set(sink.precedence.edges()) == set(serial.precedence.edges())
         assert sink.packets_received == serial.packets_received
         assert sink.tampered_packets == serial.tampered_packets
         assert sink.chains_with_marks == serial.chains_with_marks

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.cluster.coordinator import ClusterCoordinator, verdict_json
 from repro.core.build import build_scenario
 from repro.core.scenario import ATTACK_NAMES, Scenario
 from repro.crypto.keys import KeyStore
@@ -159,24 +160,46 @@ class TestHopLoopEquivalence:
             assert rewrote > 0, attack
 
 
-#: ``run_until_identified(max_packets=2000)`` at n = 30, seeds 0-4,
-#: recorded before the hop loop was last rewritten.  Any change to the
-#: order in which nodes draw their marking coins moves these.
+#: ``run_until_identified(max_packets=2000)`` at n = 30: seeds 0-4 of
+#: ``no-mark``, and seeds 0-29 of the adversarial attacks (perfbench's
+#: ``online-adversarial`` panel), indexed by seed.  Recorded before the
+#: hop loop and later the precedence graph were last rewritten.  Any
+#: change to the order in which nodes draw their marking coins, or to
+#: the verdict, moves these.
 IDENTIFIED_PINS = {
     "no-mark": [(238, 1), (59, 1), (83, 1), (93, 1), (99, 1)],
-    "identity-swap": [(54, 30), (67, 16), (39, 30), (58, 30), (119, 16)],
-    "alter": [(33, 30), (49, 16), (45, 16), (35, 20), (30, 17)],
+    "identity-swap": [
+        (54, 30), (67, 16), (39, 30), (58, 30), (119, 16),
+        (68, 30), (87, 1), (80, 11), (100, 16), (127, 16),
+        (42, 30), (98, 16), (48, 30), (64, 30), (45, 30),
+        (56, 30), (37, 30), (64, 30), (48, 30), (68, 7),
+        (44, 30), (117, 13), (105, 1), (37, 30), (96, 3),
+        (44, 30), (89, 16), (66, 30), (54, 30), (56, 30),
+    ],
+    "alter": [
+        (33, 30), (49, 16), (45, 16), (35, 20), (30, 17),
+        (92, 17), (63, 17), (67, 17), (43, 20), (69, 18),
+        (156, 16), (63, 16), (39, 16), (36, 17), (58, 16),
+        (55, 16), (43, 18), (43, 17), (66, 20), (57, 16),
+        (47, 17), (30, 16), (61, 17), (30, 16), (103, 16),
+        (50, 16), (42, 17), (66, 16), (61, 17), (71, 16),
+    ],
 }
 
 
 @pytest.mark.parametrize("attack", sorted(IDENTIFIED_PINS))
 def test_identification_pinned(attack):
-    got = [
-        build_scenario(
+    """Each run identifies the pinned suspect after the pinned number of
+    packets, and its final live verdict equals the one recomputed from
+    the sink's exported evidence."""
+    got = []
+    for seed in range(len(IDENTIFIED_PINS[attack])):
+        built = build_scenario(
             Scenario(n_forwarders=30, scheme="pnm", attack=attack, seed=seed)
-        ).pipeline.run_until_identified(max_packets=2000)
-        for seed in range(5)
-    ]
+        )
+        got.append(built.pipeline.run_until_identified(max_packets=2000))
+        recomputed = ClusterCoordinator(built.topology).verdict(built.sink.evidence())
+        assert verdict_json(built.sink.verdict()) == verdict_json(recomputed), seed
     assert got == IDENTIFIED_PINS[attack]
 
 

@@ -137,7 +137,7 @@ class TestIncrementalState:
 
 def test_verdict_path_does_not_import_networkx():
     """Verdicts, evidence export and the coordinator verdict run on the
-    incremental graph alone; networkx loads only for ``to_networkx``."""
+    incremental graph alone: networkx is never imported."""
     script = textwrap.dedent(
         """
         import sys
@@ -156,8 +156,6 @@ def test_verdict_path_does_not_import_networkx():
             )
             assert verdict_json(live) == verdict_json(merged)
         assert "networkx" not in sys.modules, "networkx imported"
-        built.sink.precedence.to_networkx()
-        assert "networkx" in sys.modules
         """
     )
     result = subprocess.run(  # noqa: S603
