@@ -2,13 +2,17 @@
 
 Not a paper figure, but the number a downstream user of the library cares
 about: how fast the whole source -> marked path -> verifying sink loop
-runs under each marking scheme with real crypto.
+runs under each marking scheme with real crypto.  An all-honest path is
+one run of honest hops; a forwarding mole at mid-path splits it in two
+around a hop the pipeline calls on its own.
 """
 
 import random
 
 import pytest
 
+from repro.adversary.attacks import NoMarkAttack
+from repro.adversary.moles import ForwardingMole
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import HmacProvider
 from repro.marking import scheme_by_name
@@ -22,7 +26,7 @@ from tests.conftest import MASTER, ctx_for
 PROVIDER = HmacProvider()
 
 
-def make_pipeline(scheme_name: str, n: int = 20):
+def make_pipeline(scheme_name: str, n: int = 20, mole_at: int | None = None):
     if scheme_name in ("nested", "partial-nested", "none"):
         scheme = scheme_by_name(scheme_name)
     else:
@@ -33,6 +37,9 @@ def make_pipeline(scheme_name: str, n: int = 20):
         HonestForwarder(ctx_for(i, keystore, PROVIDER), scheme)
         for i in range(1, n + 1)
     ]
+    if mole_at is not None:
+        honest = forwarders[mole_at - 1]
+        forwarders[mole_at - 1] = ForwardingMole(honest.ctx, scheme, NoMarkAttack())
     sink = TracebackSink(scheme, keystore, PROVIDER, topo)
     source = BogusReportSource(source_id, (float(n + 1), 0.0), random.Random(0))
     return PathPipeline(source=source, forwarders=forwarders, sink=sink)
@@ -44,6 +51,14 @@ class TestEndToEndThroughput:
         pipeline = make_pipeline(scheme_name)
         benchmark(pipeline.push)
         assert pipeline.metrics.packets_delivered > 0
+
+
+class TestMidPathMole:
+    def test_bench_push_mole_midpath(self, benchmark):
+        pipeline = make_pipeline("pnm", mole_at=10)
+        benchmark(pipeline.push)
+        assert pipeline.metrics.packets_delivered > 0
+        assert pipeline.forwarders[9].packets_seen > 0
 
 
 class TestDiscreteEventEngine:

@@ -30,6 +30,8 @@ invalid-MAC evidence points.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.algebraic.errors import MalformedAccumulatorError
 from repro.algebraic.field import PRIME, evaluation_point, horner_step
 from repro.crypto.keys import KeyStore
@@ -127,15 +129,23 @@ class AlgebraicMarking(MarkingScheme):
             return 0, 0
         return count, value
 
-    def on_forward(self, ctx: NodeContext, packet: MarkedPacket) -> MarkedPacket:
-        """Replace the accumulator with this hop's Horner update.
+    def forward_run(
+        self, ctxs: Sequence[NodeContext], packet: MarkedPacket
+    ) -> tuple[MarkedPacket, list[tuple[int, int]]]:
+        """Replace the accumulator with each hop's Horner update in turn.
 
-        The marking coin is still drawn (and ignored) so honest nodes
-        consume identical randomness across schemes, keeping paired
-        experiment runs comparable -- see :meth:`MarkingScheme.on_forward`.
+        Every node's marking coin is still drawn (and ignored), all of
+        them first, so honest nodes consume identical randomness across
+        schemes -- see :meth:`MarkingScheme.forward_run`.  Every hop
+        changes the packet.
         """
-        ctx.rng.random()
-        return packet.with_marks((self.make_mark(ctx, packet),))
+        for ctx in ctxs:
+            ctx.rng.random()
+        changes = []
+        for i, ctx in enumerate(ctxs):
+            packet = packet.with_marks((self.make_mark(ctx, packet),))
+            changes.append((i, packet.wire_len))
+        return packet, changes
 
     def _build_mark(
         self, ctx: NodeContext, packet: MarkedPacket, written_id: int

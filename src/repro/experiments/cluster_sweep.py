@@ -102,6 +102,7 @@ def build_cluster_workload(
     streams: dict[int, list[MarkedPacket]] = {src: [] for src in source_nodes}
     per_source = -(-packets // len(source_nodes))  # ceil
     for src in source_nodes:
+        path = [dep.ctx(node_id) for node_id in forwarders[src]]
         for t in range(per_source):
             packet = MarkedPacket(
                 report=Report(
@@ -110,9 +111,7 @@ def build_cluster_workload(
                     timestamp=t,
                 )
             )
-            for node_id in forwarders[src]:
-                packet = scheme.on_forward(dep.ctx(node_id), packet)
-            streams[src].append(packet)
+            streams[src].append(scheme.forward_run(path, packet)[0])
 
     batches: list[Batch] = []
     emitted = 0

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.crypto.keys import KeyStore
@@ -105,6 +105,12 @@ class MarkingScheme(abc.ABC):
             attributable.  Non-nested schemes use ``"independent"`` --
             every individually valid mark is used, which is how AMS/PPM
             actually operate (and part of why they are vulnerable).
+
+    Draw order: :meth:`make_mark` never draws from ``ctx.rng``.
+    :meth:`forward_run` draws all of a run's coins before its first mark;
+    that equals a hop-by-hop loop's order (coin, mark, coin, ...) only
+    because marking draws nothing, which matters when nodes share one
+    random stream.
     """
 
     name: str = "abstract"
@@ -119,15 +125,34 @@ class MarkingScheme(abc.ABC):
     # Node side --------------------------------------------------------------
 
     def on_forward(self, ctx: NodeContext, packet: MarkedPacket) -> MarkedPacket:
-        """Honest forwarding behavior: maybe append this node's mark.
+        """Honest forwarding at one node: :meth:`forward_run` over a run of one."""
+        return self.forward_run((ctx,), packet)[0]
 
-        The marking coin is always drawn (even when ``mark_prob`` is 1) so
-        that honest nodes consume identical randomness across schemes,
-        keeping paired experiment runs comparable.
+    def forward_run(
+        self, ctxs: Sequence[NodeContext], packet: MarkedPacket
+    ) -> tuple[MarkedPacket, list[tuple[int, int]]]:
+        """Honest forwarding through consecutive nodes ``ctxs``, in path order.
+
+        Every node draws its marking coin from its own ``ctx.rng``, in
+        path order -- one draw per node per packet, even when
+        ``mark_prob`` is 1, so that honest nodes consume identical
+        randomness across schemes, keeping paired experiment runs
+        comparable.  Then each node whose coin fell below ``mark_prob``
+        appends its mark to the packet as it received it.
+
+        Returns:
+            The packet the last node sends, and ``(position, wire_len)``
+            for every node that changed the packet: its index in ``ctxs``
+            and the size of the packet it sends.  The other nodes send
+            what they received, the same object.
         """
-        if ctx.rng.random() < self.mark_prob:
-            return packet.with_mark(self.make_mark(ctx, packet))
-        return packet
+        prob = self.mark_prob
+        hits = [i for i, ctx in enumerate(ctxs) if ctx.rng.random() < prob]
+        changes = []
+        for i in hits:
+            packet = packet.with_mark(self.make_mark(ctxs[i], packet))
+            changes.append((i, packet.wire_len))
+        return packet, changes
 
     def make_mark(
         self,

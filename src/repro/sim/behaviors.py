@@ -43,6 +43,10 @@ class HonestForwarder:
     the mark's hashes when the coin says mark) and the duplicate
     check when a suppressor is set.  A hop that does not mark returns
     the packet it was given, the same object.
+    :class:`~repro.sim.pipeline.PathPipeline` does not call
+    :meth:`forward` for consecutive forwarders without a suppressor: it
+    hands their contexts to the scheme's ``forward_run`` in one call,
+    which draws and marks exactly as :meth:`forward` hop by hop would.
 
     Args:
         ctx: the node's identity and key material.

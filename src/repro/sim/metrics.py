@@ -10,6 +10,7 @@ fixed per-packet cost -- standard first-order mote modelling.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -29,16 +30,16 @@ class EnergyModel:
     joules_per_byte: float = 1.6e-6
     joules_per_packet: float = 2.4e-5
 
-    def transmission_cost(self, packet_len: int) -> float:
-        """Joules to transmit one packet of ``packet_len`` bytes."""
-        if packet_len < 0:
-            raise ValueError(f"packet_len must be >= 0, got {packet_len}")
-        return self.joules_per_packet + self.joules_per_byte * packet_len
-
 
 @dataclass
 class MetricsCollector:
-    """Accumulates per-node and network-wide counters during a run."""
+    """Accumulates per-node and network-wide counters during a run.
+
+    Runs recorded through :meth:`record_run` wait, one entry per distinct
+    run of node IDs, until :attr:`transmissions` or
+    :attr:`bytes_transmitted` is next read, so a packet's run costs work
+    in the number of its marks rather than in the number of its hops.
+    """
 
     energy_model: EnergyModel = field(default_factory=EnergyModel)
     packets_injected: int = 0
@@ -46,9 +47,28 @@ class MetricsCollector:
     packets_dropped: int = 0
     packets_lost: int = 0
     packets_faulted: int = 0
-    transmissions: Counter = field(default_factory=Counter)
-    bytes_transmitted: Counter = field(default_factory=Counter)
     delivery_delays: list[float] = field(default_factory=list)
+    _transmissions: Counter = field(default_factory=Counter, init=False, repr=False)
+    _bytes: Counter = field(default_factory=Counter, init=False, repr=False)
+    #: Run of node IDs -> ``[packets, d_0, d_1, ...]``, where the bytes
+    #: the run's ``i``-th node sent are ``d_0 + ... + d_i``.
+    _runs: dict[tuple[int, ...], list[int]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    @property
+    def transmissions(self) -> Counter:
+        """Transmissions per node."""
+        if self._runs:
+            self._settle()
+        return self._transmissions
+
+    @property
+    def bytes_transmitted(self) -> Counter:
+        """Bytes sent per node."""
+        if self._runs:
+            self._settle()
+        return self._bytes
 
     def record_injection(self) -> None:
         """A source generated one packet."""
@@ -56,8 +76,41 @@ class MetricsCollector:
 
     def record_transmission(self, node_id: int, packet_len: int) -> None:
         """``node_id`` pushed ``packet_len`` bytes onto the radio."""
-        self.transmissions[node_id] += 1
-        self.bytes_transmitted[node_id] += packet_len
+        self._transmissions[node_id] += 1
+        self._bytes[node_id] += packet_len
+
+    def record_run(
+        self,
+        node_ids: tuple[int, ...],
+        packet_len: int,
+        changes: Sequence[tuple[int, int]],
+    ) -> None:
+        """Each of ``node_ids`` transmitted once, in order.
+
+        The first sent ``packet_len`` bytes; from each ``(position,
+        new_len)`` in ``changes`` on, the nodes sent ``new_len`` bytes --
+        the shape :meth:`~repro.marking.base.MarkingScheme.forward_run`
+        returns.  Equal to one :meth:`record_transmission` per node once
+        the counters are read.
+        """
+        pending = self._runs.get(node_ids)
+        if pending is None:
+            pending = self._runs[node_ids] = [0] * (len(node_ids) + 1)
+        pending[0] += 1
+        pending[1] += packet_len
+        for position, new_len in changes:
+            pending[position + 1] += new_len - packet_len
+            packet_len = new_len
+
+    def _settle(self) -> None:
+        """Fold the pending runs into the per-node counters."""
+        for node_ids, pending in self._runs.items():
+            packets, sent = pending[0], 0
+            for node_id, step in zip(node_ids, pending[1:]):
+                sent += step
+                self._transmissions[node_id] += packets
+                self._bytes[node_id] += sent
+        self._runs.clear()
 
     def record_delivery(self, delay: float) -> None:
         """A packet reached the sink after ``delay`` seconds in flight."""

@@ -13,8 +13,10 @@ and marking schemes behave identically in both execution models.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import groupby
 
-from repro.sim.behaviors import ForwardingBehavior
+from repro.marking.base import MarkingScheme, NodeContext
+from repro.sim.behaviors import ForwardingBehavior, HonestForwarder
 from repro.sim.metrics import MetricsCollector
 from repro.sim.sources import ReportSource
 from repro.traceback.sink import TracebackSink
@@ -22,21 +24,47 @@ from repro.traceback.verify import PacketVerification
 
 __all__ = ["PathPipeline"]
 
+#: ``(behavior, None, (), ())`` for a hop of its own; ``(None, scheme,
+#: contexts, node IDs)`` for a run of honest hops.
+_Stage = tuple[
+    ForwardingBehavior | None,
+    MarkingScheme | None,
+    tuple[NodeContext, ...],
+    tuple[int, ...],
+]
+
+
+def _run_scheme(behavior: ForwardingBehavior) -> MarkingScheme | None:
+    """The scheme ``behavior`` marks with if it can join a run of honest
+    hops (a plain :class:`HonestForwarder` without a suppressor), else
+    ``None``."""
+    if type(behavior) is HonestForwarder and behavior.suppressor is None:
+        return behavior.scheme
+    return None
+
 
 class PathPipeline:
     """Pushes packets along a fixed forwarding path into a traceback sink.
 
-    A hop costs its behavior's work (for an honest node: the marking coin,
-    plus its mark's hashes when it marks) and one transmission record.  The
-    packet's size is re-read only when a behavior returns a different
-    packet object; ``MarkedPacket.with_mark`` carries the encoded wire
-    forward, so even that read encodes nothing.  Event-level packet
-    tracing belongs to :class:`~repro.sim.network.NetworkSimulation`.
+    Consecutive :class:`~repro.sim.behaviors.HonestForwarder` hops with
+    no duplicate suppressor and one shared scheme form a *run*, grouped
+    once here.  A run costs its scheme's
+    :meth:`~repro.marking.base.MarkingScheme.forward_run` (one marking
+    coin per hop, plus each mark's hashes) and one
+    :meth:`~repro.sim.metrics.MetricsCollector.record_run`.  Every other
+    hop -- moles, suppressing forwarders, other behaviors -- costs its
+    ``forward`` call and one transmission record.  The packet's size is
+    re-read only when a hop returns a different packet object;
+    ``MarkedPacket.with_mark`` carries the encoded wire forward, so even
+    that read encodes nothing.  Event-level packet tracing belongs to
+    :class:`~repro.sim.network.NetworkSimulation`.
 
     Args:
         source: the injecting node (mole or honest).
         forwarders: behaviors in path order -- ``V_1`` (the source's next
-            hop) first, the sink's neighbor ``V_n`` last.
+            hop) first, the sink's neighbor ``V_n`` last.  The runs are
+            fixed at construction: a forwarder's context, scheme or
+            suppressor changed later is not seen.
         sink: the traceback sink receiving surviving packets.
         metrics: optional traffic/energy accounting.
     """
@@ -55,11 +83,14 @@ class PathPipeline:
         self.sink = sink
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self._clock = 0
-
-    @property
-    def path_ids(self) -> list[int]:
-        """Node IDs along the path, source first, sink's neighbor last."""
-        return [self.source.node_id] + [b.node_id for b in self.forwarders]
+        self._stages: list[_Stage] = []
+        for scheme, group in groupby(self.forwarders, key=_run_scheme):
+            if scheme is None:
+                self._stages.extend((b, None, (), ()) for b in group)
+                continue
+            hops = list(group)
+            ctxs = tuple(b.ctx for b in hops)
+            self._stages.append((None, scheme, ctxs, tuple(b.node_id for b in hops)))
 
     def push(self) -> PacketVerification | None:
         """Inject one packet and run it down the path.
@@ -76,7 +107,13 @@ class PathPipeline:
         size = packet.wire_len
         record(self.source.node_id, size)
 
-        for behavior in self.forwarders:
+        for behavior, scheme, ctxs, node_ids in self._stages:
+            if scheme is not None:
+                packet, changes = scheme.forward_run(ctxs, packet)
+                metrics.record_run(node_ids, size, changes)
+                if changes:
+                    size = changes[-1][1]
+                continue
             forwarded = behavior.forward(packet)
             if forwarded is None:
                 metrics.record_drop()

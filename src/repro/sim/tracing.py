@@ -117,11 +117,6 @@ class PacketTracer:
         key = _packet_key(report)
         return [e for e in self.events if e.packet_key == key]
 
-    def fate(self, report: Report) -> str:
-        """How the packet's story ended: last event kind, or ``"unknown"``."""
-        events = self.journey(report)
-        return events[-1].kind if events else "unknown"
-
     def _locations(self, kind: str) -> dict[int, int]:
         """Node -> events of ``kind`` there, ascending node order.
 
@@ -152,16 +147,6 @@ class PacketTracer:
         """Events per kind."""
         counter = Counter(e.kind for e in self.events)
         return {kind: counter.get(kind, 0) for kind in EVENT_KINDS}
-
-    def format_journey(self, report: Report) -> str:
-        """A human-readable one-packet trace."""
-        events = self.journey(report)
-        if not events:
-            return "(no events recorded for this packet)"
-        lines = [
-            f"t={e.time:9.4f} {e.kind:8s} @ node {e.node}" for e in events
-        ]
-        return "\n".join(lines)
 
     def to_json(self, indent: int | None = None) -> str:
         """The full trace as JSON: events, per-kind counts, summaries.

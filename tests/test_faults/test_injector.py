@@ -152,7 +152,8 @@ class TestEnergyDepletion:
         source, source_id = far_source(sim, topo)
         hop = routing.next_hop(source_id)
         # Budget covers only a few transmissions through the first hop.
-        per_packet = sim.metrics.energy_model.transmission_cost(60)
+        model = sim.metrics.energy_model
+        per_packet = model.joules_per_packet + model.joules_per_byte * 60
         injector = FaultInjector(
             sim, FaultSchedule().deplete(0.0, hop, budget_joules=3 * per_packet)
         )

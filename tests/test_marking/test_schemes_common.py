@@ -110,3 +110,53 @@ class TestNoMarking:
         scheme = scheme_by_name("none")
         out = mark_through_path(scheme, keystore, provider, [1, 2, 3], packet)
         assert out.num_marks == 0
+
+
+#: Every registered scheme, each with some packets it marks and some it
+#: does not where its marking probability is free.
+RUN_SCHEME_KWARGS = {
+    "none": {},
+    "ppm": {"mark_prob": 0.5},
+    "ams": {"mark_prob": 0.5},
+    "nested": {},
+    "partial-nested": {},
+    "naive-pnm": {"mark_prob": 0.5},
+    "pnm": {"mark_prob": 0.5},
+    "algebraic": {},
+}
+
+
+def test_run_schemes_cover_the_registry():
+    assert set(RUN_SCHEME_KWARGS) == set(SCHEME_CLASSES)
+
+
+@pytest.mark.parametrize("name", sorted(RUN_SCHEME_KWARGS))
+class TestForwardRun:
+    def test_on_forward_is_a_run_of_one(self, name, keystore, provider, packet):
+        """Same packet, same change list, same draws, hop after hop."""
+        scheme = scheme_by_name(name, **RUN_SCHEME_KWARGS[name])
+        for node_id in range(1, 13):
+            one = ctx_for(node_id, keystore, provider)
+            run = ctx_for(node_id, keystore, provider)
+            out = scheme.on_forward(one, packet)
+            ran, changes = scheme.forward_run((run,), packet)
+            assert ran == out
+            assert one.rng.getstate() == run.rng.getstate()
+            assert changes == ([] if out is packet else [(0, out.wire_len)])
+            packet = out
+
+    def test_run_matches_hop_by_hop(self, name, keystore, provider, packet):
+        scheme = scheme_by_name(name, **RUN_SCHEME_KWARGS[name])
+        path = list(range(1, 13))
+        hops = [ctx_for(node_id, keystore, provider) for node_id in path]
+        want, want_changes = packet, []
+        for position, ctx in enumerate(hops):
+            sent = scheme.on_forward(ctx, want)
+            if sent is not want:
+                want_changes.append((position, sent.wire_len))
+            want = sent
+        runs = [ctx_for(node_id, keystore, provider) for node_id in path]
+        got, changes = scheme.forward_run(runs, packet)
+        assert got == want
+        assert changes == want_changes
+        assert [c.rng.getstate() for c in runs] == [c.rng.getstate() for c in hops]

@@ -46,7 +46,11 @@ class TestPathPipeline:
 
     def test_path_ids(self):
         pipeline, _ = make_pipeline(n=3)
-        assert pipeline.path_ids == [4, 1, 2, 3]
+        pipeline.push()
+        # One transmission per node, recorded source first.
+        assert list(pipeline.metrics.transmissions.items()) == [
+            (4, 1), (1, 1), (2, 1), (3, 1)
+        ]
 
     def test_push_many_counts(self):
         pipeline, _ = make_pipeline()
@@ -61,7 +65,7 @@ class TestPathPipeline:
         tx = pipeline.metrics.bytes_transmitted
         # Each of the 4 forwarders adds one 6-byte mark (id 2 + mac 4)
         # before transmitting, so sizes strictly increase along the path.
-        sizes = [tx[nid] for nid in pipeline.path_ids]
+        sizes = [tx[nid] for nid in (5, 1, 2, 3, 4)]  # source first
         assert sizes == sorted(sizes)
         assert sizes[-1] - sizes[0] == 4 * 6
 
@@ -114,28 +118,81 @@ def reference_push(pipeline: PathPipeline, clock: int):
     return verification
 
 
+def run_against_reference(fast, slow, packets=60):
+    """Push ``packets`` through ``fast.pipeline`` and the same number
+    through ``reference_push`` on ``slow``; assert both recorded and
+    concluded the same."""
+    for clock in range(1, packets + 1):
+        fast.pipeline.push()
+        reference_push(slow.pipeline, clock)
+    got, want = fast.pipeline.metrics, slow.pipeline.metrics
+    assert got.transmissions == want.transmissions
+    assert got.bytes_transmitted == want.bytes_transmitted
+    assert got.packets_dropped == want.packets_dropped
+    assert got.packets_delivered == want.packets_delivered
+    assert got.packets_dropped + got.packets_delivered == packets
+    assert fast.sink.evidence() == slow.sink.evidence()
+    assert fast.sink.verdict() == slow.sink.verdict()
+
+
+class EchoingSource:
+    """Sends every fresh packet twice in a row."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.node_id = inner.node_id
+        self._last = None
+
+    def next_packet(self, timestamp):
+        if timestamp % 2:
+            self._last = self.inner.next_packet(timestamp)
+        return self._last
+
+
 class TestHopLoopEquivalence:
     """``push`` records what the plain hop loop records, for every attack
-    under PNM and under plain-ID nested marking: drops (``selective-drop``
-    can read plain IDs only), equal-length rewrites (``alter``,
-    ``reorder``, ``remove-all``), insertions and honest marking."""
+    under PNM, under plain-ID nested marking and under the algebraic
+    accumulator: drops (``selective-drop`` can read plain IDs only),
+    equal-length rewrites (``alter``, ``reorder``, ``remove-all``),
+    insertions and honest marking, whether honest hops go through a run
+    of :meth:`forward_run` or one ``forward`` call each."""
 
-    @pytest.mark.parametrize("scheme", ["pnm", "nested"])
+    @pytest.mark.parametrize("scheme", ["pnm", "nested", "algebraic"])
     @pytest.mark.parametrize("attack", ATTACK_NAMES)
     def test_push_matches_reference_loop(self, attack, scheme):
         scenario = Scenario(n_forwarders=10, scheme=scheme, attack=attack, seed=3)
+        run_against_reference(build_scenario(scenario), build_scenario(scenario))
+
+    @pytest.mark.parametrize("scheme", ["pnm", "nested"])
+    def test_suppressor_splits_a_run(self, scheme):
+        """A suppressing honest hop mid-path drops every echoed packet;
+        the honest hops around it still match the hop loop."""
+        scenario = Scenario(n_forwarders=10, scheme=scheme, attack="none", seed=3)
         fast, slow = build_scenario(scenario), build_scenario(scenario)
-        for clock in range(1, 61):
-            fast.pipeline.push()
-            reference_push(slow.pipeline, clock)
-        got, want = fast.pipeline.metrics, slow.pipeline.metrics
-        assert got.transmissions == want.transmissions
-        assert got.bytes_transmitted == want.bytes_transmitted
-        assert got.packets_dropped == want.packets_dropped
-        assert got.packets_delivered == want.packets_delivered
-        assert got.packets_dropped + got.packets_delivered == 60
-        assert fast.sink.evidence() == slow.sink.evidence()
-        assert fast.sink.verdict() == slow.sink.verdict()
+        for built in (fast, slow):
+            forwarders = list(built.pipeline.forwarders)
+            guard = forwarders[4]
+            forwarders[4] = HonestForwarder(
+                guard.ctx, guard.scheme, suppressor=DuplicateSuppressor(capacity=8)
+            )
+            built.pipeline = PathPipeline(
+                EchoingSource(built.pipeline.source), forwarders, built.sink
+            )
+        run_against_reference(fast, slow)
+        assert fast.pipeline.metrics.packets_dropped == 30
+
+    @pytest.mark.parametrize("scheme", ["pnm", "algebraic"])
+    @pytest.mark.parametrize("attack", ["none", "identity-swap", "alter"])
+    def test_shared_random_stream(self, attack, scheme):
+        """Every forwarder, mole included, draws from one stream: a run
+        that drew its coins out of path order would mark other hops."""
+        scenario = Scenario(n_forwarders=10, scheme=scheme, attack=attack, seed=3)
+        fast, slow = build_scenario(scenario), build_scenario(scenario)
+        for built in (fast, slow):
+            shared = random.Random(11)
+            for behavior in built.pipeline.forwarders:
+                behavior.ctx.rng = shared
+        run_against_reference(fast, slow)
 
     def test_attacks_cover_both_branches(self):
         """The drop branch and the equal-length rewrite branch both run."""
@@ -158,6 +215,43 @@ class TestHopLoopEquivalence:
                         rewrote += forwarded.wire_len == packet.wire_len
                     packet = forwarded
             assert rewrote > 0, attack
+
+
+class CountingRandom(random.Random):
+    """A copy of another random stream that counts its draws."""
+
+    draws = 0
+
+    def __init__(self, copied):
+        super().__init__()
+        self.setstate(copied.getstate())
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("scheme", ["pnm", "ppm", "nested", "algebraic"])
+def test_one_draw_per_honest_node_per_packet(scheme):
+    """Every honest node draws its coin and nothing else: marking draws
+    nothing, which a run relies on when it draws all coins first."""
+    built = build_scenario(
+        Scenario(n_forwarders=12, scheme=scheme, attack="no-mark", seed=5)
+    )
+    honest = [
+        b for b in built.pipeline.forwarders if isinstance(b, HonestForwarder)
+    ]
+    assert len(honest) == 11  # the mole splits the path into two runs
+    for behavior in honest:
+        behavior.ctx.rng = CountingRandom(behavior.ctx.rng)
+    built.pipeline.push_many(40)
+    assert built.pipeline.metrics.packets_delivered == 40
+    assert [b.ctx.rng.draws for b in honest] == [40] * len(honest)
+    assert built.sink.evidence().chains_with_marks > 0
 
 
 #: ``run_until_identified(max_packets=2000)`` at n = 30: seeds 0-4 of
@@ -216,12 +310,6 @@ class TestHonestForwarderSuppression:
 
 
 class TestMetrics:
-    def test_energy_model(self):
-        model = EnergyModel(joules_per_byte=2.0, joules_per_packet=10.0)
-        assert model.transmission_cost(5) == pytest.approx(20.0)
-        with pytest.raises(ValueError):
-            model.transmission_cost(-1)
-
     def test_collector_aggregates(self):
         m = MetricsCollector()
         m.record_injection()
@@ -233,6 +321,23 @@ class TestMetrics:
         assert m.total_transmissions == 3
         assert m.transmissions[1] == 2
         assert m.mean_delivery_delay() == pytest.approx(0.5)
+
+    def test_record_run_matches_per_node_records(self):
+        ids = (7, 3, 9, 4, 8)
+        changes = [(0, 12), (2, 18), (4, 30)]
+        run, per_node = MetricsCollector(), MetricsCollector()
+        run.record_run(ids, 10, changes)
+        for node_id, size in zip(ids, (12, 12, 18, 18, 30)):
+            per_node.record_transmission(node_id, size)
+        assert run.bytes_transmitted == per_node.bytes_transmitted
+        run.record_run(ids[1:3], 5, [])
+        run.record_run(ids, 10, changes)  # pending again after a read
+        for node_id, size in zip(ids, (12, 12, 18, 18, 30)):
+            per_node.record_transmission(node_id, size)
+        for node_id in ids[1:3]:
+            per_node.record_transmission(node_id, 5)
+        assert run.transmissions == per_node.transmissions
+        assert run.bytes_transmitted == per_node.bytes_transmitted
 
     def test_per_node_energy(self):
         m = MetricsCollector(energy_model=EnergyModel(1.0, 0.0))
