@@ -24,7 +24,7 @@ from repro.algebraic.field import evaluation_point, horner_step
 from repro.algebraic.marking import AlgebraicMarking
 from repro.algebraic.solver import AlgebraicObservation, AlgebraicSolver
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.marking.base import NodeContext
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import grid_topology, linear_path_topology
@@ -41,7 +41,7 @@ def _marked_packets(scheme, seed: int = 11):
     """Mark ``PACKETS`` reports through the full linear path; yield results."""
     topology, source_id = linear_path_topology(N_FORWARDERS)
     keystore = KeyStore.from_master_secret(b"bench-algebraic", topology.sensor_nodes())
-    provider = HmacProvider()
+    provider = KeyedHashProvider()
     path = [n for n in sorted(topology.sensor_nodes()) if n != source_id]
     contexts = [
         NodeContext(

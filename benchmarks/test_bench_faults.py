@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
@@ -36,7 +36,7 @@ PACKETS = 120
 INTERVAL = 0.05
 CHURN_RATE = 0.2
 MASTER = b"bench-faults-master"
-PROVIDER = HmacProvider()
+PROVIDER = KeyedHashProvider()
 
 
 def run_workload(churn_rate: float, seed: int = 11):

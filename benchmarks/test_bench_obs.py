@@ -27,7 +27,7 @@ from collections.abc import Callable
 
 import pytest
 
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.experiments.cluster_sweep import build_cluster_workload
 from repro.marking.pnm import PNMMarking
 from repro.obs import NOOP, ObsProvider, Tracer, federate_snapshots
@@ -55,7 +55,7 @@ def run_sink(workload, obs) -> float:
     """One full ingest pass under ``obs``; returns elapsed seconds."""
     topology, keystore, stream, delivering = workload
     sink = TracebackSink(
-        PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology, obs=obs
+        PNMMarking(mark_prob=1.0), keystore, KeyedHashProvider(), topology, obs=obs
     )
     start = time.perf_counter()
     for packet in stream:

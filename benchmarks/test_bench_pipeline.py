@@ -14,7 +14,7 @@ import pytest
 from repro.adversary.attacks import NoMarkAttack
 from repro.adversary.moles import ForwardingMole
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.marking import scheme_by_name
 from repro.net.topology import linear_path_topology
 from repro.sim.behaviors import HonestForwarder
@@ -23,7 +23,7 @@ from repro.sim.sources import BogusReportSource
 from repro.traceback.sink import TracebackSink
 from tests.conftest import MASTER, ctx_for
 
-PROVIDER = HmacProvider()
+PROVIDER = KeyedHashProvider()
 
 
 def make_pipeline(scheme_name: str, n: int = 20, mole_at: int | None = None):

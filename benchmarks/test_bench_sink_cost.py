@@ -12,7 +12,7 @@ import pytest
 
 from repro.analysis.cost import MICA2_PACKETS_PER_SECOND
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import linear_path_topology
 from repro.packets.packet import MarkedPacket
@@ -21,7 +21,7 @@ from repro.traceback.resolver import TopologyBoundedResolver
 from repro.traceback.verify import PacketVerifier
 from tests.conftest import ctx_for
 
-PROVIDER = HmacProvider()
+PROVIDER = KeyedHashProvider()
 SCHEME = PNMMarking(mark_prob=1.0)
 
 

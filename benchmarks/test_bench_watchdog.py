@@ -29,7 +29,7 @@ import pytest
 from repro.adversary.attacks import MarkAlteringAttack
 from repro.adversary.moles import ForwardingMole
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.marking.base import NodeContext
 from repro.marking.pnm import PNMMarking
 from repro.net.links import LinkModel
@@ -80,7 +80,7 @@ def run_sim(
     """
     topology, source_id = linear_path_topology(N_FORWARDERS)
     routing = RepairingRoutingTable(topology)
-    provider = HmacProvider()
+    provider = KeyedHashProvider()
     keystore = KeyStore.from_master_secret(b"bench-watchdog", topology.sensor_nodes())
     scheme = PNMMarking(mark_prob=MARK_PROB)
 

@@ -33,7 +33,7 @@ from repro.core import (
     build_scenario,
     run_scenario,
 )
-from repro.crypto import HmacProvider, KeyStore, NullMacProvider
+from repro.crypto import KeyedHashProvider, KeyStore, NullMacProvider
 from repro.marking import (
     SCHEME_CLASSES,
     ExtendedAMS,
@@ -64,7 +64,7 @@ __all__ = [
     "run_scenario",
     # Crypto
     "KeyStore",
-    "HmacProvider",
+    "KeyedHashProvider",
     "NullMacProvider",
     # Packets
     "Report",

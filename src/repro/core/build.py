@@ -45,7 +45,7 @@ from repro.algebraic.marking import AlgebraicMarking
 from repro.algebraic.sink import AlgebraicTracebackSink
 from repro.core.scenario import Scenario
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider, MacProvider, NullMacProvider
+from repro.crypto.mac import KeyedHashProvider, MacProvider, NullMacProvider
 from repro.faults import FaultInjector, FaultSchedule
 from repro.marking import scheme_by_name
 from repro.marking.base import MarkingScheme, NodeContext
@@ -134,7 +134,7 @@ def _make_scheme(sc: Scenario) -> MarkingScheme:
 
 def _make_provider(sc: Scenario) -> MacProvider:
     if sc.crypto == "real":
-        return HmacProvider(mac_len=sc.mac_len, anon_id_len=sc.anon_id_len)
+        return KeyedHashProvider(mac_len=sc.mac_len, anon_id_len=sc.anon_id_len)
     return NullMacProvider(mac_len=sc.mac_len, anon_id_len=sc.anon_id_len)
 
 
@@ -171,10 +171,10 @@ def deploy(
     provider: MacProvider | None = None,
 ) -> Deployment:
     """Load every sensor of ``topology`` with a key derived from
-    ``master_secret``; ``provider`` defaults to :class:`HmacProvider`."""
+    ``master_secret``; ``provider`` defaults to :class:`KeyedHashProvider`."""
     keystore = KeyStore.from_master_secret(master_secret, topology.sensor_nodes())
     if provider is None:
-        provider = HmacProvider()
+        provider = KeyedHashProvider()
     return Deployment(topology, keystore, provider, rng_label)
 
 

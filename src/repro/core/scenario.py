@@ -53,7 +53,7 @@ class Scenario:
         mole_position: 1-based path position ``x`` of the forwarding mole
             ``V_x``; ``None`` puts it mid-path.
         seed: master seed; every RNG in the run derives from it.
-        crypto: ``"real"`` (HMAC-SHA256) or ``"fast"`` (zero-cost provider
+        crypto: ``"real"`` (keyed BLAKE2s) or ``"fast"`` (zero-cost provider
             -- honest statistical runs only, never adversarial ones).
         id_len: plain-ID field bytes.
         anon_id_len: anonymous-ID field bytes (PNM).

@@ -8,16 +8,18 @@ The paper uses two keyed one-way functions:
   *anonymous ID*: ``i' = H'_{k_i}(M | i)`` (Section 4.2), so a forwarding
   mole cannot tell which nodes have marked a packet.
 
-Both are instantiated here as HMAC-SHA256 with domain separation, truncated
-to short field lengths appropriate for sensor packets.  Truncation trades a
-small collision probability for byte overhead; the traceback engine handles
+Both are instantiated here as keyed BLAKE2s (RFC 7693's keyed mode, a
+PRF and MAC by design) with domain separation through BLAKE2s's
+personalization parameter, and with the digest size set to the short field
+lengths appropriate for sensor packets.  The short digests trade a small
+collision probability for byte overhead; the traceback engine handles
 anonymous-ID collisions by verifying MACs against every candidate key.
 
 The sink computes these functions for every key in its table on every
-report (Section 4.2), so :class:`HmacProvider` keeps each key's HMAC pad
-states -- the SHA-256 state after absorbing ``key ^ ipad`` plus the domain
-prefix, and after ``key ^ opad`` -- and finishes copies of them per call.
-The bytes are exactly those of ``hmac.new(key, domain + data, sha256)``.
+report (Section 4.2), so :class:`KeyedHashProvider` keeps, per key, one
+keyed BLAKE2s state for each function and finishes a copy of it per call.
+The bytes are exactly those of the one-shot ``hashlib.blake2s(data,
+key=k, digest_size=n, person=domain)``.
 
 A :class:`NullMacProvider` is also provided for large statistical sweeps
 (Figures 5-7 involve millions of packets): it preserves field lengths and
@@ -28,16 +30,13 @@ trivially forgeable by design.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
-
-if TYPE_CHECKING:
-    from hashlib import _Hash
+from hashlib import blake2s
+from typing import Protocol, runtime_checkable
 
 __all__ = [
     "MacProvider",
-    "HmacProvider",
+    "KeyedHashProvider",
     "NullMacProvider",
     "constant_time_equal",
     "DEFAULT_MAC_LEN",
@@ -52,14 +51,25 @@ DEFAULT_MAC_LEN = 4
 #: Default anonymous-ID field length in bytes.
 DEFAULT_ANON_ID_LEN = 4
 
+# BLAKE2s personalization strings (8 bytes each): H and H' are two
+# independent PRFs even under one key.
 _MAC_DOMAIN = b"pnm-mac\x00"
-_ANON_DOMAIN = b"pnm-anon\x00"
+_ANON_DOMAIN = b"pnm-anon"
 
-# RFC 2104 pads, applied to a whole key with ``bytes.translate`` (as the
-# stdlib ``hmac`` module does) rather than byte by byte.
-_BLOCK_SIZE = hashlib.sha256().block_size
-_IPAD = bytes(x ^ 0x36 for x in range(256))
-_OPAD = bytes(x ^ 0x5C for x in range(256))
+#: Longest key BLAKE2s takes as is; longer keys are hashed down first.
+_MAX_KEY_SIZE = blake2s.MAX_KEY_SIZE
+
+
+def _keyed_state(key: bytes, digest_size: int, person: bytes) -> blake2s:
+    """The keyed BLAKE2s state of one function under ``key``.
+
+    Keys longer than BLAKE2s's 32-byte limit are first reduced with
+    unkeyed BLAKE2s-256 under the same personalization, as RFC 2104 does
+    for long HMAC keys.
+    """
+    if len(key) > _MAX_KEY_SIZE:
+        key = blake2s(key, person=person).digest()
+    return blake2s(key=key, digest_size=digest_size, person=person)
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:
@@ -77,18 +87,18 @@ class MacProvider(Protocol):
     anon_id_len: int
 
     def mac(self, key: bytes, data: bytes) -> bytes:
-        """Compute ``H_k(data)`` truncated to :attr:`mac_len` bytes."""
+        """Compute ``H_k(data)``, :attr:`mac_len` bytes long."""
         ...
 
     def anon_id(self, key: bytes, data: bytes) -> bytes:
-        """Compute ``H'_k(data)`` truncated to :attr:`anon_id_len` bytes."""
+        """Compute ``H'_k(data)``, :attr:`anon_id_len` bytes long."""
         ...
 
 
-class HmacProvider:
-    """Real cryptographic provider: truncated HMAC-SHA256.
+class KeyedHashProvider:
+    """Real cryptographic provider: keyed BLAKE2s with short digests.
 
-    ``mac`` and ``anon_id`` use distinct domain-separation prefixes so they
+    ``mac`` and ``anon_id`` use distinct personalization strings so they
     behave as two independent PRFs even under the same key, matching the
     paper's use of two different one-way functions ``H`` and ``H'``.
     """
@@ -104,46 +114,44 @@ class HmacProvider:
             raise ValueError(f"anon_id_len must be in [1, 32], got {anon_id_len}")
         self.mac_len = mac_len
         self.anon_id_len = anon_id_len
-        # key -> (inner state for H, inner state for H', outer state).  One
-        # entry per distinct key seen, i.e. the deployment's key table.
-        # Concurrent first uses of a key build equal entries; either wins.
-        self._pads: dict[bytes, tuple[_Hash, _Hash, _Hash]] = {}
+        # key -> (keyed state for H, keyed state for H').  One entry per
+        # distinct key seen, i.e. the deployment's key table.  Concurrent
+        # first uses of a key build equal entries; either wins.
+        self._states: dict[bytes, tuple[blake2s, blake2s]] = {}
 
-    def _build_pads(self, key: bytes) -> tuple[_Hash, _Hash, _Hash]:
-        """Build and memoize ``key``'s three pad states."""
-        block = hashlib.sha256(key).digest() if len(key) > _BLOCK_SIZE else key
-        block = block.ljust(_BLOCK_SIZE, b"\x00")
-        mac_inner = hashlib.sha256(block.translate(_IPAD))
-        anon_inner = mac_inner.copy()
-        mac_inner.update(_MAC_DOMAIN)
-        anon_inner.update(_ANON_DOMAIN)
-        outer = hashlib.sha256(block.translate(_OPAD))
-        pads = self._pads[key] = (mac_inner, anon_inner, outer)
-        return pads
+    def _build_states(self, key: bytes) -> tuple[blake2s, blake2s]:
+        """Build and memoize ``key``'s two keyed states."""
+        states = self._states[key] = (
+            _keyed_state(key, self.mac_len, _MAC_DOMAIN),
+            _keyed_state(key, self.anon_id_len, _ANON_DOMAIN),
+        )
+        return states
 
-    # mac / anon_id finish copies of the pads inline: this is the sink's
+    # mac / anon_id finish copies of the states inline: this is the sink's
     # innermost loop, and a shared helper costs a third more per call.
 
     def mac(self, key: bytes, data: bytes) -> bytes:
-        """Compute ``H_k(data)``: domain-separated truncated HMAC-SHA256."""
-        pads = self._pads.get(key) or self._build_pads(key)
-        inner = pads[0].copy()
-        inner.update(data)
-        outer = pads[2].copy()
-        outer.update(inner.digest())
-        return outer.digest()[: self.mac_len]
+        """Compute ``H_k(data)``: keyed BLAKE2s under ``"pnm-mac\\0"``."""
+        state = (self._states.get(key) or self._build_states(key))[0].copy()
+        state.update(data)
+        return state.digest()
 
     def anon_id(self, key: bytes, data: bytes) -> bytes:
-        """Compute ``H'_k(data)``: the anonymous-ID PRF."""
-        pads = self._pads.get(key) or self._build_pads(key)
-        inner = pads[1].copy()
-        inner.update(data)
-        outer = pads[2].copy()
-        outer.update(inner.digest())
-        return outer.digest()[: self.anon_id_len]
+        """Compute ``H'_k(data)``: keyed BLAKE2s under ``"pnm-anon"``."""
+        state = (self._states.get(key) or self._build_states(key))[1].copy()
+        state.update(data)
+        return state.digest()
 
     def __repr__(self) -> str:
-        return f"HmacProvider(mac_len={self.mac_len}, anon_id_len={self.anon_id_len})"
+        return (
+            f"KeyedHashProvider(mac_len={self.mac_len}, "
+            f"anon_id_len={self.anon_id_len})"
+        )
+
+
+#: The provider's name before it moved from HMAC-SHA256 to keyed BLAKE2s;
+#: kept for callers that still import it.
+HmacProvider = KeyedHashProvider
 
 
 class NullMacProvider:

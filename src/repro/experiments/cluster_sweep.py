@@ -25,7 +25,7 @@ from repro.cluster.harness import Batch, ClusterResult, run_cluster
 from repro.cluster.ring import region_shard_key
 from repro.core.build import deploy
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.experiments.presets import QUICK, Preset
 from repro.experiments.tables import FigureResult
 from repro.obs.profiling import ObsProvider
@@ -147,7 +147,7 @@ def make_sink_factory(topology: Topology, keystore: KeyStore):
 
     def factory() -> TracebackSink:
         return TracebackSink(
-            PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
+            PNMMarking(mark_prob=1.0), keystore, KeyedHashProvider(), topology
         )
 
     return factory

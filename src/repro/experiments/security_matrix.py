@@ -97,7 +97,7 @@ EXPECTED_SUPPRESSED = {
 
 
 def run(preset: Preset = QUICK) -> FigureResult:
-    """Run the full matrix with real HMAC crypto."""
+    """Run the full matrix with real keyed-hash crypto."""
     columns = ["scheme"] + list(ATTACKS)
     rows = []
     for scheme in SCHEMES:

@@ -14,7 +14,7 @@ import time
 
 from repro.analysis.cost import MICA2_PACKETS_PER_SECOND, SinkCostModel
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.experiments.presets import QUICK, Preset
 from repro.experiments.tables import FigureResult
 from repro.marking.pnm import PNMMarking
@@ -27,8 +27,8 @@ NETWORK_SIZES = (100, 500, 1000, 2000, 5000)
 
 
 def measure_hash_rate(duration: float = 0.2) -> float:
-    """Measure this machine's truncated-HMAC throughput (hashes/second)."""
-    provider = HmacProvider()
+    """Measure this machine's keyed-hash MAC throughput (hashes/second)."""
+    provider = KeyedHashProvider()
     key = b"k" * 32
     data = b"d" * 64
     count = 0
@@ -42,7 +42,7 @@ def measure_hash_rate(duration: float = 0.2) -> float:
     return count / elapsed
 
 
-def _measure_table_build(network_size: int, provider: HmacProvider) -> float:
+def _measure_table_build(network_size: int, provider: KeyedHashProvider) -> float:
     """Measured seconds to build one message's anonymous-ID table."""
     scheme = PNMMarking(mark_prob=0.1)
     keystore = KeyStore.from_master_secret(b"cost", range(1, network_size + 1))
@@ -56,7 +56,7 @@ def _measure_table_build(network_size: int, provider: HmacProvider) -> float:
 
 def run(preset: Preset = QUICK) -> FigureResult:
     """Tabulate modelled and measured sink verification costs."""
-    provider = HmacProvider()
+    provider = KeyedHashProvider()
     measured_rate = measure_hash_rate()
     columns = [
         "network_size",

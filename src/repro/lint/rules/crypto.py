@@ -17,8 +17,9 @@ RL008 keeps the sink's hashing countable: under ``repro.marking``,
 ``repro.traceback`` and ``repro.service`` every MAC and anonymous ID goes
 through the injected ``MacProvider``, so a counting provider sees exactly
 the work Section 4.2's feasibility argument is about.  ``hmac.new``,
-``hmac.digest`` and reaching into ``HmacProvider``'s pad states
-(``_pads``/``_build_pads``) would hash behind the provider's back.
+``hmac.digest``, a keyed ``hashlib.blake2s``/``blake2b`` (the provider's
+own primitive) and reaching into ``KeyedHashProvider``'s per-key states
+(``_states``/``_build_states``) would hash behind the provider's back.
 """
 
 from __future__ import annotations
@@ -168,8 +169,24 @@ _RL008_SCOPE = (
 #: a comparison and stays legal).
 _HMAC_PRFS = {"new", "digest"}
 
-#: ``HmacProvider`` internals that would let a caller finish a hash itself.
-_PAD_ATTRS = {"_pads", "_build_pads"}
+#: ``hashlib`` constructors that become a MAC when given a ``key``.
+_KEYED_HASHES = {"blake2s", "blake2b"}
+
+#: ``KeyedHashProvider`` internals that would let a caller finish a hash
+#: itself.
+_STATE_ATTRS = {"_states", "_build_states"}
+
+
+def _is_keyed_hash_call(node: ast.Call) -> bool:
+    """``hashlib.blake2s(..., key=...)`` or a bare ``blake2b(key=...)``."""
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        named = func.attr in _KEYED_HASHES and (
+            isinstance(func.value, ast.Name) and func.value.id == "hashlib"
+        )
+    else:
+        named = isinstance(func, ast.Name) and func.id in _KEYED_HASHES
+    return named and any(kw.arg == "key" for kw in node.keywords)
 
 
 class UncountedPrfRule(Rule):
@@ -184,8 +201,12 @@ class UncountedPrfRule(Rule):
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.ImportFrom) and node.module == "hmac":
                 names = [a.name for a in node.names if a.name in _HMAC_PRFS]
+            elif isinstance(node, ast.ImportFrom) and node.module == "hashlib":
+                names = [a.name for a in node.names if a.name in _KEYED_HASHES]
+            elif isinstance(node, ast.Call) and _is_keyed_hash_call(node):
+                names = [f"keyed {ast.unparse(node.func)}"]
             elif isinstance(node, ast.Attribute) and (
-                node.attr in _PAD_ATTRS
+                node.attr in _STATE_ATTRS
                 or (
                     node.attr in _HMAC_PRFS
                     and isinstance(node.value, ast.Name)

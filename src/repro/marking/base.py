@@ -66,9 +66,9 @@ class PacketResolution:
 
     The verifier makes one per packet and hands it to
     :meth:`MarkingScheme.mark_checker`.  :meth:`table` builds the
-    exhaustive resolution table at most once, through ``build``.
-    Checkers add the time they spend resolving to ``seconds`` when
-    ``clock`` is set, and read no clock when it is ``None``.
+    exhaustive resolution table at most once, through ``build``.  When
+    ``clock`` is set, the table's build time and the checkers' bounded
+    searches add to ``seconds``; with ``None`` nothing reads a clock.
     """
 
     __slots__ = ("_build", "_table", "clock", "seconds")
@@ -86,7 +86,13 @@ class PacketResolution:
     def table(self) -> object | None:
         """The packet's exhaustive resolution table, built on first use."""
         if self._table is _UNBUILT:
-            self._table = self._build()
+            clock = self.clock
+            if clock is None:
+                self._table = self._build()
+            else:
+                start = clock()
+                self._table = self._build()
+                self.seconds += clock() - start
         return self._table
 
 
@@ -253,23 +259,24 @@ class MarkingScheme(abc.ABC):
         This default composes :meth:`candidate_marker_ids` and
         :meth:`verify_mark_as`.  Schemes override it to bind per-packet
         state once instead of once per mark.  Resolution time (table
-        builds, candidate search; not MAC checks) goes to
-        ``resolution.seconds`` when ``resolution.clock`` is set.
+        builds, bounded candidate search; not table lookups or MAC
+        checks) goes to ``resolution.seconds`` when ``resolution.clock``
+        is set.
         """
         clock = resolution.clock
 
         def check(index: int, search: list[int] | None) -> list[int]:
-            start = clock() if clock is not None else 0.0
             if search is None:
                 candidates = self.candidate_marker_ids(
                     packet, index, keystore, provider, table=resolution.table()
                 )
             else:
+                start = clock() if clock is not None else 0.0
                 candidates = self.candidate_marker_ids(
                     packet, index, keystore, provider, search_ids=search
                 )
-            if clock is not None:
-                resolution.seconds += clock() - start
+                if clock is not None:
+                    resolution.seconds += clock() - start
             return [
                 node_id
                 for node_id in candidates

@@ -189,12 +189,12 @@ class PNMMarking(MarkingScheme):
             id_field, mark_mac = marks[index]
             if len(id_field) != id_len or len(mark_mac) != mac_len:
                 return []
-            start = clock() if clock is not None else 0.0
             if search is None:
                 table = resolution.table()
                 assert isinstance(table, dict)
                 matches = table.get(id_field, ())
             else:
+                start = clock() if clock is not None else 0.0
                 matches = []
                 for node_id in search:
                     anon = memo.get(node_id)
@@ -214,8 +214,8 @@ class PNMMarking(MarkingScheme):
                         )
                     if anon == id_field:
                         matches.append(node_id)
-            if clock is not None:
-                resolution.seconds += clock() - start
+                if clock is not None:
+                    resolution.seconds += clock() - start
             if not matches:
                 return []
             signed = wire[: ends[index]] + id_field

@@ -104,7 +104,7 @@ class ObsProvider:
         # Unlabeled instruments by name, so the per-packet hooks skip the
         # registry's get-or-create (and its lock) after first use.
         self._counters: dict[str, Counter] = {}
-        self._timed: dict[str, HistogramSeries] = {}
+        self._histograms: dict[str, HistogramSeries] = {}
 
     # Metrics shortcuts -------------------------------------------------------
 
@@ -128,21 +128,23 @@ class ObsProvider:
 
     def observe(self, name: str, value: float, times: int = 1, **labels: Any) -> None:
         """Observe into the histogram ``name`` (created on first use)."""
-        self.registry.histogram(name, label_names=tuple(sorted(labels))).observe(
-            value, times=times, **labels
-        )
+        self._series(name, labels).observe(value, times=times)
 
     def timer(self, name: str, **labels: Any) -> _Timer:
         """A context manager timing its block into histogram ``name``."""
+        return _Timer(self._series(name, labels), self.clock)
+
+    def _series(self, name: str, labels: dict[str, Any]) -> HistogramSeries:
+        """The histogram series ``name``/``labels`` selects; unlabeled
+        series are cached by name."""
         if labels:
-            series = self.registry.histogram(
+            return self.registry.histogram(
                 name, label_names=tuple(sorted(labels))
             ).data(**labels)
-            return _Timer(series, self.clock)
-        plain = self._timed.get(name)
+        plain = self._histograms.get(name)
         if plain is None:
-            plain = self._timed[name] = self.registry.histogram(name).data()
-        return _Timer(plain, self.clock)
+            plain = self._histograms[name] = self.registry.histogram(name).data()
+        return plain
 
     def __repr__(self) -> str:
         tracing = "tracing" if self.tracer is not None else "no tracer"

@@ -25,13 +25,12 @@ preserve as-is.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Any
+from typing import IO, Any, NamedTuple
 
 from repro.packets.report import Report
 
@@ -46,13 +45,13 @@ def report_key(report: Report) -> bytes:
     """The content identity of a report (shared with ``PacketTracer``).
 
     Both tracing layers key packets by the same digest so a span chain
-    bound here can be joined from anywhere the report is visible.
+    bound here can be joined from anywhere the report is visible.  The
+    digest is computed once per report object (:attr:`Report.trace_key`).
     """
-    return hashlib.sha256(b"trace" + report.encode()).digest()[:8]
+    return report.trace_key
 
 
-@dataclass(frozen=True)
-class SpanContext:
+class SpanContext(NamedTuple):
     """The propagatable identity of a span: its trace and span ids."""
 
     trace_id: str
@@ -178,8 +177,17 @@ class Tracer:
         time: float | None,
         attrs: dict[str, Any],
         bind_key: bytes | None = None,
+        instant: bool = False,
     ) -> Span:
-        """:meth:`start`; with ``bind_key``, :meth:`chain` under one lock."""
+        """:meth:`start` under one lock.
+
+        With ``bind_key``, the parent is whatever the key is bound to and
+        the key is re-bound to the new span (:meth:`chain`).  An
+        ``instant`` span is finished at its start and recorded under the
+        same lock (:meth:`event`).
+        """
+        at = self.clock() if time is None else time
+        line = None
         with self._lock:
             if bind_key is not None:
                 parent = self._bindings.get(bind_key)
@@ -193,15 +201,26 @@ class Tracer:
                 self._trace_seq += 1
                 tid = f"{self.id_prefix}t{self._trace_seq:07d}"
             if bind_key is not None:
-                self._bindings[bind_key] = SpanContext(trace_id=tid, span_id=span_id)
-        return Span(
-            trace_id=tid,
-            span_id=span_id,
-            parent_id=parent.span_id if parent is not None else None,
-            name=name,
-            start=self.clock() if time is None else time,
-            attrs=attrs,
-        )
+                self._bindings[bind_key] = SpanContext(tid, span_id)
+            span = Span(
+                tid,
+                span_id,
+                parent.span_id if parent is not None else None,
+                name,
+                at,
+                at if instant else None,
+                attrs,
+            )
+            if instant:
+                if len(self.finished) < self.max_spans:
+                    self.finished.append(span)
+                else:
+                    self.truncated = True
+                if self.sink is not None:
+                    line = json.dumps(span.as_dict(), sort_keys=True)
+        if line is not None and self.sink is not None:
+            self.sink.write(line + "\n")
+        return span
 
     def finish(self, span: Span, time: float | None = None) -> Span:
         """Close ``span`` and record it (idempotent per span object)."""
@@ -263,9 +282,12 @@ class Tracer:
         return self._open(name, None, None, time, attrs, bind_key=key)
 
     def event(self, key: bytes, name: str, time: float | None = None, **attrs: Any) -> Span:
-        """A zero-duration chained span (simulation lifecycle events)."""
-        span = self.chain(key, name, time=time, **attrs)
-        return self.finish(span, time=span.start)
+        """A zero-duration chained span (lifecycle events, per-packet stages).
+
+        Equal to :meth:`chain` then :meth:`finish` at the span's start,
+        under one lock.
+        """
+        return self._open(name, None, None, time, attrs, bind_key=key, instant=True)
 
     # Queries -----------------------------------------------------------------
 

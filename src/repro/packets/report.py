@@ -9,6 +9,7 @@ suppression would discard them (Section 2.3, footnote 2).
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -72,6 +73,15 @@ class Report:
             + self.event
             + _TRAILER.pack(x_mm, y_mm, self.timestamp)
         )
+
+    @cached_property
+    def trace_key(self) -> bytes:
+        """The report's content identity for tracing (``report_key``).
+
+        Computed once per report object, like :meth:`encode`'s bytes: the
+        verifier's and the sink's spans both key on it.
+        """
+        return hashlib.sha256(b"trace" + self._wire).digest()[:8]
 
     @property
     def wire_len(self) -> int:

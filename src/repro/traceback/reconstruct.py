@@ -25,13 +25,16 @@ so every reachability question -- loop membership, source components,
 the loop's attachment point, the most upstream tamper stop -- is a set
 lookup, and no strongly-connected-component pass remains.  The closure
 holds O(sum over nodes of their reach) entries: at most n^2 for n
-observed markers, about n^2/2 on a line.
+observed markers, about n^2/2 on a line.  A finished edge set, such as
+the merged evidence of a sharded sink, is built in bulk instead
+(:meth:`PrecedenceGraph.from_edges`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Set
+from collections.abc import Iterable, Iterator, Set
 from dataclasses import dataclass
+from itertools import chain
 
 __all__ = ["PrecedenceGraph", "RouteAnalysis"]
 
@@ -95,6 +98,58 @@ class PrecedenceGraph:
         self._version = 0
         self._analysis: RouteAnalysis | None = None
         self._analysis_version = -1
+
+    @classmethod
+    def from_edges(
+        cls, nodes: Iterable[int], edges: Iterable[tuple[int, int]]
+    ) -> PrecedenceGraph:
+        """The graph ``add_chain([node])`` per node, then ``add_chain([u,
+        v])`` per edge, would build -- in bulk when the edges are acyclic.
+
+        An acyclic graph's closure comes from one pass of unions in
+        reverse topological order (and its ancestor sets from one in
+        topological order) instead of the per-edge upkeep; a cycle falls
+        back to replaying the edges through :meth:`add_chain`.
+        """
+        nodes, edges = list(nodes), list(edges)
+        graph = cls()
+        succ, pred = graph._succ, graph._pred
+        for node in [*nodes, *chain.from_iterable(edges)]:
+            if node not in succ:
+                succ[node], pred[node] = set(), set()
+        for upstream, downstream in edges:
+            if upstream != downstream:
+                succ[upstream].add(downstream)
+                pred[downstream].add(upstream)
+        # Kahn's order: a node follows all of its predecessors.
+        waiting = {node: len(above) for node, above in pred.items()}
+        order = [node for node, count in waiting.items() if not count]
+        for node in order:
+            for below in succ[node]:
+                waiting[below] -= 1
+                if not waiting[below]:
+                    order.append(below)
+        if len(order) < len(succ):
+            graph = cls()
+            for node in nodes:
+                graph.add_chain([node])
+            for edge in edges:
+                graph.add_chain(list(edge))
+            return graph
+        desc, anc = graph._desc, graph._anc
+        for node in reversed(order):
+            reach = {node}
+            for below in succ[node]:
+                reach |= desc[below]
+            desc[node] = reach
+        for node in order:
+            reach = {node}
+            for above in pred[node]:
+                reach |= anc[above]
+            anc[node] = reach
+        graph._roots = {node for node in succ if not pred[node]}
+        graph._version = len(succ) + sum(map(len, succ.values()))
+        return graph
 
     def add_chain(self, chain_ids: list[int]) -> None:
         """Record one packet's verified marker chain (upstream first).

@@ -108,12 +108,7 @@ class SinkEvidence:
 
 def evidence_precedence(evidence: SinkEvidence) -> PrecedenceGraph:
     """Rebuild the precedence graph a :class:`SinkEvidence` describes."""
-    precedence = PrecedenceGraph()
-    for node in evidence.nodes:
-        precedence.add_chain([node])
-    for upstream, downstream in evidence.edges:
-        precedence.add_chain([upstream, downstream])
-    return precedence
+    return PrecedenceGraph.from_edges(evidence.nodes, evidence.edges)
 
 
 def compute_verdict(

@@ -161,13 +161,12 @@ class PacketVerifier:
             self.obs.inc("resolver_fallbacks_total", result.fallback_searches)
         tracer = self.obs.tracer
         if tracer is not None:
-            span = tracer.chain(
+            tracer.event(
                 report_key(packet.report),
                 "verify",
                 marks=len(packet.marks),
                 verified=len(result.verified),
             )
-            tracer.finish(span, time=span.start)
         return result
 
     def _verify(self, packet: MarkedPacket) -> PacketVerification:

@@ -21,7 +21,7 @@ it is answered ``OVERSIZED`` instead -- also before anything is
 submitted, and not worth retrying.
 
 Verification runs inline in the event loop, one batch at a time.  That
-is deliberate: the pure-Python HMACs hold the GIL, and the sink's merge
+is deliberate: the short keyed hashes hold the GIL, and the sink's merge
 step is serial by contract anyway, so a second thread would buy nothing
 but reordering hazards.
 """

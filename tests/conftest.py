@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.marking.base import MarkingScheme, NodeContext
 from repro.packets.packet import MarkedPacket
 from repro.packets.report import Report
@@ -16,8 +16,8 @@ MASTER = b"test-master-secret"
 
 
 @pytest.fixture
-def provider() -> HmacProvider:
-    return HmacProvider(mac_len=4, anon_id_len=4)
+def provider() -> KeyedHashProvider:
+    return KeyedHashProvider(mac_len=4, anon_id_len=4)
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def packet(report: Report) -> MarkedPacket:
 def ctx_for(
     node_id: int,
     keystore: KeyStore,
-    provider: HmacProvider,
+    provider: KeyedHashProvider,
     seed: int = 0,
 ) -> NodeContext:
     """A deterministic node context for tests."""
@@ -54,7 +54,7 @@ def ctx_for(
 def mark_through_path(
     scheme: MarkingScheme,
     keystore: KeyStore,
-    provider: HmacProvider,
+    provider: KeyedHashProvider,
     path_ids: list[int],
     packet: MarkedPacket,
     seed: int = 0,

@@ -20,7 +20,7 @@ from repro.cluster.coordinator import ClusterCoordinator, report_json, verdict_j
 from repro.cluster.harness import run_cluster
 from repro.cluster.ring import ShardRing, region_shard_key
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.faults.attribution import DropAttribution
 from repro.faults.schedule import FaultSchedule
 from repro.marking.base import NodeContext
@@ -46,7 +46,7 @@ def build_algebraic_workload():
     whose single replaced mark is what the shards must merge statefully.
     """
     scheme = AlgebraicMarking()
-    provider = HmacProvider()
+    provider = KeyedHashProvider()
     topology = grid_topology(GRID_SIDE, GRID_SIDE)
     keystore = KeyStore.from_master_secret(MASTER, topology.sensor_nodes())
     routing = build_routing_tree(topology)
@@ -107,7 +107,7 @@ def workload():
 def make_algebraic_sink_factory(topology, keystore):
     def factory():
         return AlgebraicTracebackSink(
-            AlgebraicMarking(), keystore, HmacProvider(), topology
+            AlgebraicMarking(), keystore, KeyedHashProvider(), topology
         )
 
     return factory
@@ -115,7 +115,7 @@ def make_algebraic_sink_factory(topology, keystore):
 
 def serial_reference(topology, keystore, batches):
     sink = AlgebraicTracebackSink(
-        AlgebraicMarking(), keystore, HmacProvider(), topology
+        AlgebraicMarking(), keystore, KeyedHashProvider(), topology
     )
     for chunk, delivering in batches:
         for packet in chunk:

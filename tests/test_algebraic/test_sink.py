@@ -14,7 +14,7 @@ from repro.algebraic.sink import (
 )
 from repro.cluster.coordinator import verdict_json
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.marking.base import NodeContext
 from repro.marking.pnm import PNMMarking
 from repro.net.links import LinkModel
@@ -47,7 +47,7 @@ class _GarbleAccumulator(Attack):
 def run_linear_sim(n_forwarders, packets, mole_id=None, attack=None):
     topology, source_id = linear_path_topology(n_forwarders)
     routing = RepairingRoutingTable(topology)
-    provider = HmacProvider()
+    provider = KeyedHashProvider()
     keystore = KeyStore.from_master_secret(MASTER, topology.sensor_nodes())
     scheme = AlgebraicMarking()
     sink = AlgebraicTracebackSink(scheme, keystore, provider, topology)
@@ -133,7 +133,7 @@ class TestObservationExtraction:
     @pytest.fixture
     def sink_parts(self):
         topology, _source = linear_path_topology(3)
-        provider = HmacProvider()
+        provider = KeyedHashProvider()
         keystore = KeyStore.from_master_secret(MASTER, topology.sensor_nodes())
         return topology, keystore, provider
 

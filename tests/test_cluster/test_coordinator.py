@@ -103,7 +103,7 @@ class TestMergeEvidence:
 class TestCanonicalJson:
     def make_verdict(self):
         from repro.crypto.keys import KeyStore
-        from repro.crypto.mac import HmacProvider
+        from repro.crypto.mac import KeyedHashProvider
         from repro.marking.pnm import PNMMarking
         from repro.net.topology import grid_topology
         from repro.traceback.sink import TracebackSink
@@ -113,7 +113,7 @@ class TestCanonicalJson:
         keystore = KeyStore.from_master_secret(
             MASTER, topology.sensor_nodes()
         )
-        provider = HmacProvider()
+        provider = KeyedHashProvider()
         sink = TracebackSink(
             PNMMarking(mark_prob=1.0), keystore, provider, topology
         )

@@ -24,7 +24,7 @@ from repro.cluster.coordinator import (
 )
 from repro.cluster.harness import LocalCluster, run_cluster
 from repro.cluster.ring import ShardRing, region_shard_key
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.experiments.cluster_sweep import (
     build_cluster_workload,
     make_sink_factory,
@@ -50,7 +50,7 @@ def workload():
 
 def serial_reference(topology, keystore, batches) -> TracebackSink:
     sink = TracebackSink(
-        PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
+        PNMMarking(mark_prob=1.0), keystore, KeyedHashProvider(), topology
     )
     for chunk, delivering in batches:
         for packet in chunk:

@@ -8,7 +8,7 @@ from repro.cluster.harness import LocalCluster
 from repro.cluster.ring import ShardRing, region_shard_key
 from repro.cluster.router import ShardDownError, ShardRouter
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.experiments.cluster_sweep import (
     build_cluster_workload,
     make_sink_factory,
@@ -45,7 +45,7 @@ def all_packets(workload):
 def make_sink(workload) -> TracebackSink:
     topology, keystore, _batches, _sources = workload
     return TracebackSink(
-        PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
+        PNMMarking(mark_prob=1.0), keystore, KeyedHashProvider(), topology
     )
 
 

@@ -20,7 +20,7 @@ from repro.cluster.coordinator import ClusterCoordinator, verdict_json
 from repro.cluster.harness import LocalCluster, run_cluster
 from repro.cluster.ring import ShardRing, region_shard_key
 from repro.cluster.router import ShardRouter
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.experiments.cluster_sweep import (
     build_cluster_workload,
     make_sink_factory,
@@ -58,7 +58,7 @@ def all_packets(workload):
 def make_sink(workload) -> TracebackSink:
     topology, keystore, _batches, _sources = workload
     return TracebackSink(
-        PNMMarking(mark_prob=1.0), keystore, HmacProvider(), topology
+        PNMMarking(mark_prob=1.0), keystore, KeyedHashProvider(), topology
     )
 
 

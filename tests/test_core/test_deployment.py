@@ -4,7 +4,7 @@ import random
 
 from repro.core.build import Deployment, deploy
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider, NullMacProvider
+from repro.crypto.mac import KeyedHashProvider, NullMacProvider
 from repro.net.topology import grid_topology
 
 SECRET = b"deployment-test"
@@ -32,7 +32,7 @@ class TestDeployment:
             assert ctx.prev_hop is None
 
     def test_default_provider_is_hmac(self):
-        assert isinstance(make().provider, HmacProvider)
+        assert isinstance(make().provider, KeyedHashProvider)
 
     def test_passed_provider_is_kept(self):
         provider = NullMacProvider()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.marking.pnm import PNMMarking
 from repro.net.links import LinkModel
 from repro.net.topology import grid_topology
@@ -31,7 +31,7 @@ def make_grid_sim(
     """
     topo = grid_topology(side, side, sink_at="corner")
     routing = RepairingRoutingTable(topo)
-    provider = HmacProvider()
+    provider = KeyedHashProvider()
     keystore = KeyStore.from_master_secret(MASTER, topo.sensor_nodes())
     scheme = PNMMarking(mark_prob=mark_prob)
     behaviors = {

@@ -5,7 +5,7 @@ import random
 from repro.adversary.attacks import Attack, MarkAlteringAttack
 from repro.adversary.moles import ForwardingMole
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
@@ -36,7 +36,7 @@ class DropEverythingAttack(Attack):
 
 
 def make_mole(topo, node_id, attack, mark_prob=0.5):
-    provider = HmacProvider()
+    provider = KeyedHashProvider()
     keystore = KeyStore.from_master_secret(MASTER, topo.sensor_nodes())
     return ForwardingMole(
         ctx_for(node_id, keystore, provider), PNMMarking(mark_prob=mark_prob), attack

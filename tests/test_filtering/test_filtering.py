@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.filtering.freshness import FreshnessFilter
 from repro.filtering.sef import (
     Endorsement,
@@ -150,7 +150,7 @@ class _PassThrough:
 class TestSefFilterForwarder:
     def setup_method(self):
         self.pool = KeyPool(b"m", 100, 10, 5)
-        self.provider = HmacProvider()
+        self.provider = KeyedHashProvider()
         self.witnesses = [(0, self.pool.key(0)), (10, self.pool.key(10)), (20, self.pool.key(20))]
 
     def legit_packet(self):

@@ -2,7 +2,8 @@
 """RL008 negative: every hash goes through the injected provider.
 
 ``hmac.compare_digest`` compares and computes nothing, so it stays legal;
-the rule is also path-scoped, so ``repro/crypto/`` may build its pads.
+the rule is also path-scoped, so ``repro/crypto/`` may build its keyed
+states.
 """
 
 import hmac

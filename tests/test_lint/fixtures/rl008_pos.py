@@ -10,4 +10,4 @@ def anon_id(provider, key: bytes, data: bytes) -> bytes:
 
 
 def inner_state(provider, key: bytes):
-    return provider._pads.get(key)
+    return provider._states.get(key)

@@ -57,3 +57,17 @@ class TestFixtures:
                 f"{rule_id}: expected 2 findings, got "
                 f"{[f.anchor for f in result.findings]}"
             )
+
+
+class TestKeyedHashFixtures:
+    """RL008 also covers the provider's own primitive, keyed BLAKE2."""
+
+    def test_keyed_blake2_call_and_import_flagged(self):
+        result = _lint_fixture("rl008_keyed_pos.py")
+        assert [(f.rule_id, f.line) for f in result.findings] == [
+            ("RL008", 5),
+            ("RL008", 9),
+        ]
+
+    def test_unkeyed_digests_clean(self):
+        assert _lint_fixture("rl008_keyed_neg.py").findings == []

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.keys import KeyStore, derive_node_key
-from repro.crypto.mac import HmacProvider, NullMacProvider
+from repro.crypto.mac import KeyedHashProvider, NullMacProvider
 from repro.marking.pnm import PNMMarking
 from repro.packets.packet import MarkedPacket
 from repro.packets.report import Report
@@ -37,10 +37,10 @@ class TestAnonymousIds:
         assert len(ids) == 14  # no collisions in this small sample
 
     def test_anon_id_requires_matching_length(self, keystore, report):
-        from repro.crypto.mac import HmacProvider
+        from repro.crypto.mac import KeyedHashProvider
 
         scheme = PNMMarking(mark_prob=1.0, anon_id_len=4)
-        mismatched = HmacProvider(anon_id_len=2)
+        mismatched = KeyedHashProvider(anon_id_len=2)
         with pytest.raises(ValueError, match="length"):
             scheme.anonymous_id(mismatched, keystore[1], report.encode(), 1)
 
@@ -90,9 +90,9 @@ class TestResolution:
     def test_truncation_collisions_resolved_by_mac(self, keystore, provider, packet):
         # With 1-byte anonymous IDs, collisions happen; candidate sets may
         # have several nodes, but only the true marker's MAC verifies.
-        from repro.crypto.mac import HmacProvider
+        from repro.crypto.mac import KeyedHashProvider
 
-        tiny = HmacProvider(mac_len=4, anon_id_len=1)
+        tiny = KeyedHashProvider(mac_len=4, anon_id_len=1)
         scheme = PNMMarking(mark_prob=1.0, anon_id_len=1)
         marked = mark_through_path(scheme, keystore, tiny, [5], packet)
         candidates = scheme.candidate_marker_ids(marked, 0, keystore, tiny)
@@ -132,8 +132,8 @@ class TestNestedProtection:
         assert not scheme.verify_mark_as(other, 0, 1, keystore[1], provider)
 
 
-class CountingProvider(HmacProvider):
-    """An :class:`HmacProvider` that counts its anonymous-ID calls."""
+class CountingProvider(KeyedHashProvider):
+    """A :class:`KeyedHashProvider` that counts its anonymous-ID calls."""
 
     def __init__(self, anon_id_len: int) -> None:
         super().__init__(anon_id_len=anon_id_len)
@@ -171,7 +171,7 @@ GAPPY = KeyStore(
 class TestExhaustiveTable:
     @pytest.mark.parametrize(
         "provider",
-        [HmacProvider(), HmacProvider(anon_id_len=1), NullMacProvider()],
+        [KeyedHashProvider(), KeyedHashProvider(anon_id_len=1), NullMacProvider()],
         ids=["hmac", "hmac-1-byte", "null"],
     )
     def test_matches_per_key_reference(self, provider, report):
@@ -184,7 +184,7 @@ class TestExhaustiveTable:
             assert all(ids == sorted(ids) for ids in table.values())
 
     def test_bounded_branch_skips_keyless_ids(self, report):
-        provider = HmacProvider(anon_id_len=1)
+        provider = KeyedHashProvider(anon_id_len=1)
         scheme = PNMMarking(mark_prob=1.0, anon_id_len=1)
         packet = MarkedPacket(report=report)
         search = [999, 4, 3, 1000, 2000, 41, 0, 1003, 7]

@@ -7,7 +7,7 @@ reflected in docs/protocol.md).
 """
 
 from repro.crypto.keys import derive_node_key
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.crypto.pairwise import derive_pairwise_key
 from repro.marking.base import NodeContext
 from repro.marking.nested import NestedMarking
@@ -16,7 +16,7 @@ from repro.packets.packet import MarkedPacket
 from repro.packets.report import Report
 
 MASTER = b"golden-master"
-PROVIDER = HmacProvider(mac_len=4, anon_id_len=4)
+PROVIDER = KeyedHashProvider(mac_len=4, anon_id_len=4)
 
 
 def fixed_report() -> Report:
@@ -91,7 +91,8 @@ class TestGoldenMarks:
 
     def test_mac_and_anon_domains_differ(self):
         # The same key and data through H and H' must differ (domain
-        # separation pinned by the "pnm-mac\0" / "pnm-anon\0" prefixes).
+        # separation pinned by the "pnm-mac\0" / "pnm-anon" BLAKE2s
+        # personalization strings).
         key = derive_node_key(MASTER, 1)
         assert PROVIDER.mac(key, b"data") != PROVIDER.anon_id(key, b"data")
 

@@ -33,7 +33,7 @@ from repro.algebraic.marking import (
 from repro.algebraic.sink import AlgebraicTracebackSink
 from repro.algebraic.solver import AlgebraicObservation, AlgebraicSolver
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
@@ -52,7 +52,7 @@ from repro.sim.network import NetworkSimulation
 from repro.sim.sources import HonestReportSource
 from repro.sim.tracing import PacketTracer
 
-PROVIDER = HmacProvider()
+PROVIDER = KeyedHashProvider()
 MASTER = b"algebraic-property-master"
 
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
@@ -38,7 +38,7 @@ from repro.sim.sources import HonestReportSource
 from repro.sim.tracing import PacketTracer
 from repro.traceback.sink import TracebackSink
 
-PROVIDER = HmacProvider()
+PROVIDER = KeyedHashProvider()
 MASTER = b"faults-property-master"
 
 

@@ -27,7 +27,7 @@ from repro.adversary.attacks import (
 from repro.adversary.coalition import Coalition
 from repro.adversary.moles import ForwardingMole
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.marking.base import NodeContext
 from repro.marking.nested import NestedMarking
 from repro.net.topology import linear_path_topology
@@ -36,7 +36,7 @@ from repro.sim.pipeline import PathPipeline
 from repro.sim.sources import BogusReportSource
 from repro.traceback.sink import TracebackSink
 
-PROVIDER = HmacProvider()
+PROVIDER = KeyedHashProvider()
 MASTER = b"property-master"
 
 

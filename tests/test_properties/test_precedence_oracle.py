@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.coordinator import verdict_json
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import Topology, linear_path_topology
 from repro.packets.packet import MarkedPacket
@@ -38,7 +38,7 @@ N_FORWARDERS = 6
 TOPOLOGY, _SOURCE = linear_path_topology(N_FORWARDERS)
 MARKERS = sorted(TOPOLOGY.sensor_nodes())
 KEYSTORE = KeyStore.from_master_secret(b"oracle", MARKERS)
-PROVIDER = HmacProvider(mac_len=4, anon_id_len=4)
+PROVIDER = KeyedHashProvider(mac_len=4, anon_id_len=4)
 SCHEME = PNMMarking(mark_prob=0.5)
 
 

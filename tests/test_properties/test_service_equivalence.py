@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import linear_path_topology
 from repro.packets.packet import MarkedPacket
@@ -27,7 +27,7 @@ from repro.service import SinkIngestService
 from repro.traceback.sink import TracebackSink
 from tests.conftest import mark_through_path
 
-PROVIDER = HmacProvider()
+PROVIDER = KeyedHashProvider()
 SCHEME = PNMMarking(mark_prob=1.0)
 
 

@@ -23,7 +23,7 @@ from repro.adversary.attacks import MarkAlteringAttack
 from repro.adversary.moles import ForwardingMole
 from repro.adversary.watchdog import AccusationSuppressor, LyingWatchdog
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
@@ -62,7 +62,7 @@ def run_deployment(
     """One chain run; returns ``(sim, sink, layer, tracer, injector)``."""
     topology, source_id = linear_path_topology(n)
     routing = RepairingRoutingTable(topology)
-    provider = HmacProvider()
+    provider = KeyedHashProvider()
     keystore = KeyStore.from_master_secret(b"wd-prop", topology.sensor_nodes())
     scheme = PNMMarking(mark_prob=2.0 / n)
 

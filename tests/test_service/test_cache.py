@@ -3,7 +3,7 @@ invalidation."""
 
 import pytest
 
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.crypto.keys import KeyStore
 from repro.isolation import RevocationList
 from repro.marking.pnm import PNMMarking
@@ -16,7 +16,7 @@ from repro.traceback.sink import TracebackSink
 from repro.net.topology import linear_path_topology
 from tests.conftest import mark_through_path
 
-PROVIDER = HmacProvider()
+PROVIDER = KeyedHashProvider()
 SCHEME = PNMMarking(mark_prob=1.0)
 
 

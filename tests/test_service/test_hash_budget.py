@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.experiments.cluster_sweep import build_cluster_workload
 from repro.marking.pnm import PNMMarking
 from repro.packets.marks import Mark
@@ -26,8 +26,8 @@ from repro.service import SinkIngestService
 from repro.traceback.sink import TracebackSink
 
 
-class CountingProvider(HmacProvider):
-    """An :class:`HmacProvider` that counts its two PRFs' calls."""
+class CountingProvider(KeyedHashProvider):
+    """A :class:`KeyedHashProvider` that counts its two PRFs' calls."""
 
     def __init__(self) -> None:
         super().__init__()

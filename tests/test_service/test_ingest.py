@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.isolation import RevocationList
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import linear_path_topology
@@ -23,7 +23,7 @@ from repro.traceback.sink import TracebackSink
 from tests.conftest import ctx_for, mark_through_path
 from tests.test_service.test_learned_route import offered_ids
 
-PROVIDER = HmacProvider()
+PROVIDER = KeyedHashProvider()
 SCHEME = PNMMarking(mark_prob=1.0)
 N_FORWARDERS = 6
 

@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import linear_path_topology
 from repro.packets.packet import MarkedPacket
@@ -22,7 +22,7 @@ from repro.service import SinkIngestService
 from repro.traceback.sink import TracebackSink
 from tests.conftest import mark_through_path
 
-PROVIDER = HmacProvider()
+PROVIDER = KeyedHashProvider()
 SCHEME = PNMMarking(mark_prob=1.0)
 N_FORWARDERS = 6
 PACKETS = 48

@@ -10,7 +10,7 @@ which is append-only evidence, keeps their edges.
 import pytest
 
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import linear_path_topology
 from repro.packets.packet import MarkedPacket
@@ -20,7 +20,7 @@ from repro.traceback.sink import TracebackSink
 from tests.conftest import mark_through_path
 from tests.test_traceback.test_verify_equivalence import delivered_packets
 
-PROVIDER = HmacProvider()
+PROVIDER = KeyedHashProvider()
 SCHEME = PNMMarking(mark_prob=1.0)
 ROUTE = [1, 2, 3, 4, 5, 6]
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.marking.pnm import PNMMarking
 from repro.net.links import LinkModel
 from repro.net.topology import grid_topology
@@ -20,7 +20,7 @@ from tests.conftest import MASTER, ctx_for
 def make_sim(loss_prob=0.0, mark_prob=0.5):
     topo = grid_topology(4, 4, sink_at="corner")
     routing = build_routing_tree(topo)
-    provider = HmacProvider()
+    provider = KeyedHashProvider()
     keystore = KeyStore.from_master_secret(MASTER, topo.sensor_nodes())
     scheme = PNMMarking(mark_prob=mark_prob)
     behaviors = {

@@ -22,9 +22,9 @@ from tests.conftest import MASTER, ctx_for
 
 
 def make_pipeline(n=6, scheme=None, provider=None):
-    from repro.crypto.mac import HmacProvider
+    from repro.crypto.mac import KeyedHashProvider
 
-    provider = provider or HmacProvider()
+    provider = provider or KeyedHashProvider()
     scheme = scheme or NestedMarking()
     topo, source_id = linear_path_topology(n)
     keystore = KeyStore.from_master_secret(MASTER, topo.sensor_nodes())

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.marking.pnm import PNMMarking
 from repro.net.links import LinkModel
 from repro.net.topology import linear_path_topology
@@ -22,7 +22,7 @@ from tests.conftest import MASTER, ctx_for
 def traced_simulation(loss_prob=0.0, tracer=None):
     topo, source_id = linear_path_topology(5)
     routing = build_routing_tree(topo)
-    provider = HmacProvider()
+    provider = KeyedHashProvider()
     keystore = KeyStore.from_master_secret(MASTER, topo.sensor_nodes())
     scheme = PNMMarking(mark_prob=0.5)
     behaviors = {

@@ -88,13 +88,13 @@ class TestMultiSource:
 
     def test_min_support_validation(self, deployment):
         topo, routing, behaviors, _ = deployment
-        from repro.crypto.mac import HmacProvider
+        from repro.crypto.mac import KeyedHashProvider
 
         with pytest.raises(ValueError):
             MultiSourceTracebackSink(
                 PNMMarking(mark_prob=0.4),
                 KeyStore.from_master_secret(MASTER, [1]),
-                HmacProvider(),
+                KeyedHashProvider(),
                 topo,
                 min_support=0,
             )

@@ -11,7 +11,7 @@ from repro.adversary.attacks import MarkAlteringAttack
 from repro.adversary.moles import ForwardingMole
 from repro.adversary.watchdog import AccusationSuppressor, LyingWatchdog
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.marking.base import NodeContext
 from repro.marking.pnm import PNMMarking
 from repro.net.links import LinkModel, LinkTable
@@ -49,7 +49,7 @@ def build_sim(
     else:
         topology, source_id = linear_path_topology(n)
     routing = RepairingRoutingTable(topology)
-    provider = HmacProvider()
+    provider = KeyedHashProvider()
     keystore = KeyStore.from_master_secret(b"wd-layer-test", topology.sensor_nodes())
     scheme = PNMMarking(mark_prob=0.25)
 

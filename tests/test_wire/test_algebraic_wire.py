@@ -18,7 +18,7 @@ import pytest
 from repro.algebraic.marking import ACCUMULATOR_LEN, AlgebraicMarking, pack_accumulator
 from repro.algebraic.sink import AlgebraicTracebackSink
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import HmacProvider
+from repro.crypto.mac import KeyedHashProvider
 from repro.net.topology import linear_path_topology
 from repro.packets.marks import Mark, MarkFormat
 from repro.packets.packet import MarkedPacket
@@ -111,7 +111,7 @@ class TestAlgebraicFramesEndToEnd:
         topology, _source = linear_path_topology(3)
         keystore = KeyStore.from_master_secret(b"wire-test", topology.sensor_nodes())
         sink = AlgebraicTracebackSink(
-            AlgebraicMarking(), keystore, HmacProvider(), topology
+            AlgebraicMarking(), keystore, KeyedHashProvider(), topology
         )
         sink.receive(decoded, delivering_node=3)
         assert sink.packets_received == 1
@@ -194,7 +194,7 @@ class TestSummaryAlgebraicSection:
     def test_sink_evidence_round_trips_through_summary(self):
         topology, _source = linear_path_topology(3)
         keystore = KeyStore.from_master_secret(b"wire-test", topology.sensor_nodes())
-        provider = HmacProvider()
+        provider = KeyedHashProvider()
         scheme = AlgebraicMarking()
         sink = AlgebraicTracebackSink(scheme, keystore, provider, topology)
         packet = algebraic_packet()
