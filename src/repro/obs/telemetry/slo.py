@@ -35,7 +35,7 @@ class ShardSlo:
         shard_id: the shard's label value in the federated registry.
         packets_ingested: packets the shard's sink has merged.
         queue_depth: the ingest queue's current depth gauge.
-        batches_ok: BATCH/REPORT frames the shard acknowledged.
+        batches_ok: BATCH frames the shard acknowledged.
         batches_shed: batches refused whole under backpressure.
         batches_wrong_shard: batches refused for stale routing.
         backpressure_rate: ``shed / (ok + shed + wrong_shard)`` -- the

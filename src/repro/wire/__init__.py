@@ -47,12 +47,10 @@ from repro.wire.messages import (
     WireVerdict,
     decode_batch,
     decode_error,
-    decode_report,
     decode_summary,
     decode_verdict,
     encode_batch,
     encode_error,
-    encode_report,
     encode_summary,
     encode_verdict,
 )
@@ -84,8 +82,6 @@ __all__ = [
     "WireBatch",
     "WireVerdict",
     "WireErrorInfo",
-    "encode_report",
-    "decode_report",
     "encode_batch",
     "decode_batch",
     "encode_verdict",

@@ -19,7 +19,6 @@ behaviors a deployed gateway needs:
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 from typing import Any
 
 from repro.obs.profiling import NoopObsProvider, ObsProvider, resolve_provider
@@ -37,13 +36,7 @@ from repro.wire.errors import (
     TruncatedError,
     WrongShardError,
 )
-from repro.wire.frames import (
-    Frame,
-    FrameDecoder,
-    FrameType,
-    WireTraceContext,
-    encode_frame,
-)
+from repro.wire.frames import FrameType, WireTraceContext
 from repro.wire.messages import (
     WireErrorInfo,
     WireVerdict,
@@ -52,13 +45,10 @@ from repro.wire.messages import (
     decode_telemetry,
     decode_verdict,
     encode_batch,
-    encode_error,
-    encode_report,
 )
+from repro.wire.stream import FrameStream
 
 __all__ = ["SinkClient"]
-
-_READ_CHUNK = 64 * 1024
 
 
 class SinkClient:
@@ -93,17 +83,14 @@ class SinkClient:
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self.obs = resolve_provider(obs)
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._decoder = FrameDecoder()
-        self._pending: deque[Frame] = deque()
+        self._stream: FrameStream | None = None
         self.connect_attempts = 0
 
     # Connection --------------------------------------------------------------
 
     @property
     def connected(self) -> bool:
-        return self._writer is not None
+        return self._stream is not None
 
     def _backoff_delay(self, attempt: int) -> float:
         """Deterministic exponential backoff for retry ``attempt`` (0-based)."""
@@ -121,12 +108,11 @@ class SinkClient:
         for attempt in range(self.retries + 1):
             self.connect_attempts += 1
             try:
-                self._reader, self._writer = await asyncio.wait_for(
+                reader, writer = await asyncio.wait_for(
                     asyncio.open_connection(self.host, self.port),
                     timeout=self.connect_timeout,
                 )
-                self._decoder = FrameDecoder()
-                self._pending.clear()
+                self._stream = FrameStream(reader, writer, self.obs)
                 self.obs.inc("wire_client_connects_total")
                 return
             except (OSError, asyncio.TimeoutError) as exc:
@@ -141,11 +127,11 @@ class SinkClient:
 
     async def close(self) -> None:
         """Close the connection (idempotent)."""
-        writer, self._reader, self._writer = self._writer, None, None
-        if writer is not None:
-            writer.close()
+        stream, self._stream = self._stream, None
+        if stream is not None:
+            stream.writer.close()
             try:
-                await writer.wait_closed()
+                await stream.writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
@@ -158,14 +144,18 @@ class SinkClient:
 
     # Frame I/O ---------------------------------------------------------------
 
-    async def _write_frame(
+    def _connection(self) -> FrameStream:
+        if self._stream is None:
+            raise ConnectError("client is not connected")
+        return self._stream
+
+    async def _send(
         self,
         frame_type: FrameType,
         payload: bytes,
         trace: SpanContext | None = None,
     ) -> None:
-        if self._writer is None:
-            raise ConnectError("client is not connected")
+        stream = self._connection()
         wire_trace = None
         if trace is not None:
             wire_trace = WireTraceContext(
@@ -181,46 +171,47 @@ class SinkClient:
                         peer=f"{self.host}:{self.port}",
                     )
                 )
-        data = encode_frame(frame_type, payload, trace=wire_trace)
-        self.obs.inc("wire_frames_tx_total", frame=frame_type.name)
-        self.obs.inc("wire_bytes_tx_total", len(data), frame=frame_type.name)
-        self._writer.write(data)
-        await self._writer.drain()
+        await stream.send(frame_type, payload, trace=wire_trace)
 
-    async def _read_frame(self) -> Frame:
-        if self._pending:
-            return self._pending.popleft()
-        if self._reader is None:
-            raise ConnectError("client is not connected")
-        while not self._pending:
-            chunk = await self._reader.read(_READ_CHUNK)
-            if not chunk:
-                self._decoder.finish()
-                raise TruncatedError("server closed before a complete reply")
-            self._pending.extend(self._decoder.feed(chunk))
-        frame = self._pending.popleft()
-        self.obs.inc("wire_frames_rx_total", frame=frame.frame_type.name)
-        self.obs.inc(
-            "wire_bytes_rx_total", frame.wire_len, frame=frame.frame_type.name
-        )
-        return frame
+    async def _reply(self, expected: FrameType) -> bytes | WireErrorInfo:
+        """Read one reply: its payload, or the server's ERROR as info.
 
-    @staticmethod
-    def _raise_remote(info: WireErrorInfo) -> RemoteError:
-        if info.code is ErrorCode.BACKPRESSURE:
-            return BackpressureError(info.message, info.retry_after_ms)
-        if info.code is ErrorCode.WRONG_SHARD:
-            return WrongShardError(info.message, info.retry_after_ms)
-        return RemoteError(info.code, info.message, info.retry_after_ms)
-
-    def _parse_reply(self, frame: Frame) -> WireVerdict | WireErrorInfo:
-        if frame.frame_type is FrameType.VERDICT:
-            return decode_verdict(frame.payload)
+        Raises:
+            BadFrameError: when the reply is neither ``expected`` nor ERROR.
+            TruncatedError: when the server closed before replying.
+        """
+        frame = await self._connection().read()
+        if frame is None:
+            raise TruncatedError("server closed before a complete reply")
         if frame.frame_type is FrameType.ERROR:
             return decode_error(frame.payload)
-        raise BadFrameError(
-            f"expected VERDICT or ERROR, got {frame.frame_type.name}"
-        )
+        if frame.frame_type is not expected:
+            raise BadFrameError(
+                f"expected {expected.name} or ERROR, got {frame.frame_type.name}"
+            )
+        return frame.payload
+
+    async def _request(
+        self,
+        frame_type: FrameType,
+        payload: bytes,
+        expected: FrameType | None = None,
+        trace: SpanContext | None = None,
+    ) -> bytes:
+        """One round trip; returns the reply payload.
+
+        ``expected`` is the reply type (default: ``frame_type`` itself).
+
+        Raises:
+            RemoteError: on an ERROR reply (:class:`BackpressureError` and
+                :class:`WrongShardError` for their codes).
+            BadFrameError: on any other unexpected reply type.
+        """
+        await self._send(frame_type, payload, trace)
+        reply = await self._reply(expected or frame_type)
+        if isinstance(reply, WireErrorInfo):
+            raise _remote_error(reply)
+        return reply
 
     # Requests ----------------------------------------------------------------
 
@@ -231,15 +222,7 @@ class SinkClient:
         :data:`~repro.wire.frames.PROTOCOL_VERSION` -- each side rejects
         any other version byte before looking at the payload.
         """
-        await self._write_frame(FrameType.PING, payload)
-        reply = await self._read_frame()
-        if reply.frame_type is FrameType.ERROR:
-            raise self._raise_remote(decode_error(reply.payload))
-        if reply.frame_type is not FrameType.PING:
-            raise BadFrameError(
-                f"expected PING echo, got {reply.frame_type.name}"
-            )
-        return reply.payload
+        return await self._request(FrameType.PING, payload)
 
     async def health_check(
         self, timeout: float = 1.0, payload: bytes = b"pnm"
@@ -278,15 +261,7 @@ class SinkClient:
         The server flushes its ingest queue first, so the snapshot covers
         every batch this client has had acknowledged.
         """
-        await self._write_frame(FrameType.SUMMARY, b"")
-        reply = await self._read_frame()
-        if reply.frame_type is FrameType.ERROR:
-            raise self._raise_remote(decode_error(reply.payload))
-        if reply.frame_type is not FrameType.SUMMARY:
-            raise BadFrameError(
-                f"expected SUMMARY reply, got {reply.frame_type.name}"
-            )
-        return decode_summary(reply.payload)
+        return decode_summary(await self._request(FrameType.SUMMARY, b""))
 
     async def fetch_telemetry(self) -> dict[str, Any]:
         """Request the server's metrics-registry snapshot (TELEMETRY).
@@ -296,34 +271,7 @@ class SinkClient:
         server running without observability answers with an empty
         snapshot (``{"metrics": []}``).
         """
-        await self._write_frame(FrameType.TELEMETRY, b"")
-        reply = await self._read_frame()
-        if reply.frame_type is FrameType.ERROR:
-            raise self._raise_remote(decode_error(reply.payload))
-        if reply.frame_type is not FrameType.TELEMETRY:
-            raise BadFrameError(
-                f"expected TELEMETRY reply, got {reply.frame_type.name}"
-            )
-        return decode_telemetry(reply.payload)
-
-    async def send_report(
-        self,
-        packet: MarkedPacket,
-        delivering_node: int,
-        fmt: MarkFormat,
-        trace: SpanContext | None = None,
-    ) -> WireVerdict:
-        """Submit a single packet; returns the sink's updated verdict.
-
-        With ``trace``, the REPORT frame carries the context so the
-        server's spans join the caller's trace.
-        """
-        await self._write_frame(
-            FrameType.REPORT,
-            encode_report(packet, delivering_node, fmt),
-            trace=trace,
-        )
-        return self._expect_verdict(await self._read_frame())
+        return decode_telemetry(await self._request(FrameType.TELEMETRY, b""))
 
     async def send_batch(
         self,
@@ -334,26 +282,23 @@ class SinkClient:
     ) -> WireVerdict:
         """Submit one batch; returns the sink's updated verdict.
 
-        With ``trace``, the BATCH frame carries the context so the
-        server's spans join the caller's trace.
+        A single report is a batch of one.  With ``trace``, the BATCH
+        frame carries the context so the server's spans join the
+        caller's trace.
 
         Raises:
             BackpressureError: when the server's queue shed packets (the
                 exception carries the server's retry-after hint).
             RemoteError: on any other server-side rejection.
         """
-        await self._write_frame(
-            FrameType.BATCH,
-            encode_batch(packets, delivering_node, fmt),
-            trace=trace,
+        return decode_verdict(
+            await self._request(
+                FrameType.BATCH,
+                encode_batch(packets, delivering_node, fmt),
+                expected=FrameType.VERDICT,
+                trace=trace,
+            )
         )
-        return self._expect_verdict(await self._read_frame())
-
-    def _expect_verdict(self, frame: Frame) -> WireVerdict:
-        reply = self._parse_reply(frame)
-        if isinstance(reply, WireErrorInfo):
-            raise self._raise_remote(reply)
-        return reply
 
     async def send_batches(
         self,
@@ -374,20 +319,30 @@ class SinkClient:
                 f"traces length {len(traces)} != batches length {len(batches)}"
             )
         for index, (packets, delivering_node) in enumerate(batches):
-            await self._write_frame(
+            await self._send(
                 FrameType.BATCH,
                 encode_batch(packets, delivering_node, fmt),
                 trace=traces[index] if traces is not None else None,
             )
-        return [
-            self._parse_reply(await self._read_frame())
-            for _ in range(len(batches))
-        ]
-
-    async def send_error(self, info: WireErrorInfo) -> None:
-        """Send an ERROR frame (diagnostics; servers reject most of these)."""
-        await self._write_frame(FrameType.ERROR, encode_error(info))
+        replies: list[WireVerdict | WireErrorInfo] = []
+        for _ in batches:
+            reply = await self._reply(FrameType.VERDICT)
+            replies.append(
+                reply
+                if isinstance(reply, WireErrorInfo)
+                else decode_verdict(reply)
+            )
+        return replies
 
     def __repr__(self) -> str:
         state = "connected" if self.connected else "disconnected"
         return f"SinkClient({self.host}:{self.port}, {state})"
+
+
+def _remote_error(info: WireErrorInfo) -> RemoteError:
+    """The typed exception for a server's ERROR reply."""
+    if info.code is ErrorCode.BACKPRESSURE:
+        return BackpressureError(info.message, info.retry_after_ms)
+    if info.code is ErrorCode.WRONG_SHARD:
+        return WrongShardError(info.message, info.retry_after_ms)
+    return RemoteError(info.code, info.message, info.retry_after_ms)

@@ -25,8 +25,9 @@ extension is optional end to end: context-free frames always encode as
 byte-identical v1, so a v1-only decoder interoperates with any peer that
 simply never attaches context, and a v2 decoder accepts both versions.
 
-:class:`FrameDecoder` is the incremental form the asyncio endpoints use:
-feed it whatever the socket produced, take whole frames out, and call
+:class:`FrameDecoder` is the incremental form the asyncio endpoints use
+(through :class:`~repro.wire.stream.FrameStream`): feed it whatever the
+socket produced, take whole frames out, and call
 :meth:`FrameDecoder.finish` at EOF so a mid-frame disconnect surfaces as
 a :class:`~repro.wire.errors.TruncatedError` instead of silence.
 """
@@ -82,7 +83,9 @@ _CRC = struct.Struct(">I")
 class FrameType(enum.IntEnum):
     """The frame types of the wire protocol."""
 
-    REPORT = 1  #: one marked packet (``delivering | fmt | packet``)
+    # Type 1 was REPORT, a one-packet frame; a single report now travels
+    # as a BATCH of one.  1 is retired: it decodes as an unknown type and
+    # must never be reused.
     BATCH = 2  #: many marked packets sharing one delivering node
     VERDICT = 3  #: the sink's current traceback verdict
     PING = 4  #: liveness + version probe; echoed verbatim by the peer
@@ -285,8 +288,6 @@ class FrameDecoder:
     def __init__(self) -> None:
         self._buffer = bytearray()
         self._error: Exception | None = None
-        self.frames_decoded = 0
-        self.bytes_consumed = 0
 
     def feed(self, chunk: bytes) -> list[Frame]:
         """Absorb ``chunk``; return every frame completed by it."""
@@ -309,8 +310,6 @@ class FrameDecoder:
                 self._error = exc
                 raise
             del self._buffer[:consumed]
-            self.frames_decoded += 1
-            self.bytes_consumed += consumed
             frames.append(frame)
 
     def finish(self) -> None:
@@ -324,8 +323,3 @@ class FrameDecoder:
                 f"stream ended with {len(self._buffer)} byte(s) of an "
                 "incomplete frame"
             )
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered but not yet part of a complete frame."""
-        return len(self._buffer)

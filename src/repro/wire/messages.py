@@ -42,8 +42,6 @@ __all__ = [
     "WireBatch",
     "WireVerdict",
     "WireErrorInfo",
-    "encode_report",
-    "decode_report",
     "encode_batch",
     "decode_batch",
     "encode_verdict",
@@ -124,34 +122,6 @@ def decode_batch(payload: bytes) -> WireBatch:
     _require_consumed(payload, offset, "BATCH")
     return WireBatch(
         fmt=fmt, packets=tuple(packets), delivering_node=delivering_node
-    )
-
-
-def encode_report(
-    packet: MarkedPacket, delivering_node: int, fmt: MarkFormat
-) -> bytes:
-    """``fmt | varint(delivering) | packet`` -- a batch of exactly one.
-
-    REPORT is the low-latency path for a single suspicious packet; its
-    payload is the BATCH grammar with the count elided (the packet's own
-    framing delimits it and the payload end closes it).
-    """
-    if delivering_node < 0:
-        raise ValueError(f"delivering_node must be >= 0, got {delivering_node}")
-    return (
-        encode_mark_format(fmt)
-        + write_varint(delivering_node)
-        + encode_packet(packet)
-    )
-
-
-def decode_report(payload: bytes) -> WireBatch:
-    """Parse a REPORT payload into a one-packet :class:`WireBatch`."""
-    fmt, offset = decode_mark_format(payload)
-    delivering_node, offset = read_varint(payload, offset)
-    packet = decode_packet(payload[offset:], fmt)
-    return WireBatch(
-        fmt=fmt, packets=(packet,), delivering_node=delivering_node
     )
 
 

@@ -37,25 +37,23 @@ from repro.packets.marks import MarkFormat
 from repro.packets.packet import MarkedPacket
 from repro.service.ingest import SinkIngestService
 from repro.wire.errors import ErrorCode, WireError
-from repro.wire.frames import Frame, FrameDecoder, FrameType, encode_frame
+from repro.wire.frames import Frame, FrameType
 from repro.wire.messages import (
     WireBatch,
     WireErrorInfo,
     WireVerdict,
     decode_batch,
-    decode_report,
     encode_error,
     encode_summary,
     encode_telemetry,
     encode_verdict,
 )
+from repro.wire.stream import FrameStream
 
 __all__ = ["SinkServer", "DEFAULT_RETRY_AFTER_MS"]
 
 #: Retry hint sent with BACKPRESSURE errors unless overridden.
 DEFAULT_RETRY_AFTER_MS = 50
-
-_READ_CHUNK = 64 * 1024
 
 
 class SinkServer:
@@ -205,30 +203,16 @@ class SinkServer:
             if tracer is not None
             else None
         )
-        decoder = FrameDecoder()
+        stream = FrameStream(reader, writer, self.obs)
         try:
-            while True:
-                chunk = await reader.read(_READ_CHUNK)
-                if not chunk:
-                    decoder.finish()
-                    break
-                for frame in decoder.feed(chunk):
-                    self.obs.inc(
-                        "wire_frames_rx_total", frame=frame.frame_type.name
-                    )
-                    self.obs.inc(
-                        "wire_bytes_rx_total",
-                        frame.wire_len,
-                        frame=frame.frame_type.name,
-                    )
-                    keep_open = await self._dispatch(frame, writer, conn_id)
-                    if not keep_open:
-                        return
+            while (frame := await stream.read()) is not None:
+                if not await self._dispatch(frame, stream, conn_id):
+                    return
         except WireError as exc:
             self.decode_errors += 1
             self.obs.inc("wire_decode_errors_total", kind=type(exc).__name__)
-            await self._send_error(
-                writer, WireErrorInfo(code=exc.code, message=str(exc))
+            await self._reply_error(
+                stream, WireErrorInfo(code=exc.code, message=str(exc))
             )
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # peer went away; nothing to answer
@@ -247,19 +231,15 @@ class SinkServer:
                 pass
 
     async def _dispatch(
-        self, frame: Frame, writer: asyncio.StreamWriter, conn_id: int
+        self, frame: Frame, stream: FrameStream, conn_id: int
     ) -> bool:
         """Handle one frame; returns False when the connection must close."""
         if frame.frame_type is FrameType.PING:
-            await self._send(writer, FrameType.PING, frame.payload)
+            await stream.send(FrameType.PING, frame.payload)
             return True
-        if frame.frame_type in (FrameType.BATCH, FrameType.REPORT):
+        if frame.frame_type is FrameType.BATCH:
             with self.obs.timer("wire_decode_seconds"):
-                batch = (
-                    decode_batch(frame.payload)
-                    if frame.frame_type is FrameType.BATCH
-                    else decode_report(frame.payload)
-                )
+                batch = decode_batch(frame.payload)
             trace = (
                 SpanContext(
                     trace_id=frame.trace.trace_id, span_id=frame.trace.span_id
@@ -267,16 +247,14 @@ class SinkServer:
                 if frame.trace is not None
                 else None
             )
-            await self._ingest_batch(batch, writer, conn_id, trace=trace)
+            await self._ingest_batch(batch, stream, conn_id, trace=trace)
             return True
         if frame.frame_type is FrameType.SUMMARY:
             # Evidence snapshot: flush so the summary covers every batch
             # acknowledged on this connection, then encode the sink state.
             self.service.flush()
             evidence = self.service.sink.evidence()
-            await self._send(
-                writer, FrameType.SUMMARY, encode_summary(evidence)
-            )
+            await stream.send(FrameType.SUMMARY, encode_summary(evidence))
             return True
         if frame.frame_type is FrameType.TELEMETRY:
             # Metrics snapshot: refresh derived gauges, then ship the
@@ -289,15 +267,13 @@ class SinkServer:
                 if registry is not None
                 else {"metrics": []}
             )
-            await self._send(
-                writer, FrameType.TELEMETRY, encode_telemetry(snapshot)
-            )
+            await stream.send(FrameType.TELEMETRY, encode_telemetry(snapshot))
             return True
         # VERDICT and ERROR only flow sink -> client; anything else a
         # client sends is a protocol violation.
         self.obs.inc("wire_protocol_violations_total")
-        await self._send_error(
-            writer,
+        await self._reply_error(
+            stream,
             WireErrorInfo(
                 code=ErrorCode.BAD_FRAME,
                 message=f"unexpected {frame.frame_type.name} frame from client",
@@ -308,56 +284,38 @@ class SinkServer:
     async def _ingest_batch(
         self,
         batch: WireBatch,
-        writer: asyncio.StreamWriter,
+        stream: FrameStream,
         conn_id: int,
         trace: SpanContext | None = None,
     ) -> None:
         if batch.fmt != self.fmt:
-            self.batches_rejected += 1
-            await self._send_error(
-                writer,
-                WireErrorInfo(
-                    code=ErrorCode.BAD_FRAME,
-                    message=(
-                        f"mark format mismatch: batch declares {batch.fmt}, "
-                        f"deployment uses {self.fmt}"
-                    ),
-                ),
+            return await self._reject(
+                stream,
+                ErrorCode.BAD_FRAME,
+                f"mark format mismatch: batch declares {batch.fmt}, "
+                f"deployment uses {self.fmt}",
             )
-            return
         if self.owns is not None:
             foreign = sum(
                 1 for packet in batch.packets if not self.owns(packet)
             )
             if foreign:
-                self.batches_rejected += 1
                 self.batches_wrong_shard += 1
                 self.obs.inc("wire_batches_wrong_shard_total")
-                await self._send_error(
-                    writer,
-                    WireErrorInfo(
-                        code=ErrorCode.WRONG_SHARD,
-                        message=(
-                            f"{foreign} of {len(batch.packets)} packets "
-                            "belong to another shard; re-route the batch"
-                        ),
-                    ),
+                return await self._reject(
+                    stream,
+                    ErrorCode.WRONG_SHARD,
+                    f"{foreign} of {len(batch.packets)} packets "
+                    "belong to another shard; re-route the batch",
                 )
-                return
         if len(batch.packets) > self.service.queue.capacity:
-            self.batches_rejected += 1
-            await self._send_error(
-                writer,
-                WireErrorInfo(
-                    code=ErrorCode.OVERSIZED,
-                    message=(
-                        f"batch of {len(batch.packets)} packets exceeds the "
-                        f"ingest queue capacity {self.service.queue.capacity}; "
-                        "split it"
-                    ),
-                ),
+            return await self._reject(
+                stream,
+                ErrorCode.OVERSIZED,
+                f"batch of {len(batch.packets)} packets exceeds the "
+                f"ingest queue capacity {self.service.queue.capacity}; "
+                "split it",
             )
-            return
         tracer = self.obs.tracer
         if tracer is not None:
             for packet in batch.packets:
@@ -374,42 +332,41 @@ class SinkServer:
         # verbatim -- any accepted prefix left queued here would be
         # ingested a second time by the resend.
         if not self.service.submit_batch(batch.packets, batch.delivering_node):
-            self.batches_rejected += 1
             self.packets_shed += len(batch.packets)
             self.obs.inc("wire_batches_shed_total")
-            await self._send_error(
-                writer,
-                WireErrorInfo(
-                    code=ErrorCode.BACKPRESSURE,
-                    retry_after_ms=self.retry_after_ms,
-                    message=(
-                        f"queue shed all {len(batch.packets)} packets; "
-                        "retry the whole batch"
-                    ),
-                ),
+            return await self._reject(
+                stream,
+                ErrorCode.BACKPRESSURE,
+                f"queue shed all {len(batch.packets)} packets; "
+                "retry the whole batch",
+                retry_after_ms=self.retry_after_ms,
             )
-            return
         self.service.flush()
         verdict = WireVerdict.from_verdict(self.service.sink.verdict())
         self.batches_ok += 1
-        await self._send(writer, FrameType.VERDICT, encode_verdict(verdict))
+        await stream.send(FrameType.VERDICT, encode_verdict(verdict))
 
-    # Frame output ------------------------------------------------------------
+    # Replies -----------------------------------------------------------------
 
-    async def _send(
-        self, writer: asyncio.StreamWriter, frame_type: FrameType, payload: bytes
+    async def _reject(
+        self,
+        stream: FrameStream,
+        code: ErrorCode,
+        message: str,
+        retry_after_ms: int = 0,
     ) -> None:
-        data = encode_frame(frame_type, payload)
-        self.obs.inc("wire_frames_tx_total", frame=frame_type.name)
-        self.obs.inc("wire_bytes_tx_total", len(data), frame=frame_type.name)
-        writer.write(data)
-        await writer.drain()
+        """Answer a batch with an ERROR; nothing from it was submitted."""
+        self.batches_rejected += 1
+        await self._reply_error(
+            stream,
+            WireErrorInfo(
+                code=code, retry_after_ms=retry_after_ms, message=message
+            ),
+        )
 
-    async def _send_error(
-        self, writer: asyncio.StreamWriter, info: WireErrorInfo
-    ) -> None:
+    async def _reply_error(self, stream: FrameStream, info: WireErrorInfo) -> None:
         try:
-            await self._send(writer, FrameType.ERROR, encode_error(info))
+            await stream.send(FrameType.ERROR, encode_error(info))
         except (ConnectionError, OSError):
             pass  # best effort: the peer may already be gone
 

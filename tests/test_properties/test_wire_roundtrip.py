@@ -56,11 +56,9 @@ from repro.wire.messages import (
     WireVerdict,
     decode_batch,
     decode_error,
-    decode_report,
     decode_verdict,
     encode_batch,
     encode_error,
-    encode_report,
     encode_verdict,
 )
 from repro.wire.errors import ErrorCode
@@ -424,7 +422,7 @@ class TestPayloadRoundTrip:
     @settings(max_examples=200)
     def test_report_payload(self, packet_fmt, delivering):
         packet, fmt = packet_fmt
-        batch = decode_report(encode_report(packet, delivering, fmt))
+        batch = decode_batch(encode_batch([packet], delivering, fmt))
         assert batch.fmt == fmt
         assert batch.delivering_node == delivering
         assert batch.packets == (packet,)
@@ -488,7 +486,7 @@ class TestPayloadRoundTrip:
     @given(data=st.binary(max_size=200))
     @settings(max_examples=400)
     def test_payload_decoders_total(self, data):
-        for decoder in (decode_report, decode_batch, decode_verdict, decode_error):
+        for decoder in (decode_batch, decode_verdict, decode_error):
             try:
                 decoder(data)
             except WireError:

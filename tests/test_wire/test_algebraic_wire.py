@@ -36,9 +36,9 @@ from repro.wire.frames import (
     encode_frame,
 )
 from repro.wire.messages import (
-    decode_report,
+    decode_batch,
     decode_summary,
-    encode_report,
+    encode_batch,
     encode_summary,
 )
 from repro.traceback.sink import SinkEvidence
@@ -77,7 +77,7 @@ class TestMarkFormatFlags:
 class TestAlgebraicFramesEndToEnd:
     def test_report_payload_round_trips(self):
         packet = algebraic_packet()
-        batch = decode_report(encode_report(packet, 3, ALG_FMT))
+        batch = decode_batch(encode_batch([packet], 3, ALG_FMT))
         assert batch.fmt == ALG_FMT
         assert batch.fmt.algebraic
         assert batch.packets == (packet,)
@@ -86,12 +86,12 @@ class TestAlgebraicFramesEndToEnd:
         packet = algebraic_packet()
         trace = WireTraceContext(trace_id="alg-trace", span_id="alg-span")
         encoded = encode_frame(
-            FrameType.REPORT, encode_report(packet, 3, ALG_FMT), trace=trace
+            FrameType.BATCH, encode_batch([packet], 3, ALG_FMT), trace=trace
         )
         frame, consumed = decode_frame(encoded)
         assert consumed == len(encoded)
         assert frame.trace == trace
-        batch = decode_report(frame.payload)
+        batch = decode_batch(frame.payload)
         assert batch.fmt.algebraic
         assert batch.packets == (packet,)
 
@@ -99,12 +99,12 @@ class TestAlgebraicFramesEndToEnd:
         """Accumulator bytes are opaque on the wire: a mole's garbage
         travels as-is and is the *sink's* problem (restart/no-observation),
         never the codec's."""
-        payload = bytearray(encode_report(algebraic_packet(), 3, ALG_FMT))
+        payload = bytearray(encode_batch([algebraic_packet()], 3, ALG_FMT))
         # The mark is the trailing id+mac bytes of the payload.
         mark_len = ACCUMULATOR_LEN + 4
         for i in range(len(payload) - mark_len, len(payload) - 4):
             payload[i] = 0xFF
-        batch = decode_report(bytes(payload))
+        batch = decode_batch(bytes(payload))
         (decoded,) = batch.packets
         assert decoded.marks[0].id_field == b"\xff" * ACCUMULATOR_LEN
 
@@ -117,10 +117,10 @@ class TestAlgebraicFramesEndToEnd:
         assert sink.packets_received == 1
 
     def test_truncated_marks_in_complete_frame_fail_typed(self):
-        payload = encode_report(algebraic_packet(), 3, ALG_FMT)
+        payload = encode_batch([algebraic_packet()], 3, ALG_FMT)
         for cut in range(1, ACCUMULATOR_LEN + 4):
             with pytest.raises(WireError):
-                decode_report(payload[:-cut])
+                decode_batch(payload[:-cut])
 
 
 def algebraic_evidence() -> SinkEvidence:

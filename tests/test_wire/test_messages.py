@@ -17,11 +17,9 @@ from repro.wire.messages import (
     WireVerdict,
     decode_batch,
     decode_error,
-    decode_report,
     decode_verdict,
     encode_batch,
     encode_error,
-    encode_report,
     encode_verdict,
 )
 
@@ -79,20 +77,22 @@ class TestBatch:
 
 
 class TestReport:
+    """A single report travels as a BATCH of one."""
+
     def test_round_trip(self):
         packet = make_packet()
-        batch = decode_report(encode_report(packet, 5, FMT))
+        batch = decode_batch(encode_batch([packet], 5, FMT))
         assert batch.packets == (packet,)
         assert batch.delivering_node == 5
 
     def test_trailing_bytes_rejected(self):
-        payload = encode_report(make_packet(), 5, FMT)
+        payload = encode_batch([make_packet()], 5, FMT)
         with pytest.raises(WireError):
-            decode_report(payload + b"\xee" * FMT.mark_len)
+            decode_batch(payload + b"\xee" * FMT.mark_len)
 
     def test_negative_delivering_rejected_at_encode(self):
         with pytest.raises(ValueError):
-            encode_report(make_packet(), -3, FMT)
+            encode_batch([make_packet()], -3, FMT)
 
 
 class TestVerdict:

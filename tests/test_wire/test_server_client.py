@@ -6,11 +6,14 @@ Each test spins an ephemeral-port :class:`SinkServer` inside its own
 """
 
 import asyncio
+import struct
+import zlib
 
 import pytest
 
 from repro.experiments.cluster_sweep import build_cluster_workload, make_sink_factory
 from repro.marking.pnm import PNMMarking
+from repro.obs.profiling import ObsProvider
 from repro.packets.marks import MarkFormat
 from repro.service import SinkIngestService
 from repro.wire.client import SinkClient
@@ -19,10 +22,10 @@ from repro.wire.errors import (
     ConnectError,
     ErrorCode,
     RemoteError,
-    TruncatedError,
 )
-from repro.wire.frames import FrameDecoder, FrameType, encode_frame
-from repro.wire.messages import WireErrorInfo, decode_error
+from repro.wire.codec import write_varint
+from repro.wire.frames import PROTOCOL_VERSION, FrameDecoder, FrameType, encode_frame
+from repro.wire.messages import WireErrorInfo, decode_error, encode_batch, encode_error
 from repro.wire.server import SinkServer
 
 GRID_SIDE = 6
@@ -90,13 +93,16 @@ class TestBatchIngest:
         assert stats["connections_active"] == 0
 
     def test_single_report_path(self, workload):
+        """A single report is a BATCH of one."""
         _topology, _keystore, stream, delivering = workload
 
         async def scenario():
             with make_service(workload) as service:
                 async with SinkServer(service, FMT) as server:
                     async with SinkClient("127.0.0.1", server.port) as client:
-                        return await client.send_report(stream[0], delivering, FMT)
+                        return await client.send_batch(
+                            [stream[0]], delivering, FMT
+                        )
 
         verdict = asyncio.run(scenario())
         assert verdict.packets_used == 1
@@ -117,6 +123,41 @@ class TestBatchIngest:
 
         replies = asyncio.run(scenario())
         assert [r.packets_used for r in replies] == [4, 8, PACKETS]
+
+
+class TestFrameCounters:
+    def test_client_counts_every_pipelined_reply(self, workload):
+        """k pipelined batches: the client counts k VERDICT frames, and its
+        VERDICT rx bytes equal the server's VERDICT tx bytes.  Replies
+        that arrive together in one read are each counted."""
+        _topology, _keystore, stream, delivering = workload
+        batches = [(stream[i : i + 2], delivering) for i in range(0, PACKETS, 2)]
+
+        async def scenario():
+            client_obs, server_obs = ObsProvider(), ObsProvider()
+            with make_service(workload) as service:
+                async with SinkServer(service, FMT, obs=server_obs) as server:
+                    async with SinkClient(
+                        "127.0.0.1", server.port, obs=client_obs
+                    ) as client:
+                        replies = await client.send_batches(batches, FMT)
+                    await server.wait_idle()
+            return replies, client_obs.registry, server_obs.registry
+
+        replies, client, server = asyncio.run(scenario())
+        assert len(replies) == len(batches) == 6
+
+        def count(registry, name):
+            return registry.get(name).get(frame="VERDICT")
+
+        assert count(client, "wire_frames_rx_total") == len(batches)
+        assert count(server, "wire_frames_tx_total") == len(batches)
+        assert count(client, "wire_bytes_rx_total") == count(
+            server, "wire_bytes_tx_total"
+        )
+        assert client.get("wire_bytes_tx_total").get(frame="BATCH") == (
+            server.get("wire_bytes_rx_total").get(frame="BATCH")
+        )
 
 
 class TestBackpressure:
@@ -218,21 +259,71 @@ class TestRejections:
         async def scenario():
             with make_service(workload) as service:
                 async with SinkServer(service, FMT) as server:
-                    async with SinkClient("127.0.0.1", server.port) as client:
-                        await client.send_error(
-                            WireErrorInfo(code=ErrorCode.INTERNAL)
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.port
+                    )
+                    writer.write(
+                        encode_frame(
+                            FrameType.ERROR,
+                            encode_error(WireErrorInfo(code=ErrorCode.INTERNAL)),
                         )
-                        reply = await client._read_frame()
-                        info = decode_error(reply.payload)
-                        # The server closes the connection after replying.
-                        with pytest.raises(TruncatedError):
-                            await client._read_frame()
-            return reply.frame_type, info
+                    )
+                    await writer.drain()
+                    # The server replies, then closes the connection, so
+                    # reading to EOF returns exactly its one reply.
+                    raw = await asyncio.wait_for(reader.read(), timeout=10)
+                    writer.close()
+                    await writer.wait_closed()
+                    await server.wait_idle()
+            return raw
 
-        frame_type, info = asyncio.run(scenario())
-        assert frame_type is FrameType.ERROR
+        raw = asyncio.run(scenario())
+        decoder = FrameDecoder()
+        frames = decoder.feed(raw)
+        decoder.finish()
+        assert len(frames) == 1
+        assert frames[0].frame_type is FrameType.ERROR
+        info = decode_error(frames[0].payload)
         assert info.code is ErrorCode.BAD_FRAME
         assert "ERROR frame" in info.message
+
+    def test_retired_report_type_is_a_typed_error(self, workload):
+        """Type 1 (the retired REPORT frame) is an unknown type, even with
+        a valid CRC: ERROR BAD_FRAME, a counted decode error, and close."""
+        _topology, _keystore, stream, delivering = workload
+        payload = encode_batch([stream[0]], delivering, FMT)
+        body = bytes((PROTOCOL_VERSION, 1)) + write_varint(len(payload)) + payload
+
+        async def scenario():
+            obs = ObsProvider()
+            with make_service(workload) as service:
+                async with SinkServer(service, FMT, obs=obs) as server:
+                    reader, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.port
+                    )
+                    writer.write(body + struct.pack(">I", zlib.crc32(body)))
+                    await writer.drain()
+                    raw = await asyncio.wait_for(reader.read(), timeout=10)
+                    writer.close()
+                    await writer.wait_closed()
+                    await server.wait_idle()
+                    stats = server.stats()
+                received = service.sink.packets_received
+            errors = obs.registry.get("wire_decode_errors_total")
+            return raw, stats, errors.get(kind="BadFrameError"), received
+
+        raw, stats, counted, received = asyncio.run(scenario())
+        decoder = FrameDecoder()
+        frames = decoder.feed(raw)
+        decoder.finish()  # EOF on a frame boundary: the server closed
+        assert [f.frame_type for f in frames] == [FrameType.ERROR]
+        info = decode_error(frames[0].payload)
+        assert info.code is ErrorCode.BAD_FRAME
+        assert "unknown frame type 1" in info.message
+        assert stats["decode_errors"] == 1
+        assert counted == 1
+        assert stats["connections_active"] == 0
+        assert received == 0
 
     def test_bad_version_bytes_get_error_reply(self, workload):
         async def scenario():
