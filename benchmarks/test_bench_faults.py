@@ -28,7 +28,6 @@ from repro.routing.repair import RepairingRoutingTable
 from repro.sim.behaviors import HonestForwarder
 from repro.sim.network import NetworkSimulation
 from repro.sim.sources import HonestReportSource
-from repro.sim.tracing import PacketTracer
 from repro.traceback.sink import TracebackSink
 
 GRID_SIDE = 6
@@ -40,7 +39,7 @@ PROVIDER = KeyedHashProvider()
 
 
 def run_workload(churn_rate: float, seed: int = 11):
-    """One honest grid run; returns ``(sim, sink, tracer, injector)``."""
+    """One honest grid run; returns ``(sim, sink, metrics, injector)``."""
     topology = grid_topology(GRID_SIDE, GRID_SIDE, sink_at="corner")
     routing = RepairingRoutingTable(topology)
     keystore = KeyStore.from_master_secret(MASTER, topology.sensor_nodes())
@@ -58,7 +57,6 @@ def run_workload(churn_rate: float, seed: int = 11):
         for nid in topology.sensor_nodes()
     }
     sink = TracebackSink(scheme, keystore, PROVIDER, topology)
-    tracer = PacketTracer()
     sim = NetworkSimulation(
         topology=topology,
         routing=routing,
@@ -66,7 +64,6 @@ def run_workload(churn_rate: float, seed: int = 11):
         sink=sink,
         link=LinkModel(base_delay=0.001),
         rng=random.Random(f"bench:link:{seed}"),
-        tracer=tracer,
     )
     source_id = max(topology.sensor_nodes(), key=routing.hop_count)
     schedule = FaultSchedule.random_churn(
@@ -83,7 +80,7 @@ def run_workload(churn_rate: float, seed: int = 11):
     )
     sim.add_periodic_source(source, interval=INTERVAL, count=PACKETS)
     sim.run()
-    return sim, sink, tracer, injector
+    return sim, sink, sim.metrics, injector
 
 
 @pytest.fixture(scope="module")
@@ -98,23 +95,23 @@ class TestBenchFaultSimulation:
         assert sim.metrics.packets_faulted == 0
 
     def test_bench_churned_run(self, benchmark):
-        sim, sink, tracer, injector = benchmark(run_workload, CHURN_RATE)
+        sim, sink, metrics, injector = benchmark(run_workload, CHURN_RATE)
         assert sim.metrics.packets_injected == PACKETS
         assert injector.counts().get("crash", 0) > 0
         # The acceptance gate rides along: churn never frames anyone.
-        report = accusation_report(sink, attribute_drops(tracer, injector))
+        report = accusation_report(sink, attribute_drops(metrics, injector))
         assert report.false_accusation_rate == 0.0
 
 
 class TestBenchAttribution:
     def test_bench_attribute_drops(self, benchmark, churned_run):
-        _sim, _sink, tracer, injector = churned_run
-        attribution = benchmark(attribute_drops, tracer, injector)
+        _sim, _sink, metrics, injector = churned_run
+        attribution = benchmark(attribute_drops, metrics, injector)
         assert attribution.total_suspicious == 0
 
     def test_bench_accusation_report(self, benchmark, churned_run):
-        _sim, sink, tracer, injector = churned_run
-        attribution = attribute_drops(tracer, injector)
+        _sim, sink, metrics, injector = churned_run
+        attribution = attribute_drops(metrics, injector)
         report = benchmark(accusation_report, sink, attribution)
         assert report.accused == ()
         assert report.false_accusation_rate == 0.0

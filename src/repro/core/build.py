@@ -58,7 +58,6 @@ from repro.sim.behaviors import ForwardingBehavior, HonestForwarder
 from repro.sim.network import NetworkSimulation
 from repro.sim.pipeline import PathPipeline
 from repro.sim.sources import BogusReportSource, HonestReportSource
-from repro.sim.tracing import PacketTracer
 from repro.traceback.sink import TracebackSink, TracebackVerdict
 from repro.watchdog import DetectionProbe, WatchdogLayer
 
@@ -374,7 +373,6 @@ def build_network(
     churn_rate: float | None = None,
     ingest: Callable[[TracebackSink, RoutingTable, int], object] | None = None,
     watchdog: WatchdogLayer | None = None,
-    tracer: PacketTracer | None = None,
 ) -> BuiltNetwork:
     """Build an event-simulated deployment over ``topology`` and run it.
 
@@ -416,7 +414,6 @@ def build_network(
         sink=sink if probe is None else probe,
         link=LinkModel(base_delay=0.001),
         rng=random.Random(f"{rng_label}:link:{seed}"),
-        tracer=tracer,
         ingest=None if ingest is None else ingest(sink, routing, source_id),
         watchdog=watchdog,
     )

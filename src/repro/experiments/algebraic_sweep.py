@@ -45,9 +45,7 @@ from repro.experiments.tables import FigureResult
 from repro.faults import accusation_report, attribute_drops
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import grid_topology
-from repro.obs.profiling import get_default_provider
 from repro.routing.base import RoutingError
-from repro.sim.tracing import PacketTracer
 
 __all__ = ["run", "main", "CHURN_RATES"]
 
@@ -154,7 +152,6 @@ def _run_once(
         scheme = PNMMarking(mark_prob=0.5)
         attack_field = "mac"
     probe_cls = _AlgebraicProbe if scheme_name == "algebraic" else _PnmProbe
-    tracer = PacketTracer(spans=get_default_provider().tracer)
     net = build_network(
         # 4-neighborhood (radio_range=spacing): the default 8-neighborhood
         # makes diagonal routes only 2-3 forwarders long, too short for a
@@ -172,10 +169,9 @@ def _run_once(
         ),
         churn_rate=churn_rate,
         ingest=None if mole else probe_cls,
-        tracer=tracer,
     )
     report = accusation_report(
-        net.sink, attribute_drops(tracer, net.injector), moles=net.moles
+        net.sink, attribute_drops(net.sim.metrics, net.injector), moles=net.moles
     )
     probe = net.sim.ingest
     delivered = probe.delivered if probe is not None else 0

@@ -31,8 +31,6 @@ from repro.experiments.tables import FigureResult
 from repro.faults import accusation_report, attribute_drops
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import grid_topology
-from repro.obs.profiling import get_default_provider
-from repro.sim.tracing import PacketTracer
 
 __all__ = ["run", "main", "CHURN_RATES"]
 
@@ -53,9 +51,6 @@ def _run_once(
     mole: bool,
 ) -> dict[str, object]:
     """One simulated deployment under one churn rate; returns raw outcomes."""
-    # The span bridge engages only under an observed run (``--obs-dir``);
-    # the NOOP provider carries no tracer, so spans stay off by default.
-    tracer = PacketTracer(spans=get_default_provider().tracer)
     net = build_network(
         grid_topology(grid_side, grid_side, sink_at="corner"),
         PNMMarking(mark_prob=0.5),
@@ -65,9 +60,8 @@ def _run_once(
         seed=seed,
         attack=MarkAlteringAttack(target="first", field="mac") if mole else None,
         churn_rate=churn_rate,
-        tracer=tracer,
     )
-    attribution = attribute_drops(tracer, net.injector)
+    attribution = attribute_drops(net.sim.metrics, net.injector)
     report = accusation_report(net.sink, attribution, moles=net.moles)
     verdict = net.sink.verdict()
     return {

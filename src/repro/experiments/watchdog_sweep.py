@@ -50,7 +50,6 @@ from repro.faults import attribute_drops, fused_accusation_report
 from repro.marking.pnm import PNMMarking
 from repro.net.overhear import OverhearModel
 from repro.net.topology import linear_path_topology
-from repro.sim.tracing import PacketTracer
 from repro.watchdog import WatchdogLayer
 
 __all__ = ["run", "main", "CHAIN_LENGTHS", "TARGET_MARKS", "SCENARIOS"]
@@ -117,7 +116,6 @@ def _run_once(
         liars=liars,
         suppressors=suppressors,
     )
-    tracer = PacketTracer()
     net = build_network(
         topology,
         PNMMarking(mark_prob=p),
@@ -128,11 +126,10 @@ def _run_once(
         attack=None if framing else MarkAlteringAttack(target="first", field="mac"),
         mole_id=position,
         watchdog=layer,
-        tracer=tracer,
     )
     probe = net.probe
     fused = fused_accusation_report(
-        net.sink, attribute_drops(tracer), layer.sink_log, moles=net.moles
+        net.sink, attribute_drops(net.sim.metrics), layer.sink_log, moles=net.moles
     )
     honest = set(fused.honest)
     miss = packets + 1  # sentinel: not detected within the budget

@@ -5,10 +5,11 @@ systematic packet disappearance points at a mole.  Under churn that
 inference breaks: crashed nodes, drained batteries, and degraded links
 all kill packets without any adversary.  This module separates the two.
 
-:func:`attribute_drops` classifies every drop site the tracer observed:
+:func:`attribute_drops` classifies every drop site the run's
+:class:`~repro.sim.metrics.MetricsCollector` recorded:
 
 * ``fault`` drops -- packets the simulator explicitly killed at a failed
-  node or severed route (trace kind ``fault``); benign by construction.
+  node or severed route (``fault_sites``); benign by construction.
 * ``benign`` drops -- intentional drops at a node that a known fault
   interval explains (the node was down or an incident link was degraded
   around the event time), or that a fault-free **baseline** run of the
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.faults.injector import FaultInjector
 from repro.net.topology import Topology
-from repro.sim.tracing import PacketTracer
+from repro.sim.metrics import MetricsCollector
 from repro.traceback.sink import TracebackSink, TracebackVerdict
 from repro.watchdog.fusion import WatchdogSinkLog, tamper_corroboration_zone
 
@@ -165,35 +166,34 @@ class FusedAccusationReport:
 
 
 def attribute_drops(
-    tracer: PacketTracer,
+    metrics: MetricsCollector,
     injector: FaultInjector | None = None,
     baseline: dict[int, int] | None = None,
     slack: float = DEFAULT_SLACK,
 ) -> DropAttribution:
-    """Classify every drop site in ``tracer`` as fault, benign, or suspect.
+    """Classify every drop site in ``metrics`` as fault, benign, or suspect.
 
     Args:
-        tracer: the faulted run's packet trace.
+        metrics: the faulted run's metrics; supplies its drop sites,
+            fault sites and route repairs.
         injector: the injector that drove the run; supplies the fault
             intervals.  ``None`` means no faults were injected.
         baseline: drop counts per node from a fault-free run of the same
-            workload (:meth:`PacketTracer.drop_locations`); drops up to
+            workload (its ``drop_sites`` counted per node); drops up to
             the baseline count at a node are honest filtering, not
             mole activity.
         slack: tolerance (virtual seconds) around fault intervals.
     """
-    fault_drops = tracer.fault_locations()
+    faults = metrics.fault_sites
     benign: dict[int, int] = {}
     unexplained: dict[int, int] = {}
-    for event in tracer.events:
-        if event.kind != "drop":
-            continue
+    for time, node in metrics.drop_sites:
         fault_explained = injector is not None and (
-            injector.node_was_down(event.node, event.time, slack)
-            or injector.node_had_degraded_link(event.node, event.time, slack)
+            injector.node_was_down(node, time, slack)
+            or injector.node_had_degraded_link(node, time, slack)
         )
         bucket = benign if fault_explained else unexplained
-        bucket[event.node] = bucket.get(event.node, 0) + 1
+        bucket[node] = bucket.get(node, 0) + 1
 
     suspicious: dict[int, int] = {}
     allowance = baseline if baseline is not None else {}
@@ -206,10 +206,10 @@ def attribute_drops(
             suspicious[node] = count - allowed
 
     return DropAttribution(
-        fault_drops=fault_drops,
+        fault_drops={node: faults[node] for node in sorted(faults)},
         benign_drops={node: benign[node] for node in sorted(benign)},
         suspicious_drops={node: suspicious[node] for node in sorted(suspicious)},
-        repairs=sum(tracer.repair_locations().values()),
+        repairs=metrics.route_repairs,
     )
 
 

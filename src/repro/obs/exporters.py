@@ -3,7 +3,7 @@
 Both exporters render :meth:`repro.obs.MetricsRegistry.snapshot` content
 in fully deterministic order (metrics by name, series by label values,
 buckets by bound), so two equal runs export byte-identical documents --
-the same property the packet tracer guarantees for its JSON.
+the same property :meth:`repro.obs.Tracer.to_jsonl` has for spans.
 
 :func:`parse_prometheus_text` is the inverse of the sample lines
 :func:`to_prometheus_text` emits.  It exists for the exporter round-trip

@@ -8,14 +8,14 @@ of two explicit ways:
 
 * pass a :class:`SpanContext` to :meth:`Tracer.start` as the parent, or
 * bind the context to a *key* -- for packets, the report digest from
-  :func:`report_key`, the same content identity the packet tracer uses --
-  and let the next layer pick the chain up with :meth:`Tracer.chain`.
+  :func:`report_key` -- and let the next layer pick the chain up with
+  :meth:`Tracer.chain`.
 
 The second form is what carries one trace id from
-``NetworkSimulation`` injection, through each forwarding hop (bridged by
-:class:`repro.sim.tracing.PacketTracer`), into the ingest queue,
-verification, and the sink's verdict: every layer chains on the report
-key and never needs to see another layer's span objects.
+``NetworkSimulation`` injection, through each forwarding hop, into the
+ingest queue, verification, and the sink's verdict: every layer chains
+on the report key and never needs to see another layer's span objects.
+A packet's journey is therefore :meth:`Tracer.trace_of` on its key.
 
 Clocks are injected.  Simulation spans pass explicit virtual timestamps;
 service spans use the tracer's clock (wall by default).  Durations are
@@ -36,17 +36,18 @@ from repro.packets.report import Report
 
 __all__ = ["Span", "SpanContext", "Tracer", "report_key"]
 
-#: Default cap on retained finished spans; like the packet tracer, the
-#: tracer stops recording (and flags it) rather than evicting silently.
+#: Default cap on retained finished spans; past it the tracer stops
+#: recording (and flags it) rather than evicting silently.
 DEFAULT_MAX_SPANS = 200_000
 
 
 def report_key(report: Report) -> bytes:
-    """The content identity of a report (shared with ``PacketTracer``).
+    """The content identity of a report: the key its span chain is bound to.
 
-    Both tracing layers key packets by the same digest so a span chain
-    bound here can be joined from anywhere the report is visible.  The
-    digest is computed once per report object (:attr:`Report.trace_key`).
+    The simulator, ingest service, verifier and sink all chain a packet's
+    spans on this digest, so a chain bound in one layer can be joined
+    from anywhere the report is visible.  The digest is computed once per
+    report object (:attr:`Report.trace_key`).
     """
     return report.trace_key
 

@@ -18,7 +18,6 @@ from repro.sim.metrics import MetricsCollector
 from repro.sim.network import NetworkSimulation
 from repro.sim.pipeline import PathPipeline
 from repro.sim.sources import BogusReportSource, HonestReportSource, ReportSource
-from repro.sim.tracing import PacketTracer, TraceEvent
 
 __all__ = [
     "Simulator",
@@ -30,6 +29,4 @@ __all__ = [
     "ReportSource",
     "HonestReportSource",
     "BogusReportSource",
-    "PacketTracer",
-    "TraceEvent",
 ]

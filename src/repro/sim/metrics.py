@@ -48,6 +48,14 @@ class MetricsCollector:
     packets_lost: int = 0
     packets_faulted: int = 0
     delivery_delays: list[float] = field(default_factory=list)
+    #: ``(time, node)`` of every drop a node's forwarding behavior chose
+    #: (honest filtering or mole activity), in event order -- the drop
+    #: sites :func:`repro.faults.attribute_drops` classifies.
+    drop_sites: list[tuple[float, int]] = field(default_factory=list)
+    #: Node -> packets that died there to an injected fault.
+    fault_sites: Counter = field(default_factory=Counter)
+    #: Next hops declared dead and routed around.
+    route_repairs: int = 0
     _transmissions: Counter = field(default_factory=Counter, init=False, repr=False)
     _bytes: Counter = field(default_factory=Counter, init=False, repr=False)
     #: Run of node IDs -> ``[packets, d_0, d_1, ...]``, where the bytes
@@ -117,17 +125,29 @@ class MetricsCollector:
         self.packets_delivered += 1
         self.delivery_delays.append(delay)
 
-    def record_drop(self) -> None:
-        """A node (honest filter or mole) intentionally dropped a packet."""
+    def record_drop(self, site: tuple[float, int] | None = None) -> None:
+        """A node (honest filter or mole) intentionally dropped a packet.
+
+        ``site`` is ``(time, node)`` when the drop was a forwarding
+        behavior's decision at a known place and time; a quarantined
+        node's discarded transmission counts but has no site.
+        """
         self.packets_dropped += 1
+        if site is not None:
+            self.drop_sites.append(site)
 
     def record_loss(self) -> None:
         """The radio link lost a transmission."""
         self.packets_lost += 1
 
-    def record_fault(self) -> None:
-        """A packet died to an injected fault (dead node, no route left)."""
+    def record_fault(self, node: int) -> None:
+        """A packet died at ``node`` to an injected fault (dead node, severed route)."""
         self.packets_faulted += 1
+        self.fault_sites[node] += 1
+
+    def record_repair(self) -> None:
+        """A sender declared its next hop dead and the route was repaired."""
+        self.route_repairs += 1
 
     def delivery_ratio(self) -> float:
         """Delivered / injected packets (1.0 when nothing was injected)."""

@@ -31,7 +31,6 @@ from repro.sim.behaviors import ForwardingBehavior
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsCollector
 from repro.sim.sources import ReportSource
-from repro.sim.tracing import PacketTracer
 from repro.traceback.sink import TracebackSink
 
 __all__ = ["NetworkSimulation"]
@@ -56,8 +55,6 @@ class NetworkSimulation:
         metrics: optional shared metrics collector.
         suspicious: predicate choosing which delivered packets are fed to
             traceback (Section 7, "Background Traffic"); default: all.
-        tracer: optional :class:`~repro.sim.tracing.PacketTracer` that
-            records every packet lifecycle event for debugging.
         ingest: optional ingest pipeline (anything with
             ``submit(packet, delivering_node)``, e.g.
             :class:`repro.service.SinkIngestService`).  When set,
@@ -69,9 +66,12 @@ class NetworkSimulation:
             default :class:`~repro.routing.repair.RepairPolicy` applies.
         obs: observability provider; ``None`` resolves to the process
             default.  :meth:`run` publishes the run's metrics summary into
-            its registry once the event queue drains; per-packet spans
-            come through the ``tracer``'s span bridge
-            (:class:`~repro.sim.tracing.PacketTracer`).
+            its registry once the event queue drains.  When the provider
+            carries a span tracer, every packet lifecycle event
+            (``inject``, ``forward``, ``drop``, ``loss``, ``deliver``,
+            ``fault``, ``repair``) becomes a zero-duration span at its
+            virtual time, chained on the packet's report key, so a
+            journey is ``obs.tracer.trace_of(report_key(report))``.
         watchdog: optional overhearing layer
             (:class:`repro.watchdog.WatchdogLayer`).  When set, every
             radio transmission is offered to it for overhearing, and
@@ -91,7 +91,6 @@ class NetworkSimulation:
         rng: random.Random | None = None,
         metrics: MetricsCollector | None = None,
         suspicious: Callable[[MarkedPacket], bool] | None = None,
-        tracer: PacketTracer | None = None,
         ingest: object | None = None,
         repair: RepairPolicy | None = None,
         obs: ObsProvider | NoopObsProvider | None = None,
@@ -108,7 +107,6 @@ class NetworkSimulation:
         self.rng = rng if rng is not None else random.Random(0)
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.suspicious = suspicious if suspicious is not None else (lambda _: True)
-        self.tracer = tracer
         self.ingest = ingest
         self.obs = resolve_provider(obs)
         self.repair_policy = repair if repair is not None else RepairPolicy()
@@ -131,11 +129,6 @@ class NetworkSimulation:
         self._watchdog_tap = (
             watchdog.on_transmission if watchdog is not None else None
         )
-
-    @property
-    def link(self) -> LinkModel:
-        """The default link model (backward-compatible accessor)."""
-        return self.links.default
 
     # Isolation ---------------------------------------------------------------
 
@@ -229,8 +222,9 @@ class NetworkSimulation:
         self._transmit(source.node_id, packet, injected_at=self.sim.now)
 
     def _trace(self, kind: str, node: int, packet: MarkedPacket) -> None:
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, kind, node, packet.report)
+        tracer = self.obs.tracer
+        if tracer is not None:
+            tracer.event(packet.report.trace_key, kind, time=self.sim.now, node=node)
 
     # Forwarding --------------------------------------------------------------
 
@@ -253,14 +247,14 @@ class NetworkSimulation:
             return
         if from_node in self._down:
             # The node crashed while this packet sat in its send queue.
-            self.metrics.record_fault()
+            self.metrics.record_fault(from_node)
             self._trace("fault", from_node, packet)
             return
         try:
             next_hop = self.routing.next_hop(from_node)
         except RoutingError:
             # Churn cut this node off from the sink entirely.
-            self.metrics.record_fault()
+            self.metrics.record_fault(from_node)
             self._trace("fault", from_node, packet)
             return
         if next_hop != self.topology.sink and next_hop in self._down:
@@ -311,6 +305,7 @@ class NetworkSimulation:
         mark_dead = getattr(self.routing, "mark_dead", None)
         if mark_dead is not None:
             mark_dead(next_hop)
+            self.metrics.record_repair()
             self._trace("repair", from_node, packet)
             # Re-enter with a fresh attempt budget; if the repaired route
             # starts with another dead hop the cycle repeats, and it
@@ -318,7 +313,7 @@ class NetworkSimulation:
             self._transmit(from_node, packet, injected_at, attempt=0)
             return
         # Static routing cannot recover: the packet dies to the fault.
-        self.metrics.record_fault()
+        self.metrics.record_fault(from_node)
         self._trace("fault", from_node, packet)
 
     def _notify_transmission(self, node_id: int, packet_len: int) -> None:
@@ -337,7 +332,7 @@ class NetworkSimulation:
             return
         if node in self._down:
             # The receiver crashed while the packet was in flight.
-            self.metrics.record_fault()
+            self.metrics.record_fault(node)
             self._trace("fault", node, packet)
             return
         behavior = self.behaviors.get(node)
@@ -347,7 +342,7 @@ class NetworkSimulation:
             )
         forwarded = behavior.forward(packet)
         if forwarded is None:
-            self.metrics.record_drop()
+            self.metrics.record_drop((self.sim.now, node))
             self._trace("drop", node, packet)
             return
         self._trace("forward", node, forwarded)

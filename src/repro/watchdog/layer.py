@@ -60,7 +60,8 @@ class WatchdogLayer:
             their partners
             (:class:`~repro.adversary.watchdog.AccusationSuppressor`).
         obs: observability provider; ``None`` resolves to the process
-            default.
+            default.  When it carries a span tracer, every ``overhear``
+            and ``flag`` becomes a span chained on the packet's report key.
     """
 
     def __init__(
@@ -123,7 +124,7 @@ class WatchdogLayer:
         score_floor = config.score_floor
         threshold = config.threshold
         links = model.links
-        tracer = sim.tracer
+        tracer = self.obs.tracer
         node_is_down = sim.node_is_down
         # NetworkSimulation mutates its down-node set in place, so the
         # bound set stays live; membership beats a method call per
@@ -319,7 +320,9 @@ class WatchdogLayer:
                         continue
                     overhears += 1
                     if tracer is not None:
-                        tracer.record(now, "overhear", watcher, report)
+                        tracer.event(
+                            report.trace_key, "overhear", time=now, node=watcher
+                        )
                     liar_overheard(now, monitor)
                     continue
                 if not can_track and not out_q:
@@ -334,7 +337,9 @@ class WatchdogLayer:
                     continue
                 overhears += 1
                 if tracer is not None:
-                    tracer.record(now, "overhear", watcher, report)
+                    tracer.event(
+                        report.trace_key, "overhear", time=now, node=watcher
+                    )
                 if out_q:
                     # Inlined WatchdogMonitor.record_outbound.
                     if out_box[0] <= cutoff:
@@ -373,7 +378,9 @@ class WatchdogLayer:
                                 monitor.maybe_due = True
                             obs_inc("watchdog_flags_total")
                             if tracer is not None:
-                                tracer.record(now, "flag", watcher, report)
+                                tracer.event(
+                                    report.trace_key, "flag", time=now, node=watcher
+                                )
                 if can_track:
                     # Inlined WatchdogMonitor.record_inbound (overheard
                     # inbound for the receiver).
@@ -572,9 +579,9 @@ class WatchdogLayer:
         self.obs.inc("watchdog_accusations_lost_total")
 
     def _trace(self, now: float, kind: str, node: int, packet: MarkedPacket) -> None:
-        sim = self._sim
-        if sim is not None and sim.tracer is not None:
-            sim.tracer.record(now, kind, node, packet.report)
+        tracer = self.obs.tracer
+        if tracer is not None:
+            tracer.event(packet.report.trace_key, kind, time=now, node=node)
 
     def __repr__(self) -> str:
         return (

@@ -7,7 +7,6 @@ import pytest
 from repro.cluster.harness import LocalCluster
 from repro.cluster.ring import ShardRing, region_shard_key
 from repro.cluster.router import ShardDownError, ShardRouter
-from repro.crypto.keys import KeyStore
 from repro.crypto.mac import KeyedHashProvider
 from repro.experiments.cluster_sweep import (
     build_cluster_workload,

@@ -12,7 +12,6 @@ from repro.net.topology import grid_topology
 from repro.routing.repair import RepairingRoutingTable
 from repro.sim.behaviors import HonestForwarder
 from repro.sim.network import NetworkSimulation
-from repro.sim.tracing import PacketTracer
 from repro.traceback.sink import TracebackSink
 from tests.conftest import MASTER, ctx_for
 
@@ -24,9 +23,10 @@ def make_grid_sim(
     behaviors_override: dict | None = None,
     ingest: object | None = None,
 ):
-    """A traced grid simulation with repairing routes, ready for faults.
+    """A grid simulation with repairing routes, ready for faults.
 
-    Returns ``(sim, topology, routing, tracer, sink)``; the far-corner
+    Returns ``(sim, topology, routing, metrics, sink)``, where ``metrics``
+    is ``sim.metrics`` (what attribution reads); the far-corner
     node (highest ID) is the natural traffic source.
     """
     topo = grid_topology(side, side, sink_at="corner")
@@ -41,7 +41,6 @@ def make_grid_sim(
     if behaviors_override:
         behaviors.update(behaviors_override)
     sink = TracebackSink(scheme, keystore, provider, topo)
-    tracer = PacketTracer()
     sim = NetworkSimulation(
         topology=topo,
         routing=routing,
@@ -49,7 +48,6 @@ def make_grid_sim(
         sink=sink,
         link=LinkModel(base_delay=0.001),
         rng=random.Random(seed),
-        tracer=tracer,
         ingest=ingest,
     )
-    return sim, topo, routing, tracer, sink
+    return sim, topo, routing, sim.metrics, sink

@@ -13,6 +13,7 @@ from repro.faults import (
     attribute_drops,
 )
 from repro.marking.pnm import PNMMarking
+from repro.sim.metrics import MetricsCollector
 from repro.sim.sources import HonestReportSource
 from tests.conftest import MASTER, ctx_for
 from tests.test_faults.conftest import make_grid_sim
@@ -45,7 +46,7 @@ def make_mole(topo, node_id, attack, mark_prob=0.5):
 
 class TestAttributeDrops:
     def test_honest_faulted_run_is_all_benign(self):
-        sim, topo, routing, tracer, _ = make_grid_sim()
+        sim, topo, routing, metrics, _ = make_grid_sim()
         schedule = FaultSchedule.random_churn(
             topo,
             rate=0.2,
@@ -56,56 +57,46 @@ class TestAttributeDrops:
         injector = FaultInjector(sim, schedule)
         injector.arm()
         run_workload(sim, topo)
-        attribution = attribute_drops(tracer, injector)
+        attribution = attribute_drops(metrics, injector)
         assert attribution.suspicious_drops == {}
         assert attribution.suspicious_nodes() == []
         # Every fault death the metrics saw is attributed as a fault drop.
         assert attribution.total_fault == sim.metrics.packets_faulted
 
     def test_mole_drops_are_suspicious(self):
-        sim, topo, routing, tracer, _ = make_grid_sim()
+        sim, topo, routing, metrics, _ = make_grid_sim()
         source_id = max(topo.sensor_nodes())
         mole_id = routing.path_to_sink(source_id)[1]
         sim.behaviors[mole_id] = make_mole(topo, mole_id, DropEverythingAttack())
         run_workload(sim, topo, count=20)
-        attribution = attribute_drops(tracer, injector=None)
+        attribution = attribute_drops(metrics, injector=None)
         assert attribution.suspicious_drops == {mole_id: 20}
         assert attribution.total_suspicious == 20
         assert attribution.total_benign == 0
 
     def test_baseline_explains_honest_filtering_drops(self):
-        # Fabricate a tracer-only scenario: node 3 dropped 4 packets, and
+        # Fabricate a metrics-only scenario: node 3 dropped 4 packets, and
         # the fault-free baseline shows it drops 4 on this workload too.
-        from repro.packets.report import Report
-        from repro.sim.tracing import PacketTracer
-
-        tracer = PacketTracer()
+        metrics = MetricsCollector()
         for i in range(4):
-            tracer.record(
-                float(i), "drop", 3, Report(event=b"x%d" % i, location=(0, 0), timestamp=i)
-            )
+            metrics.record_drop((float(i), 3))
         baseline = {3: 4}
-        attribution = attribute_drops(tracer, injector=None, baseline=baseline)
+        attribution = attribute_drops(metrics, injector=None, baseline=baseline)
         assert attribution.suspicious_drops == {}
         assert attribution.benign_drops == {3: 4}
 
     def test_excess_over_baseline_is_suspicious(self):
-        from repro.packets.report import Report
-        from repro.sim.tracing import PacketTracer
-
-        tracer = PacketTracer()
+        metrics = MetricsCollector()
         for i in range(6):
-            tracer.record(
-                float(i), "drop", 3, Report(event=b"y%d" % i, location=(0, 0), timestamp=i)
-            )
-        attribution = attribute_drops(tracer, injector=None, baseline={3: 2})
+            metrics.record_drop((float(i), 3))
+        attribution = attribute_drops(metrics, injector=None, baseline={3: 2})
         assert attribution.benign_drops == {3: 2}
         assert attribution.suspicious_drops == {3: 4}
 
     def test_summary_keys(self):
-        sim, topo, routing, tracer, _ = make_grid_sim()
+        sim, topo, routing, metrics, _ = make_grid_sim()
         run_workload(sim, topo, count=5)
-        summary = attribute_drops(tracer).summary()
+        summary = attribute_drops(metrics).summary()
         assert set(summary) == {
             "fault_drops",
             "benign_drops",
@@ -116,7 +107,7 @@ class TestAttributeDrops:
 
 class TestAccusationReport:
     def test_honest_network_zero_accusations(self):
-        sim, topo, routing, tracer, sink = make_grid_sim()
+        sim, topo, routing, metrics, sink = make_grid_sim()
         schedule = FaultSchedule.random_churn(
             topo,
             rate=0.3,
@@ -127,14 +118,14 @@ class TestAccusationReport:
         injector = FaultInjector(sim, schedule)
         injector.arm()
         run_workload(sim, topo)
-        report = accusation_report(sink, attribute_drops(tracer, injector))
+        report = accusation_report(sink, attribute_drops(metrics, injector))
         assert report.accused == ()
         assert report.false_accusations == ()
         assert report.false_accusation_rate == 0.0
         assert not report.tamper_evidence
 
     def test_tampering_mole_gets_accused_not_framed_wholesale(self):
-        sim, topo, routing, tracer, sink = make_grid_sim()
+        sim, topo, routing, metrics, sink = make_grid_sim()
         source_id = max(topo.sensor_nodes())
         mole_id = routing.path_to_sink(source_id)[2]
         sim.behaviors[mole_id] = make_mole(
@@ -142,7 +133,7 @@ class TestAccusationReport:
         )
         run_workload(sim, topo, count=60)
         report = accusation_report(
-            sink, attribute_drops(tracer), moles=frozenset({mole_id})
+            sink, attribute_drops(metrics), moles=frozenset({mole_id})
         )
         assert report.tamper_evidence
         assert len(report.accused) >= 1
@@ -154,10 +145,10 @@ class TestAccusationReport:
         )
 
     def test_rate_counts_honest_only(self):
-        sim, topo, routing, tracer, sink = make_grid_sim()
+        sim, topo, routing, metrics, sink = make_grid_sim()
         run_workload(sim, topo, count=5)
         report = accusation_report(
-            sink, attribute_drops(tracer), moles=frozenset({5})
+            sink, attribute_drops(metrics), moles=frozenset({5})
         )
         assert 5 not in report.honest
         assert len(report.honest) == len(topo.sensor_nodes()) - 1

@@ -18,7 +18,6 @@ from repro.service.ingest import SinkIngestService
 from repro.sim.behaviors import HonestForwarder
 from repro.sim.network import NetworkSimulation
 from repro.sim.sources import BogusReportSource
-from repro.sim.tracing import PacketTracer
 from repro.traceback.sink import TracebackSink
 from tests.conftest import MASTER
 
@@ -46,7 +45,6 @@ def run_traced_deployment(seed: int = 11):
         sink=sink,
         link=LinkModel(base_delay=0.002),
         rng=random.Random(0),
-        tracer=PacketTracer(max_events=100_000, spans=tracer),
         ingest=service,
         obs=obs,
     )

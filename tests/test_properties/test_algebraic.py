@@ -16,7 +16,6 @@ Three claims the ISSUE pins for the stateful sink:
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -50,7 +49,6 @@ from repro.routing.repair import RepairingRoutingTable
 from repro.sim.behaviors import HonestForwarder
 from repro.sim.network import NetworkSimulation
 from repro.sim.sources import HonestReportSource
-from repro.sim.tracing import PacketTracer
 
 PROVIDER = KeyedHashProvider()
 MASTER = b"algebraic-property-master"
@@ -77,7 +75,6 @@ def run_algebraic_under_churn(
         for nid in topo.sensor_nodes()
     }
     sink = AlgebraicTracebackSink(scheme, keystore, PROVIDER, topo)
-    tracer = PacketTracer()
     sim = NetworkSimulation(
         topology=topo,
         routing=routing,
@@ -85,7 +82,6 @@ def run_algebraic_under_churn(
         sink=sink,
         link=LinkModel(base_delay=0.001, loss_prob=loss_prob),
         rng=random.Random(f"ap:link:{seed}"),
-        tracer=tracer,
     )
     source_id = max(topo.sensor_nodes())
     interval = 0.05
@@ -104,7 +100,7 @@ def run_algebraic_under_churn(
     )
     sim.add_periodic_source(source, interval=interval, count=packets)
     sim.run()
-    return sim, sink, tracer, injector
+    return sim, sink, sim.metrics, injector
 
 
 class TestHonestChurnNeverAccuses:
@@ -117,10 +113,10 @@ class TestHonestChurnNeverAccuses:
     @settings(max_examples=15, deadline=None)
     def test_zero_false_accusations(self, side, churn_rate, loss_prob, seed):
         """The stateful sink inherits the 0.0 honest false-accusation pin."""
-        sim, sink, tracer, injector = run_algebraic_under_churn(
+        sim, sink, metrics, injector = run_algebraic_under_churn(
             side, churn_rate, loss_prob, seed
         )
-        attribution = attribute_drops(tracer, injector)
+        attribution = attribute_drops(metrics, injector)
         report = accusation_report(sink, attribution)
         assert report.accused == (), (
             f"honest nodes accused under benign churn: {report.accused} "

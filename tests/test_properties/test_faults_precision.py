@@ -35,7 +35,6 @@ from repro.routing.repair import RepairingRoutingTable
 from repro.sim.behaviors import HonestForwarder
 from repro.sim.network import NetworkSimulation
 from repro.sim.sources import HonestReportSource
-from repro.sim.tracing import PacketTracer
 from repro.traceback.sink import TracebackSink
 
 PROVIDER = KeyedHashProvider()
@@ -63,7 +62,6 @@ def run_honest_under_churn(
         for nid in topo.sensor_nodes()
     }
     sink = TracebackSink(scheme, keystore, PROVIDER, topo)
-    tracer = PacketTracer()
     sim = NetworkSimulation(
         topology=topo,
         routing=routing,
@@ -71,7 +69,6 @@ def run_honest_under_churn(
         sink=sink,
         link=LinkModel(base_delay=0.001, loss_prob=loss_prob),
         rng=random.Random(f"fp:link:{seed}"),
-        tracer=tracer,
     )
     source_id = max(topo.sensor_nodes())
     interval = 0.05
@@ -90,7 +87,7 @@ def run_honest_under_churn(
     )
     sim.add_periodic_source(source, interval=interval, count=packets)
     sim.run()
-    return sim, sink, tracer, injector
+    return sim, sink, sim.metrics, injector
 
 
 class TestHonestChurnNeverAccuses:
@@ -103,10 +100,10 @@ class TestHonestChurnNeverAccuses:
     @settings(max_examples=25, deadline=None)
     def test_zero_false_accusations(self, side, churn_rate, loss_prob, seed):
         """For ANY churn schedule over an honest network, nobody is accused."""
-        sim, sink, tracer, injector = run_honest_under_churn(
+        sim, sink, metrics, injector = run_honest_under_churn(
             side, churn_rate, loss_prob, seed
         )
-        attribution = attribute_drops(tracer, injector)
+        attribution = attribute_drops(metrics, injector)
         report = accusation_report(sink, attribution)
         assert report.accused == (), (
             f"honest nodes accused under benign churn: {report.accused} "
@@ -125,7 +122,7 @@ class TestHonestChurnNeverAccuses:
     @settings(max_examples=20, deadline=None)
     def test_delivered_packets_still_verify(self, side, churn_rate, seed):
         """Faults kill packets; they never corrupt the survivors' marks."""
-        sim, sink, tracer, injector = run_honest_under_churn(
+        sim, sink, metrics, injector = run_honest_under_churn(
             side, churn_rate, loss_prob=0.0, seed=seed
         )
         for packet in sim.delivered:

@@ -41,7 +41,6 @@ from repro.sim.behaviors import HonestForwarder
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import NetworkSimulation
 from repro.sim.sources import HonestReportSource
-from repro.sim.tracing import PacketTracer
 from repro.traceback.sink import TracebackSink
 from repro.watchdog import WatchdogLayer
 
@@ -59,7 +58,7 @@ def run_deployment(
     degrade: tuple[int, int] | None = None,
     watchdog_on: bool = True,
 ):
-    """One chain run; returns ``(sim, sink, layer, tracer, injector)``."""
+    """One chain run; returns ``(sim, sink, layer, metrics, injector)``."""
     topology, source_id = linear_path_topology(n)
     routing = RepairingRoutingTable(topology)
     provider = KeyedHashProvider()
@@ -99,7 +98,6 @@ def run_deployment(
         else None
     )
     sink = TracebackSink(scheme, keystore, provider, topology)
-    tracer = PacketTracer()
     sim = NetworkSimulation(
         topology=topology,
         routing=routing,
@@ -108,7 +106,6 @@ def run_deployment(
         link=links,
         rng=random.Random(f"wd-prop:link:{seed}"),
         metrics=MetricsCollector(),
-        tracer=tracer,
         watchdog=layer,
     )
     injector = None
@@ -136,7 +133,7 @@ def run_deployment(
     )
     sim.add_periodic_source(source, interval=INTERVAL, count=PACKETS)
     sim.run()
-    return sim, sink, layer, tracer, injector
+    return sim, sink, layer, sim.metrics, injector
 
 
 class TestNoWatchdogAddedFalseAccusations:
@@ -148,11 +145,11 @@ class TestNoWatchdogAddedFalseAccusations:
     @settings(max_examples=12, deadline=None)
     def test_framing_never_convicts(self, n, liar_pos, seed):
         """Honest data plane + lying watchdog: every claim rejected."""
-        _, sink, layer, tracer, _ = run_deployment(
+        _, sink, layer, metrics, _ = run_deployment(
             n, seed, liar=(liar_pos, liar_pos + 1)
         )
         fused = fused_accusation_report(
-            sink, attribute_drops(tracer), layer.sink_log
+            sink, attribute_drops(metrics), layer.sink_log
         )
         assert fused.watchdog_confirmed == ()
         assert fused.false_accusation_rate == 0.0
@@ -171,7 +168,7 @@ class TestNoWatchdogAddedFalseAccusations:
         """A random ``repro.faults`` churn schedule plus degraded links
         on top of framing: drops and missed overhears still corroborate
         nothing."""
-        _, sink, layer, tracer, injector = run_deployment(
+        _, sink, layer, metrics, injector = run_deployment(
             n,
             seed,
             liar=(liar_pos, liar_pos + 1),
@@ -179,7 +176,7 @@ class TestNoWatchdogAddedFalseAccusations:
             degrade=(2, 3),
         )
         fused = fused_accusation_report(
-            sink, attribute_drops(tracer, injector), layer.sink_log
+            sink, attribute_drops(metrics, injector), layer.sink_log
         )
         assert fused.watchdog_confirmed == ()
         assert all(node not in fused.honest for node in fused.accused)
@@ -195,14 +192,14 @@ class TestNoWatchdogAddedFalseAccusations:
         """Mole + colluding suppressor: whatever accusations survive,
         none against an honest node is ever confirmed."""
         mole = min(mole_shift, n - 2)
-        _, sink, layer, tracer, _ = run_deployment(
+        _, sink, layer, metrics, _ = run_deployment(
             n,
             seed,
             mole=mole,
             suppressor=(mole + 1, frozenset({mole})),
         )
         fused = fused_accusation_report(
-            sink, attribute_drops(tracer), layer.sink_log, moles=frozenset({mole})
+            sink, attribute_drops(metrics), layer.sink_log, moles=frozenset({mole})
         )
         honest = set(fused.honest)
         assert not honest & set(fused.watchdog_confirmed)
@@ -221,8 +218,8 @@ class TestDisabledParity:
         """Attaching the layer must not perturb a single data-plane byte:
         it draws only from its own RNG."""
         mole = 3 if with_mole else None
-        sim_on, sink_on, _, tracer_on, _ = run_deployment(n, seed, mole=mole)
-        sim_off, sink_off, _, tracer_off, _ = run_deployment(
+        sim_on, sink_on, _, metrics_on, _ = run_deployment(n, seed, mole=mole)
+        sim_off, sink_off, _, metrics_off, _ = run_deployment(
             n, seed, mole=mole, watchdog_on=False
         )
         wires_on = [packet.wire() for packet in sim_on.delivered]
@@ -231,10 +228,10 @@ class TestDisabledParity:
         assert sink_on.verdict() == sink_off.verdict()
         moles = frozenset({mole}) if mole is not None else frozenset()
         report_on = accusation_report(
-            sink_on, attribute_drops(tracer_on), moles=moles
+            sink_on, attribute_drops(metrics_on), moles=moles
         )
         report_off = accusation_report(
-            sink_off, attribute_drops(tracer_off), moles=moles
+            sink_off, attribute_drops(metrics_off), moles=moles
         )
         assert report_on == report_off
 
@@ -243,8 +240,8 @@ class TestDisabledParity:
     def test_empty_log_fuses_to_exactly_pnm(self, n, seed):
         """A fused report over an absent or empty log carries exactly the
         PNM-only accusations, field for field."""
-        _, sink, layer, tracer, _ = run_deployment(n, seed, mole=3)
-        attribution = attribute_drops(tracer)
+        _, sink, layer, metrics, _ = run_deployment(n, seed, mole=3)
+        attribution = attribute_drops(metrics)
         moles = frozenset({3})
         base = accusation_report(sink, attribution, moles=moles)
         for log in (None, type(layer.sink_log)()):

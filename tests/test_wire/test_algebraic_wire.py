@@ -20,7 +20,7 @@ from repro.algebraic.sink import AlgebraicTracebackSink
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import KeyedHashProvider
 from repro.net.topology import linear_path_topology
-from repro.packets.marks import Mark, MarkFormat
+from repro.packets.marks import Mark
 from repro.packets.packet import MarkedPacket
 from repro.packets.report import Report
 from repro.wire.codec import (
