@@ -1,6 +1,6 @@
 # Convenience targets for the PNM reproduction.
 
-.PHONY: install test lint loc bench bench-check perf-smoke experiments experiments-full faults algebraic watchdog obs smoke examples clean
+.PHONY: install test lint loc bench bench-check perf-smoke perf-ab experiments experiments-full faults algebraic watchdog obs smoke examples clean
 
 install:
 	pip install -e .
@@ -30,6 +30,19 @@ bench-check:
 # sink's, one-hop floors hold).  Timings this short are not checked.
 perf-smoke:
 	python3 benchmarks/check_perf_smoke.py
+
+# Paired timing of the working tree against BASE (any git revision):
+# PAIRS alternating pairs of untraced perfbench runs of WORKLOAD, then each
+# side's median and quartiles per end-to-end metric and the pairs the
+# change won.  Minutes long, so never run in CI.
+#   make perf-ab BASE=HEAD [WORKLOAD=cluster-stream SEED=1 PAIRS=10 RUN_SECONDS=30]
+WORKLOAD ?= cluster-stream
+SEED ?= 1
+PAIRS ?= 10
+perf-ab:
+	@test -n "$(BASE)" || { echo "usage: make perf-ab BASE=<git revision>" >&2; exit 2; }
+	python3 benchmarks/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) --seed $(SEED) \
+		--pairs $(PAIRS) $(if $(RUN_SECONDS),--seconds $(RUN_SECONDS))
 
 # Regenerate every paper figure + extension at the default (quick) preset.
 experiments:

@@ -35,11 +35,18 @@ __all__ = [
     "report_shard_key",
     "region_shard_key",
     "DEFAULT_VNODES",
+    "LOOKUP_MEMO_CAP",
 ]
 
 #: Virtual points per shard.  64 keeps the largest/smallest ownership
 #: ratio under ~1.4 for small clusters while the ring stays tiny.
 DEFAULT_VNODES = 64
+
+#: Most ``key -> owner`` answers a ring remembers.  Region keys number in
+#: the tens; uniform report keys are looked up twice (router split, then
+#: the server's ownership check) and never again, so a full memo is
+#: cleared rather than grown.
+LOOKUP_MEMO_CAP = 4096
 
 
 def _point(shard_id: int, vnode: int) -> int:
@@ -74,6 +81,7 @@ class ShardRing:
         self._shards: list[int] = []
         self._points: list[int] = []
         self._owners: list[int] = []
+        self._memo: dict[bytes, int] = {}
         for shard_id in sorted(shard_ids):
             self.add_shard(shard_id)
 
@@ -98,6 +106,7 @@ class ShardRing:
         """
         if shard_id in self._shards:
             raise ValueError(f"shard {shard_id} already on the ring")
+        self._memo.clear()
         bisect.insort(self._shards, shard_id)
         for vnode in range(self.vnodes):
             point = _point(shard_id, vnode)
@@ -122,6 +131,7 @@ class ShardRing:
         """
         if shard_id not in self._shards:
             raise ValueError(f"shard {shard_id} not on the ring")
+        self._memo.clear()
         self._shards.remove(shard_id)
         keep = [
             index
@@ -136,15 +146,26 @@ class ShardRing:
     def shard_for(self, key: bytes) -> int:
         """The shard owning ``key``.
 
+        Answers are remembered until the next membership change, so the
+        router's split and the owning server's check hash ``key`` once.
+
         Raises:
             LookupError: when the ring is empty.
         """
+        memo = self._memo
+        owner = memo.get(key)
+        if owner is not None:
+            return owner
         if not self._points:
             raise LookupError("cannot route on an empty ring")
         index = bisect.bisect_right(self._points, _key_point(key))
         if index == len(self._points):
             index = 0
-        return self._owners[index]
+        owner = self._owners[index]
+        if len(memo) >= LOOKUP_MEMO_CAP:
+            memo.clear()
+        memo[key] = owner
+        return owner
 
     def ownership(self, keys: Iterable[bytes]) -> dict[int, int]:
         """Key count per shard over ``keys`` (shards in ascending order)."""

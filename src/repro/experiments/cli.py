@@ -134,12 +134,23 @@ def _run_observed(
     manifest.extra["notes"] = list(result.notes)
     manifest.extra.update(result.extra)
     manifest.finish(metrics=provider.registry.snapshot())
+    # A full span store drops every later span; say so rather than leave
+    # a spans.jsonl that silently stops partway through the run.
+    manifest.extra["spans_written"] = tracer.write_jsonl(
+        os.path.join(run_dir, "spans.jsonl")
+    )
+    manifest.extra["spans_truncated"] = tracer.truncated
+    if tracer.truncated:
+        print(
+            f"pnm-experiment: {name}: span store full at {tracer.max_spans} "
+            "spans; later spans were dropped",
+            file=sys.stderr,
+        )
     manifest.write(os.path.join(run_dir, "manifest.json"))
     with open(os.path.join(run_dir, "metrics.json"), "w", encoding="utf-8") as fh:
         fh.write(obs_pkg.registry_to_json(provider.registry, indent=2) + "\n")
     with open(os.path.join(run_dir, "metrics.prom"), "w", encoding="utf-8") as fh:
         fh.write(obs_pkg.to_prometheus_text(provider.registry))
-    tracer.write_jsonl(os.path.join(run_dir, "spans.jsonl"))
     return result
 
 

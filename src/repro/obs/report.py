@@ -42,6 +42,9 @@ def render_manifest(manifest: RunManifest) -> str:
         ["python", manifest.python or "-"],
         ["argv", " ".join(manifest.argv) or "-"],
     ]
+    if "spans_written" in manifest.extra:
+        rows.append(["spans_written", manifest.extra["spans_written"]])
+        rows.append(["spans_truncated", manifest.extra.get("spans_truncated", False)])
     lines.append(format_table(["field", "value"], rows))
     return "\n".join(lines)
 

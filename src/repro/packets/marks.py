@@ -11,10 +11,12 @@ Field lengths are fixed per deployment by a :class:`MarkFormat`, so any node
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import partial
+from typing import NamedTuple, cast
 
-__all__ = ["MarkFormat", "Mark"]
+__all__ = ["MarkFormat", "Mark", "mark_from_fields"]
 
 DEFAULT_ID_LEN = 2
 
@@ -100,3 +102,10 @@ class Mark(NamedTuple):
     def matches_format(self, fmt: MarkFormat) -> bool:
         """Whether this mark's field sizes agree with ``fmt``."""
         return len(self.id_field) == fmt.id_len and len(self.mac) == fmt.mac_len
+
+
+#: Build a :class:`Mark` from an ``(id_field, mac)`` pair in one C call:
+#: ``Mark._make`` without its Python frame and field-count check.  Only
+#: for rows that always have two fields, such as a ``"{id}s{mac}s"``
+#: struct row; anything else builds a malformed mark.
+mark_from_fields = cast(Callable[[Iterable[bytes]], Mark], partial(tuple.__new__, Mark))

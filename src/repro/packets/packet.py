@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from repro.packets.marks import Mark, MarkFormat
+from repro.packets.marks import Mark, MarkFormat, mark_from_fields
 from repro.packets.report import Report
 
 __all__ = ["MarkedPacket"]
@@ -166,9 +166,9 @@ class MarkedPacket:
                 f"{remainder} trailing bytes is not a multiple of "
                 f"mark length {mark_len}"
             )
-        # One C-level unpack per mark, straight into the named tuple.
+        # One C pass: each unpacked two-field row becomes a Mark directly.
         unpack = struct.Struct(f"{fmt.id_len}s{fmt.mac_len}s").iter_unpack
-        marks = tuple(map(Mark._make, unpack(memoryview(buffer)[consumed:])))
+        marks = tuple(map(mark_from_fields, unpack(memoryview(buffer)[consumed:])))
         packet = cls(report=report, marks=marks)
         # Report encoding is canonical (decode then encode gives the same
         # bytes), so the received buffer is the packet's wire form: seed

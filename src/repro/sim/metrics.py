@@ -35,10 +35,13 @@ class EnergyModel:
 class MetricsCollector:
     """Accumulates per-node and network-wide counters during a run.
 
-    Runs recorded through :meth:`record_run` wait, one entry per distinct
-    run of node IDs, until :attr:`transmissions` or
-    :attr:`bytes_transmitted` is next read, so a packet's run costs work
-    in the number of its marks rather than in the number of its hops.
+    Transmissions recorded through :meth:`record_transmission` and
+    :meth:`record_run` wait in plain dicts -- one entry per node, and one
+    per distinct run of node IDs -- until :attr:`transmissions` or
+    :attr:`bytes_transmitted` is next read.  A hop then costs one dict
+    lookup instead of two ``Counter`` writes, and a packet's run costs
+    work in the number of its marks rather than in the number of its
+    hops.
     """
 
     energy_model: EnergyModel = field(default_factory=EnergyModel)
@@ -58,6 +61,8 @@ class MetricsCollector:
     route_repairs: int = 0
     _transmissions: Counter = field(default_factory=Counter, init=False, repr=False)
     _bytes: Counter = field(default_factory=Counter, init=False, repr=False)
+    #: Node -> ``[packets, bytes]`` sent through :meth:`record_transmission`.
+    _sent: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
     #: Run of node IDs -> ``[packets, d_0, d_1, ...]``, where the bytes
     #: the run's ``i``-th node sent are ``d_0 + ... + d_i``.
     _runs: dict[tuple[int, ...], list[int]] = field(
@@ -67,14 +72,14 @@ class MetricsCollector:
     @property
     def transmissions(self) -> Counter:
         """Transmissions per node."""
-        if self._runs:
+        if self._sent or self._runs:
             self._settle()
         return self._transmissions
 
     @property
     def bytes_transmitted(self) -> Counter:
         """Bytes sent per node."""
-        if self._runs:
+        if self._sent or self._runs:
             self._settle()
         return self._bytes
 
@@ -84,8 +89,12 @@ class MetricsCollector:
 
     def record_transmission(self, node_id: int, packet_len: int) -> None:
         """``node_id`` pushed ``packet_len`` bytes onto the radio."""
-        self._transmissions[node_id] += 1
-        self._bytes[node_id] += packet_len
+        pending = self._sent.get(node_id)
+        if pending is None:
+            self._sent[node_id] = [1, packet_len]
+        else:
+            pending[0] += 1
+            pending[1] += packet_len
 
     def record_run(
         self,
@@ -111,7 +120,11 @@ class MetricsCollector:
             packet_len = new_len
 
     def _settle(self) -> None:
-        """Fold the pending runs into the per-node counters."""
+        """Fold the pending tallies into the per-node counters."""
+        for node_id, (packets, sent) in self._sent.items():
+            self._transmissions[node_id] += packets
+            self._bytes[node_id] += sent
+        self._sent.clear()
         for node_ids, pending in self._runs.items():
             packets, sent = pending[0], 0
             for node_id, step in zip(node_ids, pending[1:]):

@@ -56,6 +56,12 @@ class VerifiedMark(NamedTuple):
     ambiguous: bool = False
 
 
+#: ``VerifiedMark._make`` in one C call, without its Python frame and
+#: field-count check: :meth:`PacketVerifier._verify` passes it only
+#: literal ``(index, real_id, ambiguous)`` triples.
+_verified_mark = partial(tuple.__new__, VerifiedMark)
+
+
 @dataclass
 class PacketVerification:
     """Outcome of verifying one packet's marks.
@@ -190,7 +196,7 @@ class PacketVerifier:
         notify_miss = getattr(resolver, "notify_miss", None)
         fallback = self.exhaustive_fallback
         suffix = self.scheme.verification_policy == "suffix"
-        make = VerifiedMark._make
+        make = _verified_mark
         result = PacketVerification(packet=packet)
         verified, invalid = result.verified, result.invalid_indices
         prev_verified: int | None = None

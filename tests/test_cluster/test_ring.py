@@ -1,9 +1,12 @@
-"""ShardRing properties: determinism, balance, minimal movement."""
+"""ShardRing properties: determinism, balance, minimal movement, memo."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.ring import (
     DEFAULT_VNODES,
+    LOOKUP_MEMO_CAP,
     ShardRing,
     region_shard_key,
     report_shard_key,
@@ -121,6 +124,73 @@ class TestMembership:
 
     def test_default_vnodes_constant(self):
         assert ShardRing([0]).vnodes == DEFAULT_VNODES
+
+
+class TestLookupMemo:
+    """``shard_for`` remembers answers without ever changing one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        initial=st.sets(st.integers(0, 7), min_size=1, max_size=4),
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, 7),
+                st.lists(st.integers(0, 40), max_size=8),
+            ),
+            max_size=10,
+        ),
+        probes=st.lists(st.integers(0, 40), min_size=1, max_size=20),
+    )
+    def test_matches_a_fresh_ring_after_churn(self, initial, steps, probes):
+        ring = ShardRing(initial)
+        for shard_id, lookups in steps:
+            # Toggle membership, never emptying the ring, with lookups
+            # in between so the memo holds answers across every change.
+            if shard_id in ring and len(ring) > 1:
+                ring.remove_shard(shard_id)
+            elif shard_id not in ring:
+                ring.add_shard(shard_id)
+            for key in lookups:
+                ring.shard_for(b"k%d" % key)
+        fresh = ShardRing(ring.shard_ids)
+        for key in probes:
+            assert ring.shard_for(b"k%d" % key) == fresh.shard_for(b"k%d" % key)
+
+    def test_ownership_is_unchanged_by_a_warm_memo(self):
+        keys = uniform_keys(2000)
+        warm = ShardRing([0, 1, 2, 3])
+        for key in keys[::3]:
+            warm.shard_for(key)
+        warm.remove_shard(2)
+        for key in keys[::5]:
+            warm.shard_for(key)
+        fresh = ShardRing([0, 1, 3])
+        expected = {0: 0, 1: 0, 3: 0}
+        for key in keys:
+            expected[fresh.shard_for(key)] += 1
+        assert warm.ownership(keys) == expected
+
+    def test_memo_never_grows_past_its_cap(self):
+        ring = ShardRing([0, 1])
+        reference = ShardRing([0, 1])
+        largest = 0
+        for index in range(LOOKUP_MEMO_CAP + 500):
+            key = b"distinct-%d" % index
+            ring.shard_for(key)
+            largest = max(largest, len(ring._memo))
+        assert largest == LOOKUP_MEMO_CAP
+        for index in range(0, LOOKUP_MEMO_CAP + 500, 97):
+            key = b"distinct-%d" % index
+            assert ring.shard_for(key) == reference.shard_for(key)
+
+    def test_membership_changes_clear_the_memo(self):
+        ring = ShardRing([0, 1])
+        ring.shard_for(b"a")
+        ring.add_shard(2)
+        assert not ring._memo
+        ring.shard_for(b"a")
+        ring.remove_shard(2)
+        assert not ring._memo
 
 
 def packet_at(location, event=b"e") -> MarkedPacket:

@@ -1,11 +1,16 @@
 """Run manifests and the ``python -m repro.obs report`` renderer."""
 
 import json
+from functools import partial
 
 import pytest
 
+import repro.obs as obs_pkg
+from repro.experiments import cli
+from repro.experiments.presets import preset_by_name
+from repro.experiments.tables import FigureResult
 from repro.obs.manifest import RunManifest, git_revision
-from repro.obs.profiling import ObsProvider
+from repro.obs.profiling import ObsProvider, get_default_provider
 from repro.obs.report import main, render_run_dir
 from repro.obs.spans import Tracer
 
@@ -101,3 +106,37 @@ class TestReport:
         RunManifest(name="empty").write(str(run_dir / "manifest.json"))
         rendered = render_run_dir(str(run_dir))
         assert "== run: empty ==" in rendered
+
+
+class TestObservedRunSpanCount:
+    """``--obs-dir`` runs record whether the span store overflowed."""
+
+    @staticmethod
+    def observe(tmp_path, monkeypatch, spans, max_spans):
+        def runner(preset):
+            tracer = get_default_provider().tracer
+            for index in range(spans):
+                tracer.finish(tracer.chain(b"k%d" % index, "inject"))
+            return FigureResult(figure_id="spans", title="t", columns=["x"], rows=[])
+
+        monkeypatch.setattr(obs_pkg, "Tracer", partial(Tracer, max_spans=max_spans))
+        cli._run_observed(runner, "spans", preset_by_name("ci"), str(tmp_path))
+        return RunManifest.load(str(tmp_path / "spans" / "manifest.json"))
+
+    def test_overflow_is_recorded_warned_and_reported(self, tmp_path, monkeypatch, capsys):
+        manifest = self.observe(tmp_path, monkeypatch, spans=12, max_spans=5)
+        assert manifest.extra["spans_truncated"] is True
+        assert manifest.extra["spans_written"] == 5
+        lines = (tmp_path / "spans" / "spans.jsonl").read_text().splitlines()
+        assert len(lines) == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "spans: span store full at 5 spans" in err
+        rendered = render_run_dir(str(tmp_path / "spans")).splitlines()
+        assert any("spans_truncated" in line and "True" in line for line in rendered)
+
+    def test_a_run_within_the_cap_is_not_flagged(self, tmp_path, monkeypatch, capsys):
+        manifest = self.observe(tmp_path, monkeypatch, spans=3, max_spans=5)
+        assert manifest.extra["spans_truncated"] is False
+        assert manifest.extra["spans_written"] == 3
+        assert capsys.readouterr().err == ""

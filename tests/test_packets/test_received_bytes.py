@@ -114,6 +114,26 @@ class TestReceivedBytes:
             assert copy.wire_len == len(fresh_wire(copy, len(copy.marks)))
 
 
+class TestDecodedMarks:
+    """Decode builds each mark in C; the result is still a ``Mark``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=packets())
+    def test_decoded_marks_are_marks(self, case):
+        packet, fmt = case
+        decoded = MarkedPacket.decode(packet.wire(), fmt, len(packet.marks))
+        for mark, sent in zip(decoded.marks, packet.marks, strict=True):
+            assert type(mark) is Mark
+            assert mark.id_field == sent.id_field
+            assert mark.mac == sent.mac
+            assert mark._asdict() == {"id_field": sent.id_field, "mac": sent.mac}
+            assert mark.matches_format(fmt)
+            assert mark.encode() == sent.id_field + sent.mac
+            rebuilt = Mark(mark.id_field, mark.mac)
+            assert mark == rebuilt
+            assert hash(mark) == hash(rebuilt)
+
+
 class TestMalformedBuffers:
     @settings(max_examples=60, deadline=None)
     @given(case=packets())

@@ -1,8 +1,11 @@
 """Path pipeline, metrics, behaviors."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.coordinator import ClusterCoordinator, verdict_json
 from repro.core.build import build_scenario
@@ -338,6 +341,52 @@ class TestMetrics:
             per_node.record_transmission(node_id, 5)
         assert run.transmissions == per_node.transmissions
         assert run.bytes_transmitted == per_node.bytes_transmitted
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("tx"), st.integers(0, 5), st.integers(1, 60)),
+                st.tuples(
+                    st.just("run"),
+                    st.lists(st.integers(0, 5), min_size=1, max_size=5).map(tuple),
+                    st.integers(1, 60),
+                    st.lists(st.tuples(st.integers(0, 4), st.integers(1, 90)), max_size=3),
+                ),
+                st.tuples(st.just("read"), st.booleans()),
+            ),
+            max_size=25,
+        )
+    )
+    def test_mixed_tallies_match_per_call_counters(self, ops):
+        """Deferred tallies read back as if every send wrote a Counter."""
+        metrics = MetricsCollector()
+        sent, sizes = Counter(), Counter()
+        for op in ops:
+            if op[0] == "tx":
+                _, node_id, size = op
+                metrics.record_transmission(node_id, size)
+                sent[node_id] += 1
+                sizes[node_id] += size
+            elif op[0] == "run":
+                _, ids, size, raw = op
+                changes = sorted({p: n for p, n in raw if p < len(ids)}.items())
+                metrics.record_run(ids, size, changes)
+                by_position = dict(changes)
+                for position, node_id in enumerate(ids):
+                    size = by_position.get(position, size)
+                    sent[node_id] += 1
+                    sizes[node_id] += size
+            elif op[1]:
+                assert metrics.transmissions == sent
+            else:
+                assert metrics.bytes_transmitted == sizes
+        # Bytes first: either property alone must see every pending tally.
+        assert metrics.bytes_transmitted == sizes
+        assert metrics.transmissions == sent
+        assert type(metrics.transmissions) is Counter
+        assert type(metrics.bytes_transmitted) is Counter
+        assert metrics.total_transmissions == sum(sent.values())
 
     def test_per_node_energy(self):
         m = MetricsCollector(energy_model=EnergyModel(1.0, 0.0))

@@ -305,6 +305,19 @@ class TestAmbiguousAttribution:
         assert result.verified == [VerifiedMark(i, 14) for i in range(3)]
         assert not any(vm.ambiguous for vm in result.verified)
 
+    def test_records_are_verified_marks(self, keystore, marked):
+        for resolver, real_id, ambiguous in ((None, 1, True), (OfferResolver([14]), 14, False)):
+            result = self.verify(keystore, marked, resolver)
+            assert len(result.verified) == 3
+            for position, record in enumerate(result.verified):
+                assert type(record) is VerifiedMark
+                assert record.index == position
+                assert record.real_id == real_id
+                assert record.ambiguous is ambiguous
+                assert record._asdict() == {
+                    "index": position, "real_id": real_id, "ambiguous": ambiguous
+                }
+
     def test_checker_returns_every_validating_id_in_candidate_order(
         self, keystore, marked
     ):
