@@ -31,9 +31,7 @@ from repro.faults.attribution import (
 )
 from repro.net.topology import Topology
 from repro.obs.profiling import NoopObsProvider, ObsProvider, resolve_provider
-from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanContext
-from repro.obs.telemetry import FederatedTelemetry
 from repro.traceback.sink import (
     SinkEvidence,
     TracebackVerdict,
@@ -116,7 +114,6 @@ class ClusterCoordinator:
     ):
         self.topology = topology
         self.obs = resolve_provider(obs)
-        self.telemetry = FederatedTelemetry()
 
     def _trace_event(
         self, trace: SpanContext | None, name: str, **attrs: Any
@@ -179,22 +176,6 @@ class ClusterCoordinator:
             packets_used=result.packets_used,
         )
         return result
-
-    def federate(
-        self, per_shard: Mapping[int, dict[str, Any]]
-    ) -> MetricsRegistry:
-        """Ingest per-shard telemetry snapshots; return the federated view.
-
-        Snapshots accumulate in :attr:`telemetry` (newest per shard
-        wins), so successive polls refine the same federated registry.
-        A pure read path: nothing is written back to any shard.
-        """
-        for shard_id in sorted(per_shard):
-            self.telemetry.ingest(shard_id, per_shard[shard_id])
-        registry = self.telemetry.registry()
-        self.obs.set_gauge("cluster_federated_shards", len(self.telemetry))
-        self.obs.set_gauge("cluster_federated_metrics", len(registry))
-        return registry
 
     def accusation(
         self,

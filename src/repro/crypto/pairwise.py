@@ -56,21 +56,6 @@ class PairwiseKeyTable:
             for nbr in topology.neighbors(node_id)
         }
 
-    def key_with(self, neighbor: int) -> bytes:
-        """The key shared with ``neighbor``.
-
-        Raises:
-            KeyError: if the node is not a radio neighbor (no key was ever
-                established -- exactly why impersonation fails).
-        """
-        try:
-            return self._keys[neighbor]
-        except KeyError:
-            raise KeyError(
-                f"node {self.node_id} shares no pairwise key with {neighbor}; "
-                f"they are not radio neighbors"
-            ) from None
-
     def neighbors(self) -> set[int]:
         """Neighbor IDs a pairwise key was established with."""
         return set(self._keys)
@@ -79,19 +64,13 @@ class PairwiseKeyTable:
         """Verify a link-layer sender-identity proof.
 
         The sender proves knowledge of the pairwise key by MACing the
-        receiver's challenge; only the true neighbor (or someone holding
-        its key, i.e. a compromised coalition) can produce it.
+        receiver's challenge (HMAC-SHA256 over ``b"neighbor-auth" +
+        challenge``, truncated to the proof's length); only the true
+        neighbor (or someone holding its key, i.e. a compromised
+        coalition) can produce it.
         """
         key = self._keys.get(claimed)
         if key is None:
             return False
         expected = hmac.new(key, b"neighbor-auth" + challenge, hashlib.sha256).digest()
         return hmac.compare_digest(expected[: len(proof)], proof)
-
-    @staticmethod
-    def prove_identity(pairwise_key: bytes, challenge: bytes, length: int = 8) -> bytes:
-        """The sender side of :meth:`authenticate_sender`."""
-        digest = hmac.new(
-            pairwise_key, b"neighbor-auth" + challenge, hashlib.sha256
-        ).digest()
-        return digest[:length]

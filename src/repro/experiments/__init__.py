@@ -1,7 +1,7 @@
 """Experiment harnesses: one module per paper figure/claim.
 
-Every module exposes ``run(preset) -> FigureResult`` and a ``main()`` that
-prints the same rows/series the paper reports:
+Every module exposes ``run(preset) -> FigureResult``, whose table holds the
+same rows/series the paper reports:
 
 * :mod:`repro.experiments.fig4` -- analytical mark-collection probability.
 * :mod:`repro.experiments.fig5` -- simulated mark-collection percentage.
@@ -16,8 +16,8 @@ prints the same rows/series the paper reports:
   delivery, route repairs, and honest false-accusation rates across
   fault schedules (see ``docs/faults.md``).
 
-Run any of them via ``python -m repro.experiments.<name>`` or the
-``pnm-experiment`` CLI.
+Run any of them through the one entry point, ``pnm-experiment <name>``
+(:mod:`repro.experiments.cli`).
 """
 
 from repro.experiments.presets import CI, FULL, QUICK, Preset, preset_by_name

@@ -42,7 +42,6 @@ __all__ = [
     "mark_length_ablation",
     "mole_placement_ablation",
     "route_dynamics_ablation",
-    "main",
 ]
 
 
@@ -352,22 +351,3 @@ def route_dynamics_ablation(preset: Preset = QUICK) -> FigureResult:
             f"{packets_per_epoch} packets, new routing tree each epoch"
         ],
     )
-
-
-def main() -> None:
-    """Print every ablation table to stdout."""
-    for fn in (
-        marking_probability_sweep,
-        anonymity_ablation,
-        nesting_ablation,
-        resolver_ablation,
-        mark_length_ablation,
-        mole_placement_ablation,
-        route_dynamics_ablation,
-    ):
-        print(fn().render())
-        print()
-
-
-if __name__ == "__main__":
-    main()

@@ -47,7 +47,7 @@ from repro.marking.pnm import PNMMarking
 from repro.net.topology import grid_topology
 from repro.routing.base import RoutingError
 
-__all__ = ["run", "main", "CHURN_RATES"]
+__all__ = ["run", "CHURN_RATES"]
 
 _MASTER = b"algebraic-sweep-master"
 
@@ -256,12 +256,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
         notes=notes,
         checks={"all_honest_clean": all_honest_clean},
     )
-
-
-def main() -> None:
-    """Print the sweep table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

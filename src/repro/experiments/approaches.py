@@ -41,7 +41,7 @@ from repro.tracealt.notification import (
 )
 from repro.traceback.sink import TracebackSink
 
-__all__ = ["run", "main", "spur_chain_topology"]
+__all__ = ["run", "spur_chain_topology"]
 
 N_FORWARDERS = 12
 MOLE_POSITION = 6
@@ -329,12 +329,3 @@ def run(preset: Preset = QUICK, packets: int = 200) -> FigureResult:
         ],
         rows=rows,
     )
-
-
-def main() -> None:
-    """Print the experiment table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -38,7 +38,7 @@ from repro.packets.report import Report
 from repro.routing.tree import build_routing_tree
 from repro.traceback.sink import TracebackSink
 
-__all__ = ["run", "build_cluster_workload", "make_sink_factory", "main"]
+__all__ = ["run", "build_cluster_workload", "make_sink_factory"]
 
 # (grid side, packets, sources) per preset.
 _WORKLOADS = {"ci": (12, 64, 4), "quick": (20, 96, 8), "full": (20, 240, 8)}
@@ -258,12 +258,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
         },
         checks={"parity": parity, "telemetry_parity": telemetry_parity},
     )
-
-
-def main() -> None:
-    """Print the sweep table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -32,7 +32,7 @@ from repro.faults import accusation_report, attribute_drops
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import grid_topology
 
-__all__ = ["run", "main", "CHURN_RATES"]
+__all__ = ["run", "CHURN_RATES"]
 
 #: Crash events per sensor per unit virtual time, swept low to high.
 CHURN_RATES = (0.0, 0.05, 0.15, 0.3)
@@ -124,12 +124,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
         notes=notes,
         checks={"all_honest_clean": all_honest_clean},
     )
-
-
-def main() -> None:
-    """Print the sweep table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -14,7 +14,7 @@ from repro.analysis.overhead import probability_for_target_marks
 from repro.experiments.presets import QUICK, Preset
 from repro.experiments.tables import FigureResult
 
-__all__ = ["PATH_LENGTHS", "run", "main"]
+__all__ = ["PATH_LENGTHS", "run"]
 
 PATH_LENGTHS = (10, 20, 30)
 _X_MAX = 80
@@ -50,21 +50,3 @@ def run(preset: Preset = QUICK, target_marks: float = 3.0) -> FigureResult:
         rows=rows,
         notes=notes,
     )
-
-
-def main() -> None:
-    """Print the experiment table to stdout."""
-    result = run()
-    # Print a thinned-out table (every 5th packet) for readability.
-    thinned = FigureResult(
-        figure_id=result.figure_id,
-        title=result.title,
-        columns=result.columns,
-        rows=[r for r in result.rows if r[0] % 5 == 0 or r[0] == 1],
-        notes=result.notes,
-    )
-    print(thinned.render())
-
-
-if __name__ == "__main__":
-    main()

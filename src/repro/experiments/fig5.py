@@ -13,7 +13,7 @@ from repro.experiments.fastpath import collection_curve
 from repro.experiments.presets import QUICK, Preset
 from repro.experiments.tables import FigureResult
 
-__all__ = ["PATH_LENGTHS", "run", "main"]
+__all__ = ["PATH_LENGTHS", "run"]
 
 PATH_LENGTHS = (10, 20, 30)
 
@@ -60,20 +60,3 @@ def run(preset: Preset = QUICK, target_marks: float = 3.0) -> FigureResult:
         rows=rows,
         notes=notes,
     )
-
-
-def main() -> None:
-    """Print the experiment table to stdout."""
-    result = run()
-    thinned = FigureResult(
-        figure_id=result.figure_id,
-        title=result.title,
-        columns=result.columns,
-        rows=[r for r in result.rows if r[0] % 4 == 0 or r[0] == 1],
-        notes=result.notes,
-    )
-    print(thinned.render())
-
-
-if __name__ == "__main__":
-    main()

@@ -15,7 +15,7 @@ from repro.experiments.presets import QUICK, Preset
 from repro.experiments.stats import wilson_interval
 from repro.experiments.tables import FigureResult
 
-__all__ = ["PATH_LENGTHS", "BUDGETS", "run", "main"]
+__all__ = ["PATH_LENGTHS", "BUDGETS", "run"]
 
 PATH_LENGTHS = tuple(range(5, 55, 5))
 BUDGETS = (200, 400, 600, 800)
@@ -67,12 +67,3 @@ def run(preset: Preset = QUICK, target_marks: float = 3.0) -> FigureResult:
         rows=rows,
         notes=notes,
     )
-
-
-def main() -> None:
-    """Print the experiment table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

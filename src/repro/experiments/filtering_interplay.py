@@ -25,7 +25,7 @@ from repro.experiments.fastpath import identification_times, simulate_first_time
 from repro.experiments.presets import QUICK, Preset
 from repro.experiments.tables import FigureResult
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 _DROP_RATES = (0.0, 0.02, 0.05, 0.1, 0.2)
 _N = 15
@@ -88,12 +88,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
             "being located -- the paper's 'complement' has a price",
         ],
     )
-
-
-def main() -> None:
-    """Print the experiment table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

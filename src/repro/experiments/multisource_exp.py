@@ -28,7 +28,7 @@ from repro.sim.behaviors import HonestForwarder
 from repro.sim.sources import BogusReportSource
 from repro.traceback.multisource import MultiSourceTracebackSink
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 #: Grid corners/edges used as source moles, in activation order.
 _MOLE_POOL = (35, 30, 5, 33, 23)
@@ -113,12 +113,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
             "stay per-source",
         ],
     )
-
-
-def main() -> None:
-    """Print the experiment table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

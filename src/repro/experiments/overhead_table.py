@@ -20,7 +20,7 @@ from repro.core.scenario import Scenario
 from repro.experiments.presets import QUICK, Preset
 from repro.experiments.tables import FigureResult
 
-__all__ = ["PATH_LENGTHS", "run", "main"]
+__all__ = ["PATH_LENGTHS", "run"]
 
 PATH_LENGTHS = (10, 20, 30)
 _SCHEMES = ("nested", "pnm")
@@ -83,12 +83,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
             "marks regardless of length, traced within a few dozen packets",
         ],
     )
-
-
-def main() -> None:
-    """Print the experiment table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

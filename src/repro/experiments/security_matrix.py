@@ -33,7 +33,6 @@ __all__ = [
     "EXPECTED_DEFEATS",
     "EXPECTED_SUPPRESSED",
     "run",
-    "main",
 ]
 
 SCHEMES = ("none", "ppm", "ams", "nested", "partial-nested", "naive-pnm", "pnm")
@@ -128,12 +127,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
         rows=rows,
         notes=notes,
     )
-
-
-def main() -> None:
-    """Print the experiment table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

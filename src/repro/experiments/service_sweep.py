@@ -31,7 +31,7 @@ from repro.experiments.tables import FigureResult
 from repro.service import SinkIngestService
 from repro.traceback.sink import TracebackSink
 
-__all__ = ["run", "main"]
+__all__ = ["run"]
 
 # (grid side, packet count) per preset: the serial baseline pays a full
 # O(N) table build per distinct report, so even the CI size shows the gap.
@@ -122,12 +122,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
         rows=rows,
         notes=notes,
     )
-
-
-def main() -> None:
-    """Print the sweep table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -21,7 +21,7 @@ from repro.marking.pnm import PNMMarking
 from repro.packets.packet import MarkedPacket
 from repro.packets.report import Report
 
-__all__ = ["NETWORK_SIZES", "run", "measure_hash_rate", "main"]
+__all__ = ["NETWORK_SIZES", "run", "measure_hash_rate"]
 
 NETWORK_SIZES = (100, 500, 1000, 2000, 5000)
 
@@ -92,12 +92,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
         rows=rows,
         notes=notes,
     )
-
-
-def main() -> None:
-    """Print the experiment table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

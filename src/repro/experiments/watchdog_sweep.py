@@ -52,7 +52,7 @@ from repro.net.overhear import OverhearModel
 from repro.net.topology import linear_path_topology
 from repro.watchdog import WatchdogLayer
 
-__all__ = ["run", "main", "CHAIN_LENGTHS", "TARGET_MARKS", "SCENARIOS"]
+__all__ = ["run", "CHAIN_LENGTHS", "TARGET_MARKS", "SCENARIOS"]
 
 #: Forwarder counts for the paper's linear-chain (Fig. 6) deployments.
 CHAIN_LENGTHS = (10, 15)
@@ -276,12 +276,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
             "wd_false_clean": wd_false_clean,
         },
     )
-
-
-def main() -> None:
-    """Print the sweep table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -34,7 +34,7 @@ from repro.traceback.sink import TracebackSink
 from repro.wire.loopback import Batch, run_loopback
 from repro.wire.messages import WireVerdict
 
-__all__ = ["run", "main", "measure_wire_overhead"]
+__all__ = ["run", "measure_wire_overhead"]
 
 # (grid side, packet count, batch size) per preset; batching exercises the
 # client's pipelined sends rather than one giant frame.
@@ -136,12 +136,3 @@ def run(preset: Preset = QUICK) -> FigureResult:
         notes=notes,
         checks={"parity": measured["parity"]},
     )
-
-
-def main() -> None:
-    """Print the sweep table to stdout."""
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -75,10 +75,6 @@ class DropAttribution:
     suspicious_drops: dict[int, int] = field(default_factory=dict)
     repairs: int = 0
 
-    def suspicious_nodes(self) -> list[int]:
-        """Nodes with at least one unexplained drop, sorted ascending."""
-        return sorted(self.suspicious_drops)
-
     @property
     def total_fault(self) -> int:
         """Packets killed by injected faults."""

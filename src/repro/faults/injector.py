@@ -229,16 +229,6 @@ class FaultInjector:
             for edge in sorted(self._link_intervals)
         )
 
-    def faulted_nodes(self) -> list[int]:
-        """Every node that was down at some point, sorted ascending."""
-        return sorted(self._node_intervals)
-
-    def node_down_intervals(self, node: int) -> list[tuple[float, float]]:
-        """The closed-open down intervals recorded for ``node``."""
-        return [
-            (start, end) for start, end in self._node_intervals.get(node, ())
-        ]
-
     def counts(self) -> dict[str, int]:
         """Applied faults per kind, deterministically ordered."""
         out: dict[str, int] = {}

@@ -202,43 +202,6 @@ class FaultSchedule:
             )
         return self
 
-    def restore_link(
-        self,
-        time: float,
-        from_node: int,
-        to_node: int,
-        symmetric: bool = False,
-    ) -> FaultSchedule:
-        """Revert a degraded link to the deployment default at ``time``."""
-        self.add(
-            FaultEvent(time=time, kind="restore-link", edge=(from_node, to_node))
-        )
-        if symmetric:
-            self.add(
-                FaultEvent(
-                    time=time, kind="restore-link", edge=(to_node, from_node)
-                )
-            )
-        return self
-
-    def region_outage(
-        self,
-        time: float,
-        center: tuple[float, float],
-        radius: float,
-        duration: float | None = None,
-    ) -> FaultSchedule:
-        """Crash every sensor within ``radius`` of ``center`` at ``time``."""
-        return self.add(
-            FaultEvent(
-                time=time,
-                kind="region-outage",
-                center=center,
-                radius=radius,
-                duration=duration,
-            )
-        )
-
     # Generators --------------------------------------------------------------
 
     @classmethod

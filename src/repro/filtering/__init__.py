@@ -9,14 +9,14 @@ countermeasures sketched in Section 7:
 * :class:`DuplicateSuppressor` -- per-node LRU suppression of repeated
   reports (why bogus reports must all differ, and the first defense
   against replays).
-* :class:`FreshnessFilter` -- rejects reports with stale timestamps
-  (a one-time-use sequence-number analogue).
+* :class:`OneTimeSequenceFilter` -- the paper's one-time sequence
+  numbers: rejects reports with stale timestamps and any reuse of a
+  fresh one.
 * :mod:`repro.filtering.sef` -- a compact statistical en-route filtering
   implementation with a global key pool and probabilistic en-route MAC
   verification.
 """
 
-from repro.filtering.freshness import FreshnessFilter
 from repro.filtering.sef import (
     Endorsement,
     KeyPool,
@@ -30,7 +30,6 @@ from repro.filtering.suppression import DuplicateSuppressor
 
 __all__ = [
     "DuplicateSuppressor",
-    "FreshnessFilter",
     "OneTimeSequenceFilter",
     "KeyPool",
     "Endorsement",

@@ -87,10 +87,6 @@ class RevocationList:
         """
         return self._records[node_id]
 
-    @property
-    def revoked_ids(self) -> frozenset[int]:
-        return frozenset(self._records)
-
     def __len__(self) -> int:
         return len(self._records)
 

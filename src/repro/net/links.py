@@ -116,10 +116,6 @@ class LinkTable:
             self.version += 1
         return existed
 
-    def overridden_edges(self) -> list[tuple[int, int]]:
-        """Directed edges carrying an override, in sorted order."""
-        return sorted(self._overrides)
-
     def __len__(self) -> int:
         return len(self._overrides)
 

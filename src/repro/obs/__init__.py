@@ -52,7 +52,6 @@ from repro.obs.spans import Span, SpanContext, Tracer, report_key
 from repro.obs.telemetry import (
     SHARD_LABEL,
     ClusterSlo,
-    FederatedTelemetry,
     ShardSlo,
     compute_cluster_slo,
     federate_snapshots,
@@ -62,7 +61,6 @@ from repro.obs.telemetry import (
 __all__ = [
     "ClusterSlo",
     "Counter",
-    "FederatedTelemetry",
     "Gauge",
     "Histogram",
     "HistogramSeries",

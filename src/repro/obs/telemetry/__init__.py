@@ -21,7 +21,6 @@ enabling telemetry cannot change a verdict.
 
 from repro.obs.telemetry.federation import (
     SHARD_LABEL,
-    FederatedTelemetry,
     federate_snapshots,
 )
 from repro.obs.telemetry.slo import (
@@ -34,7 +33,6 @@ from repro.obs.telemetry.slo import (
 __all__ = [
     "SHARD_LABEL",
     "ClusterSlo",
-    "FederatedTelemetry",
     "ShardSlo",
     "compute_cluster_slo",
     "federate_snapshots",

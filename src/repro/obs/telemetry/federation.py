@@ -2,8 +2,9 @@
 
 Each shard serves its own :class:`~repro.obs.registry.MetricsRegistry`
 over the TELEMETRY wire frame
-(:func:`~repro.wire.messages.encode_telemetry`); the coordinator merges
-the snapshots here by *prepending a ``shard`` label* to every series, so
+(:func:`~repro.wire.messages.encode_telemetry`); the polling side
+(``pnm-cluster``, ``cluster-sweep``) merges the snapshots here by
+*prepending a ``shard`` label* to every series, so
 nothing is summed away -- a federated registry holds exactly the union
 of the shards' series, distinguishable per shard and still exportable
 through the ordinary Prometheus/JSON exporters.
@@ -20,10 +21,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Any
 
-from repro.obs.instruments import DEFAULT_MIN_BUCKET, DEFAULT_NUM_BUCKETS
 from repro.obs.registry import MetricsRegistry
 
-__all__ = ["SHARD_LABEL", "FederatedTelemetry", "federate_snapshots"]
+__all__ = ["SHARD_LABEL", "federate_snapshots"]
 
 #: The label federation prepends to every series to name its shard.
 SHARD_LABEL = "shard"
@@ -33,6 +33,10 @@ def federate_snapshots(
     per_shard: Mapping[int | str, dict[str, Any]],
 ) -> MetricsRegistry:
     """Merge per-shard registry snapshots into one shard-labeled registry.
+
+    Each shard's entries are relabeled (``shard`` first) and the lot is
+    loaded through :meth:`~repro.obs.registry.MetricsRegistry.load_snapshot`,
+    whose get-or-create on a repeated name is what merges the shards.
 
     Args:
         per_shard: shard id -> the shard's
@@ -48,99 +52,22 @@ def federate_snapshots(
             or label names (a version-skewed deployment), or a snapshot
             names :data:`SHARD_LABEL` itself.
     """
-    federated = MetricsRegistry()
+    metrics = []
     for shard_id in sorted(per_shard, key=str):
         shard_value = str(shard_id)
         for entry in per_shard[shard_id].get("metrics", []):
-            name = entry["name"]
-            labels = tuple(entry.get("label_names", ()))
+            labels = entry.get("label_names", [])
             if SHARD_LABEL in labels:
                 raise ValueError(
-                    f"metric {name!r} from shard {shard_value} already "
-                    f"carries a {SHARD_LABEL!r} label; federation cannot "
-                    "disambiguate it"
+                    f"metric {entry['name']!r} from shard {shard_value} "
+                    f"already carries a {SHARD_LABEL!r} label; federation "
+                    "cannot disambiguate it"
                 )
-            fed_labels = (SHARD_LABEL, *labels)
-            kind = entry["kind"]
-            help_text = entry.get("help", "")
-            if kind == "counter":
-                instrument: Any = federated.counter(name, help_text, fed_labels)
-                for series in entry.get("series", []):
-                    instrument._restore(
-                        (shard_value, *series["labels"]), series["value"]
-                    )
-            elif kind == "gauge":
-                instrument = federated.gauge(name, help_text, fed_labels)
-                for series in entry.get("series", []):
-                    instrument._restore(
-                        (shard_value, *series["labels"]), series["value"]
-                    )
-            elif kind == "histogram":
-                instrument = federated.histogram(
-                    name,
-                    help_text,
-                    fed_labels,
-                    min_bucket=entry.get("min_bucket", DEFAULT_MIN_BUCKET),
-                    num_buckets=entry.get("num_buckets", DEFAULT_NUM_BUCKETS),
-                )
-                for series in entry.get("series", []):
-                    data = instrument.data(
-                        **dict(
-                            zip(
-                                fed_labels,
-                                (shard_value, *series["labels"]),
-                                strict=True,
-                            )
-                        )
-                    )
-                    data._restore(
-                        series["bucket_counts"],
-                        series["count"],
-                        series["total"],
-                        series["min"] if series["count"] else float("inf"),
-                        series["max"],
-                    )
-            else:
-                raise ValueError(
-                    f"unknown instrument kind {kind!r} in shard "
-                    f"{shard_value} snapshot"
-                )
-    return federated
-
-
-class FederatedTelemetry:
-    """Accumulates per-shard snapshots and serves the federated view.
-
-    The coordinator-side holder: :meth:`ingest` stores (or replaces) one
-    shard's latest snapshot; :meth:`registry` federates whatever has
-    been ingested so far.  Replacement (not merging) per shard is
-    deliberate -- registry snapshots are cumulative, so the newest poll
-    supersedes older ones, and a shard that was replaced after a crash
-    simply starts its counters over.
-    """
-
-    def __init__(self) -> None:
-        self._snapshots: dict[str, dict[str, Any]] = {}
-
-    def ingest(self, shard_id: int | str, snapshot: dict[str, Any]) -> None:
-        """Store ``shard_id``'s latest snapshot (replacing any previous)."""
-        self._snapshots[str(shard_id)] = snapshot
-
-    def forget(self, shard_id: int | str) -> None:
-        """Drop a shard's snapshot (a shard evicted from the cluster)."""
-        self._snapshots.pop(str(shard_id), None)
-
-    @property
-    def shard_ids(self) -> list[str]:
-        """Shards with an ingested snapshot, sorted."""
-        return sorted(self._snapshots)
-
-    def registry(self) -> MetricsRegistry:
-        """The federated registry over every ingested snapshot."""
-        return federate_snapshots(self._snapshots)
-
-    def __len__(self) -> int:
-        return len(self._snapshots)
-
-    def __repr__(self) -> str:
-        return f"FederatedTelemetry({len(self)} shards)"
+            series = [
+                {**row, "labels": [shard_value, *row["labels"]]}
+                for row in entry.get("series", [])
+            ]
+            metrics.append(
+                {**entry, "label_names": [SHARD_LABEL, *labels], "series": series}
+            )
+    return MetricsRegistry.load_snapshot({"metrics": metrics})

@@ -46,10 +46,6 @@ class RoutingTable:
         except KeyError:
             raise RoutingError(f"node {node_id} has no route to the sink") from None
 
-    def has_route(self, node_id: int) -> bool:
-        """Whether the node can currently reach the sink."""
-        return node_id == self.sink or node_id in self._next_hop
-
     def path_to_sink(self, node_id: int) -> list[int]:
         """The full path ``[node_id, ..., sink]``.
 

@@ -43,16 +43,9 @@ class RouteDynamics:
         self._topology = topology
         self._rng = random.Random(f"route-dynamics:{seed}")
         self._order_preserving = order_preserving
-        self._generation = 0
-
-    @property
-    def generation(self) -> int:
-        """How many tables have been produced so far."""
-        return self._generation
 
     def next_table(self) -> RoutingTable:
         """Produce the next routing table in the churn sequence."""
-        self._generation += 1
         if self._order_preserving:
             return build_routing_tree(
                 self._topology, tie_break_seed=self._rng.randrange(2**31)

@@ -178,11 +178,6 @@ class RepairingRoutingTable(RoutingTable):
         self._dead.discard(node_id)
         return self._rebuild()
 
-    @property
-    def dead_nodes(self) -> frozenset[int]:
-        """Nodes currently believed dead."""
-        return frozenset(self._dead)
-
     def _rebuild(self) -> int:
         with self.obs.timer("route_rebuild_seconds"):
             old = dict(self._next_hop)

@@ -13,7 +13,7 @@ front of :class:`~repro.traceback.sink.TracebackSink`:
   exhaustive ``O(N)``-hash search to about one hash per mark on steady
   traffic;
 * :class:`ServiceStats` -- counters, the verify-latency histogram, cache
-  hit rates and queue depth, exportable as JSON;
+  hit rates and queue depth;
 * :class:`SinkIngestService` -- the pipeline tying them together: serial,
   cache-accelerated verification with verdicts identical to serial
   ``sink.receive`` processing.

@@ -302,10 +302,6 @@ class SinkIngestService:
             verify_latency=self.verify_latency.as_dict(),
         )
 
-    def stats_json(self, indent: int | None = None) -> str:
-        """The :meth:`stats` snapshot rendered as JSON."""
-        return self.stats().to_json(indent=indent)
-
     def publish_stats(self) -> None:
         """Mirror the pipeline's snapshot counters into the obs registry.
 

@@ -1,15 +1,16 @@
 """Observability surface of the ingest service.
 
 Every component of the pipeline keeps its own counters; the service
-assembles them into a single :class:`ServiceStats` snapshot that renders
-to JSON for dashboards and the throughput bench.  Per-packet verify
-latency is a :class:`repro.obs.HistogramSeries` summary (seconds).
+assembles them into a single :class:`ServiceStats` snapshot for tests and
+the throughput bench.  Dashboards read the obs registry instead
+(:func:`~repro.obs.registry_to_json`,
+:func:`~repro.obs.to_prometheus_text`).  Per-packet verify latency is a
+:class:`repro.obs.HistogramSeries` summary (seconds).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = ["ServiceStats"]
@@ -38,11 +39,3 @@ class ServiceStats:
     queue: dict[str, Any]
     cache: dict[str, Any]
     verify_latency: dict[str, Any] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, Any]:
-        """The snapshot as a JSON-ready dict."""
-        return asdict(self)
-
-    def to_json(self, indent: int | None = None) -> str:
-        """The snapshot as a JSON document."""
-        return json.dumps(self.as_dict(), indent=indent)

@@ -63,11 +63,6 @@ class EdgeSample:
         """Whether no forwarder has marked the slot yet."""
         return self.start == EMPTY
 
-    @property
-    def is_complete(self) -> bool:
-        """Whether both endpoints of the edge are filled in."""
-        return self.start != EMPTY and self.end != EMPTY
-
 
 class EdgeSamplingForwarder:
     """An honest forwarder running the edge-sampling algorithm.

@@ -115,10 +115,6 @@ class PacketLog:
     def storage_bytes(self) -> int:
         return self._filter.storage_bytes
 
-    @property
-    def packets_logged(self) -> int:
-        return self._filter.items_added
-
     def false_positive_rate(self) -> float:
         """Expected false-positive rate at the current fill level."""
         return self._filter.false_positive_rate()

@@ -80,10 +80,6 @@ class MultiSourceTracebackSink(TracebackSink):
             self._head_counts[verification.chain_ids[0]] += 1
         return verification
 
-    def head_support(self, node_id: int) -> int:
-        """How many verified chains started at ``node_id``."""
-        return self._head_counts[node_id]
-
     def multi_verdict(self) -> MultiSourceVerdict:
         """Resolve every source component currently supported."""
         analysis = self.route_analysis()

@@ -60,8 +60,9 @@ class WatchdogLayer:
             their partners
             (:class:`~repro.adversary.watchdog.AccusationSuppressor`).
         obs: observability provider; ``None`` resolves to the process
-            default.  When it carries a span tracer, every ``overhear``
-            and ``flag`` becomes a span chained on the packet's report key.
+            default.  When it carries a span tracer, every ``flag``
+            becomes a span chained on the packet's report key; overhears
+            are counted (``watchdog_overhears_total``), not traced.
     """
 
     def __init__(
@@ -319,10 +320,6 @@ class WatchdogLayer:
                     if prob < 1.0 and (prob <= 0.0 or rng_random() >= prob):
                         continue
                     overhears += 1
-                    if tracer is not None:
-                        tracer.event(
-                            report.trace_key, "overhear", time=now, node=watcher
-                        )
                     liar_overheard(now, monitor)
                     continue
                 if not can_track and not out_q:
@@ -336,10 +333,6 @@ class WatchdogLayer:
                 if prob < 1.0 and (prob <= 0.0 or rng_random() >= prob):
                     continue
                 overhears += 1
-                if tracer is not None:
-                    tracer.event(
-                        report.trace_key, "overhear", time=now, node=watcher
-                    )
                 if out_q:
                     # Inlined WatchdogMonitor.record_outbound.
                     if out_box[0] <= cutoff:
@@ -465,7 +458,6 @@ class WatchdogLayer:
             if prob < 1.0 and (prob <= 0.0 or self.rng.random() >= prob):
                 continue
             self._overhears += 1
-            self._trace(now, "overhear", watcher, packet)
             if watcher in liars:
                 self._liar_overheard(now, liars[watcher])
                 continue

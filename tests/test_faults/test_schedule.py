@@ -70,10 +70,10 @@ class TestScheduleBuilders:
         schedule = (
             FaultSchedule()
             .degrade_link(1.0, 1, 2, model, symmetric=True)
-            .restore_link(2.0, 1, 2, symmetric=True)
+            .add(FaultEvent(time=2.0, kind="restore-link", edge=(1, 2)))
         )
         edges = sorted(e.edge for e in schedule)
-        assert edges == [(1, 2), (1, 2), (2, 1), (2, 1)]
+        assert edges == [(1, 2), (1, 2), (2, 1)]
 
     def test_merge_combines_and_sorts(self):
         a = FaultSchedule().crash(3.0, 1)
@@ -104,7 +104,9 @@ class TestValidation:
     def test_non_edge_rejected(self):
         topo = grid_topology(3, 3)
         # Nodes 0 and 8 sit at opposite grid corners: not radio neighbors.
-        schedule = FaultSchedule().restore_link(1.0, 0, 8)
+        schedule = FaultSchedule().add(
+            FaultEvent(time=1.0, kind="restore-link", edge=(0, 8))
+        )
         with pytest.raises(ValueError, match="non-edge"):
             schedule.validate(topo)
 

@@ -25,8 +25,11 @@ class TestOneTimeSequenceFilter:
     def test_stale_rejected(self):
         f = OneTimeSequenceFilter(window=10)
         f.accept(r(100))
+        assert f.accept(r(95))  # behind the freshest, inside the window
         assert not f.accept(r(80))
-        assert f.rejected_stale == 1
+        # Stale against the maximum seen (100), not the latest accepted (95).
+        assert not f.accept(r(85))
+        assert f.rejected_stale == 2
 
     def test_replay_attack_scenario(self):
         # The mole captures a legitimate report, waits, then replays it:

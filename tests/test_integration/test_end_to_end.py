@@ -40,7 +40,7 @@ def build_deployment(seed: int, routing_style: str = "geographic"):
 
 
 def farthest_routed_node(topo, routing):
-    routed = [n for n in topo.sensor_nodes() if routing.has_route(n)]
+    routed = routing.routed_nodes()
     return max(routed, key=lambda nid: (routing.hop_count(nid), nid))
 
 

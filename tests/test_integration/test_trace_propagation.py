@@ -36,7 +36,7 @@ def run_traced_deployment(seed: int = 11):
     obs = ObsProvider(tracer=tracer)
     sink = TracebackSink(scheme, dep.keystore, dep.provider, topo, obs=obs)
     service = SinkIngestService(sink, capacity=1024)
-    routed = [n for n in topo.sensor_nodes() if routing.has_route(n)]
+    routed = routing.routed_nodes()
     mole = max(routed, key=lambda nid: (routing.hop_count(nid), nid))
     sim = NetworkSimulation(
         topology=topo,

@@ -70,7 +70,6 @@ class TestLinkTable:
         table.set_override(1, 2, slow)
         assert table.model_for(1, 2) is slow
         assert table.model_for(2, 1) is table.default
-        assert table.overridden_edges() == [(1, 2)]
         assert len(table) == 1
 
     def test_clear_override(self):
@@ -87,14 +86,6 @@ class TestLinkTable:
 
         with pytest.raises(ValueError):
             LinkTable().set_override(2, 2, LinkModel())
-
-    def test_overridden_edges_sorted(self):
-        from repro.net.links import LinkTable
-
-        table = LinkTable()
-        for edge in ((9, 1), (2, 3), (2, 1)):
-            table.set_override(*edge, LinkModel())
-        assert table.overridden_edges() == [(2, 1), (2, 3), (9, 1)]
 
     def test_constructor_overrides(self):
         from repro.net.links import LinkTable

@@ -19,7 +19,6 @@ from repro.obs.exporters import to_prometheus_text
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import (
     SHARD_LABEL,
-    FederatedTelemetry,
     compute_cluster_slo,
     federate_snapshots,
     format_status,
@@ -142,6 +141,22 @@ class TestFederateSnapshots:
         with pytest.raises(ValueError, match="unknown instrument kind"):
             federate_snapshots({0: snapshot})
 
+    @pytest.mark.parametrize(
+        ("make_other", "message"),
+        [
+            (lambda r: r.gauge("x_total"), "already registered as a counter"),
+            (lambda r: r.counter("x_total", label_names=("frame",)), "with labels"),
+        ],
+        ids=["kind", "label-names"],
+    )
+    def test_rejects_shards_that_disagree(self, make_other, message):
+        first = MetricsRegistry()
+        first.counter("x_total").inc(1)
+        other = MetricsRegistry()
+        make_other(other)
+        with pytest.raises(ValueError, match=message):
+            federate_snapshots({0: first.snapshot(), 1: other.snapshot()})
+
     def test_empty_input_federates_to_an_empty_registry(self):
         federated = federate_snapshots({})
         assert len(federated) == 0
@@ -154,30 +169,6 @@ class TestFederateSnapshots:
         snapshot = federated.snapshot()
         restored = MetricsRegistry.load_snapshot(snapshot)
         assert restored.snapshot() == snapshot
-
-
-class TestFederatedTelemetry:
-    def test_newest_snapshot_per_shard_wins(self):
-        telemetry = FederatedTelemetry()
-        telemetry.ingest(0, shard_registry(ingested=3).snapshot())
-        telemetry.ingest(0, shard_registry(ingested=9).snapshot())
-        counter = telemetry.registry().get("sink_packets_ingested_total")
-        assert counter.get(shard="0") == 9
-
-    def test_forget_drops_a_shard(self):
-        telemetry = FederatedTelemetry()
-        telemetry.ingest(0, shard_registry(ingested=1).snapshot())
-        telemetry.ingest(1, shard_registry(ingested=2).snapshot())
-        telemetry.forget(0)
-        telemetry.forget(42)  # unknown shards are a no-op
-        assert telemetry.shard_ids == ["1"]
-        assert len(telemetry) == 1
-
-    def test_shard_ids_are_sorted_strings(self):
-        telemetry = FederatedTelemetry()
-        for shard in (2, 0, "1"):
-            telemetry.ingest(shard, shard_registry(ingested=1).snapshot())
-        assert telemetry.shard_ids == ["0", "1", "2"]
 
 
 class TestComputeClusterSlo:

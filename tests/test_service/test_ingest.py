@@ -1,6 +1,5 @@
 """SinkIngestService end to end: equivalence, backpressure, lifecycle."""
 
-import json
 import random
 
 import pytest
@@ -154,18 +153,18 @@ class TestLifecycle:
 
 
 class TestObservability:
-    def test_stats_json_round_trip(self, deployment):
+    def test_stats_snapshot_fields(self, deployment):
         service = SinkIngestService(make_sink(deployment), capacity=8)
         for packet in stream(deployment[1], 4):
             service.submit(packet, N_FORWARDERS)
         service.flush()
-        payload = json.loads(service.stats_json(indent=2))
-        assert payload["submitted"] == 4
-        assert payload["processed"] == 4
-        assert payload["queue"]["capacity"] == 8
-        assert payload["cache"]["hot_size"] == N_FORWARDERS
-        assert payload["verify_latency"]["count"] == 4
-        assert payload["verify_latency"]["mean"] > 0
+        stats = service.stats()
+        assert stats.submitted == 4
+        assert stats.processed == 4
+        assert stats.queue["capacity"] == 8
+        assert stats.cache["hot_size"] == N_FORWARDERS
+        assert stats.verify_latency["count"] == 4
+        assert stats.verify_latency["mean"] > 0
 
     def test_latency_histogram_percentiles(self, deployment):
         service = SinkIngestService(make_sink(deployment))
