@@ -117,10 +117,11 @@ def algebraic_verdict(
     topology: Topology,
     obs: ObsProvider | NoopObsProvider | None = None,
 ) -> TracebackVerdict:
-    """The verdict over algebraic evidence, as a pure function.
+    """The verdict over an evidence record, as a pure function.
 
     Exactly :func:`~repro.traceback.sink.compute_verdict` with the
-    algebraic-augmented precedence graph; shared by
+    algebraic-augmented precedence graph (the plain one when the record
+    holds no algebraic evidence); shared by
     :meth:`AlgebraicTracebackSink.verdict` and the cluster coordinator.
     """
     return compute_verdict(

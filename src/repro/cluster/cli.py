@@ -41,7 +41,7 @@ from repro.experiments.cluster_sweep import (
     build_cluster_workload,
     make_sink_factory,
 )
-from repro.faults.attribution import DropAttribution, build_accusation_report
+from repro.faults.attribution import DropAttribution, accusation_report
 from repro.marking.pnm import PNMMarking
 from repro.net.topology import grid_topology
 from repro.obs.profiling import ObsProvider
@@ -190,15 +190,7 @@ def _smoke(args: argparse.Namespace) -> int:
             reference.receive(packet, delivering)
     expected = (
         verdict_json(reference.verdict()),
-        report_json(
-            build_accusation_report(
-                verdict=None,
-                tampered_packets=reference.tampered_packets,
-                topology=topology,
-                attribution=attribution,
-                moles=frozenset(),
-            )
-        ),
+        report_json(accusation_report(reference, attribution)),
     )
 
     def cluster(

@@ -23,7 +23,7 @@ import json
 from collections.abc import Mapping
 from typing import Any
 
-from repro.algebraic.sink import algebraic_precedence
+from repro.algebraic.sink import algebraic_verdict
 from repro.faults.attribution import (
     AccusationReport,
     DropAttribution,
@@ -32,12 +32,7 @@ from repro.faults.attribution import (
 from repro.net.topology import Topology
 from repro.obs.profiling import NoopObsProvider, ObsProvider, resolve_provider
 from repro.obs.spans import SpanContext
-from repro.traceback.sink import (
-    SinkEvidence,
-    TracebackVerdict,
-    compute_verdict,
-    evidence_precedence,
-)
+from repro.traceback.sink import SinkEvidence, TracebackVerdict
 
 __all__ = [
     "ClusterCoordinator",
@@ -155,20 +150,7 @@ class ClusterCoordinator:
         trace: SpanContext | None = None,
     ) -> TracebackVerdict:
         """Run the single-sink verdict function over merged evidence."""
-        if evidence.algebraic:
-            precedence = algebraic_precedence(evidence, self.topology)
-        else:
-            precedence = evidence_precedence(evidence)
-        result = compute_verdict(
-            precedence,
-            dict(evidence.tamper_stops),
-            evidence.tampered_packets,
-            evidence.chains_with_marks,
-            evidence.packets_received,
-            self.topology,
-            evidence.delivering_node,
-            obs=self.obs,
-        )
+        result = algebraic_verdict(evidence, self.topology, obs=self.obs)
         self._trace_event(
             trace,
             "cluster_verdict",

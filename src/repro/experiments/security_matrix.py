@@ -23,7 +23,7 @@ Expected shape (the paper's qualitative claims):
 from __future__ import annotations
 
 from repro.core.experiment import run_scenario
-from repro.core.scenario import Scenario
+from repro.core.scenario import ATTACK_NAMES, Scenario
 from repro.experiments.presets import QUICK, Preset
 from repro.experiments.tables import FigureResult
 
@@ -37,22 +37,7 @@ __all__ = [
 
 SCHEMES = ("none", "ppm", "ams", "nested", "partial-nested", "naive-pnm", "pnm")
 
-ATTACKS = (
-    "none",
-    "honest-mole",
-    "no-mark",
-    "insert-garbage",
-    "insert-frame",
-    "remove-upstream",
-    "remove-targeted",
-    "remove-all",
-    "remove-remark",
-    "reorder",
-    "alter",
-    "selective-drop",
-    "identity-swap",
-    "unprotected-alter",
-)
+ATTACKS = ATTACK_NAMES
 
 #: Cells where the defender is EXPECTED to fail (framed): the attacks the
 #: paper documents as defeating each scheme.  Used by the test suite.

@@ -1,7 +1,7 @@
 """Marking schemes.
 
-Six schemes span the paper's design space, from the null baseline to full
-PNM:
+Eight schemes span the paper's design space, from the null baseline to
+full PNM:
 
 ===================  =====  ===========  ==============  ==============
 Scheme               Marks  ID on wire   MAC covers      Paper role
@@ -11,10 +11,15 @@ Scheme               Marks  ID on wire   MAC covers      Paper role
 ``ExtendedAMS``      p      plain        report + ID     Section 3 baseline
 ``NestedMarking``    1.0    plain        whole prefix    Section 4.1
 ``NaiveProb...``     p      plain        whole prefix    Section 4.2 strawman
+``PartiallyNe...``   1.0    plain        report + IDs    Theorem 3 counterexample
 ``PNMMarking``       p      anonymous    whole prefix    the paper's scheme
 ``AlgebraicMark...`` 1.0    accumulator  report + accum  dynamic-network ext.
 ===================  =====  ===========  ==============  ==============
 
+The six plain-ID schemes derive from
+:class:`~repro.marking.base.PlainIdMarking`, which builds, resolves and
+checks their marks; each states only what its MAC covers, in ``_covered``.
+``PNMMarking`` resolves anonymous IDs and fuses its per-packet check.
 ``AlgebraicMarking`` (the arXiv:0908.0078 extension, see
 :mod:`repro.algebraic`) is the odd one out: it *replaces* a single
 constant-size accumulator per hop instead of appending, so its sink side

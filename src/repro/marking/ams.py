@@ -17,16 +17,14 @@ matrix experiment.
 
 from __future__ import annotations
 
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import MacProvider, constant_time_equal
-from repro.marking.base import MarkingScheme, NodeContext
-from repro.packets.marks import Mark, MarkFormat
+from repro.marking.base import PlainIdMarking
+from repro.packets.marks import MarkFormat
 from repro.packets.packet import MarkedPacket
 
 __all__ = ["ExtendedAMS"]
 
 
-class ExtendedAMS(MarkingScheme):
+class ExtendedAMS(PlainIdMarking):
     """Authenticated marks over the original report only (non-nested)."""
 
     name = "ams"
@@ -37,45 +35,7 @@ class ExtendedAMS(MarkingScheme):
     ):
         super().__init__(MarkFormat(id_len=id_len, mac_len=mac_len), mark_prob)
 
-    def _mac_input(self, packet: MarkedPacket, id_field: bytes) -> bytes:
+    def _covered(self, packet: MarkedPacket, upto: int, id_field: bytes) -> bytes:
         # H_{k_i}(S | i): only the original report and the marker's ID are
         # covered -- previous marks are deliberately NOT included.
         return packet.report_wire + id_field
-
-    def _build_mark(
-        self, ctx: NodeContext, packet: MarkedPacket, written_id: int
-    ) -> Mark:
-        id_field = self.fmt.encode_node_id(written_id)
-        mac = ctx.provider.mac(ctx.key, self._mac_input(packet, id_field))
-        return Mark(id_field=id_field, mac=mac)
-
-    def candidate_marker_ids(
-        self,
-        packet: MarkedPacket,
-        mark_index: int,
-        keystore: KeyStore,
-        provider: MacProvider,
-        search_ids: list[int] | None = None,
-        table: object | None = None,
-    ) -> list[int]:
-        mark = packet.marks[mark_index]
-        if not mark.matches_format(self.fmt):
-            return []
-        node_id = self.fmt.decode_node_id(mark.id_field)
-        return [node_id] if node_id in keystore else []
-
-    def verify_mark_as(
-        self,
-        packet: MarkedPacket,
-        mark_index: int,
-        node_id: int,
-        key: bytes,
-        provider: MacProvider,
-    ) -> bool:
-        mark = packet.marks[mark_index]
-        if not mark.matches_format(self.fmt):
-            return False
-        if mark.id_field != self.fmt.encode_node_id(node_id):
-            return False
-        expected = provider.mac(key, self._mac_input(packet, mark.id_field))
-        return constant_time_equal(expected, mark.mac)

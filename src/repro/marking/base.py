@@ -25,11 +25,17 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.crypto.keys import KeyStore
-from repro.crypto.mac import MacProvider
+from repro.crypto.mac import MacProvider, constant_time_equal
 from repro.packets.marks import Mark, MarkFormat
 from repro.packets.packet import MarkedPacket
 
-__all__ = ["NodeContext", "MarkingScheme", "MarkCheck", "PacketResolution"]
+__all__ = [
+    "NodeContext",
+    "MarkingScheme",
+    "PlainIdMarking",
+    "MarkCheck",
+    "PacketResolution",
+]
 
 #: ``check(index, search) -> valid node IDs``, see
 #: :meth:`MarkingScheme.mark_checker`.
@@ -289,3 +295,74 @@ class MarkingScheme(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(p={self.mark_prob}, fmt={self.fmt})"
+
+
+class PlainIdMarking(MarkingScheme):
+    """A scheme whose marks carry the marker's ID in plain text.
+
+    The plain-ID schemes differ only in what each mark's MAC covers, so a
+    subclass states just that in :meth:`_covered`; building a mark,
+    decoding its marker and checking its MAC are the same for all of them.
+    Section 3's extended AMS covers ``S | i``, Section 4.1's nested
+    marking ``M_{i-1} | i``, and Theorem 3 says any scheme covering less
+    than nested marking is not consecutive traceable.
+    """
+
+    @abc.abstractmethod
+    def _covered(
+        self, packet: MarkedPacket, upto: int, id_field: bytes
+    ) -> bytes | None:
+        """The bytes the MAC of mark ``upto`` covers, given ``packet``'s
+        first ``upto`` marks and the mark's own ID field.
+
+        ``None`` means the scheme has no MAC: marks carry an empty one and
+        the sink accepts any well-formed mark naming its candidate.
+        """
+
+    def _id_field(self, ctx: NodeContext, written_id: int) -> bytes:
+        """The ID field a node writes when it claims ``written_id``."""
+        return self.fmt.encode_node_id(written_id)
+
+    def _marker(self, id_field: bytes) -> int:
+        """The node ID an ID field names."""
+        return self.fmt.decode_node_id(id_field)
+
+    def _build_mark(
+        self, ctx: NodeContext, packet: MarkedPacket, written_id: int
+    ) -> Mark:
+        id_field = self._id_field(ctx, written_id)
+        covered = self._covered(packet, len(packet.marks), id_field)
+        mac = b"" if covered is None else ctx.provider.mac(ctx.key, covered)
+        return Mark(id_field=id_field, mac=mac)
+
+    def candidate_marker_ids(
+        self,
+        packet: MarkedPacket,
+        mark_index: int,
+        keystore: KeyStore,
+        provider: MacProvider,
+        search_ids: list[int] | None = None,
+        table: object | None = None,
+    ) -> list[int]:
+        mark = packet.marks[mark_index]
+        if not mark.matches_format(self.fmt):
+            return []
+        node_id = self._marker(mark.id_field)
+        return [node_id] if node_id in keystore else []
+
+    def verify_mark_as(
+        self,
+        packet: MarkedPacket,
+        mark_index: int,
+        node_id: int,
+        key: bytes,
+        provider: MacProvider,
+    ) -> bool:
+        mark = packet.marks[mark_index]
+        if not mark.matches_format(self.fmt) or self._marker(mark.id_field) != node_id:
+            return False
+        # Recompute over the exact received bytes the mark claims to cover.
+        covered = self._covered(packet, mark_index, mark.id_field)
+        return covered is None or constant_time_equal(
+            provider.mac(key, covered), mark.mac
+        )

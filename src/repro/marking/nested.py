@@ -22,16 +22,14 @@ to reproduce that attack in the security-matrix experiment.
 
 from __future__ import annotations
 
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import MacProvider, constant_time_equal
-from repro.marking.base import MarkingScheme, NodeContext
-from repro.packets.marks import Mark, MarkFormat
+from repro.marking.base import PlainIdMarking
+from repro.packets.marks import MarkFormat
 from repro.packets.packet import MarkedPacket
 
 __all__ = ["NestedMarking", "NaiveProbabilisticNested"]
 
 
-class NestedMarking(MarkingScheme):
+class NestedMarking(PlainIdMarking):
     """Basic nested marking: deterministic, plain IDs, nested MACs."""
 
     name = "nested"
@@ -39,47 +37,10 @@ class NestedMarking(MarkingScheme):
     def __init__(self, id_len: int = 2, mac_len: int = 4):
         super().__init__(MarkFormat(id_len=id_len, mac_len=mac_len), mark_prob=1.0)
 
-    def _build_mark(
-        self, ctx: NodeContext, packet: MarkedPacket, written_id: int
-    ) -> Mark:
-        id_field = self.fmt.encode_node_id(written_id)
-        # H_{k_i}(M_{i-1} | i): the MAC covers the packet exactly as
-        # received -- report plus every existing mark -- plus the new ID.
-        mac = ctx.provider.mac(ctx.key, packet.wire() + id_field)
-        return Mark(id_field=id_field, mac=mac)
-
-    def candidate_marker_ids(
-        self,
-        packet: MarkedPacket,
-        mark_index: int,
-        keystore: KeyStore,
-        provider: MacProvider,
-        search_ids: list[int] | None = None,
-        table: object | None = None,
-    ) -> list[int]:
-        mark = packet.marks[mark_index]
-        if not mark.matches_format(self.fmt):
-            return []
-        node_id = self.fmt.decode_node_id(mark.id_field)
-        return [node_id] if node_id in keystore else []
-
-    def verify_mark_as(
-        self,
-        packet: MarkedPacket,
-        mark_index: int,
-        node_id: int,
-        key: bytes,
-        provider: MacProvider,
-    ) -> bool:
-        mark = packet.marks[mark_index]
-        if not mark.matches_format(self.fmt):
-            return False
-        if mark.id_field != self.fmt.encode_node_id(node_id):
-            return False
-        # Recompute over the received prefix: everything before this mark.
-        prefix = packet.prefix_wire(mark_index)
-        expected = provider.mac(key, prefix + mark.id_field)
-        return constant_time_equal(expected, mark.mac)
+    def _covered(self, packet: MarkedPacket, upto: int, id_field: bytes) -> bytes:
+        # H_{k_i}(M_{i-1} | i): the packet exactly as the marker received
+        # it -- report plus every earlier mark -- plus the new ID.
+        return packet.prefix_wire(upto) + id_field
 
 
 class NaiveProbabilisticNested(NestedMarking):

@@ -14,16 +14,14 @@ so the sink only ever knows its own delivering neighbor.
 
 from __future__ import annotations
 
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import MacProvider
-from repro.marking.base import MarkingScheme, NodeContext
-from repro.packets.marks import Mark, MarkFormat
+from repro.marking.base import PlainIdMarking
+from repro.packets.marks import MarkFormat
 from repro.packets.packet import MarkedPacket
 
 __all__ = ["PPMMarking", "NoMarking"]
 
 
-class PPMMarking(MarkingScheme):
+class PPMMarking(PlainIdMarking):
     """Plain-text probabilistic marking with no authentication."""
 
     name = "ppm"
@@ -32,41 +30,10 @@ class PPMMarking(MarkingScheme):
     def __init__(self, mark_prob: float = 1.0, id_len: int = 2):
         super().__init__(MarkFormat(id_len=id_len, mac_len=0), mark_prob)
 
-    def _build_mark(
-        self, ctx: NodeContext, packet: MarkedPacket, written_id: int
-    ) -> Mark:
-        return Mark(id_field=self.fmt.encode_node_id(written_id), mac=b"")
-
-    def candidate_marker_ids(
-        self,
-        packet: MarkedPacket,
-        mark_index: int,
-        keystore: KeyStore,
-        provider: MacProvider,
-        search_ids: list[int] | None = None,
-        table: object | None = None,
-    ) -> list[int]:
-        mark = packet.marks[mark_index]
-        if not mark.matches_format(self.fmt):
-            return []
-        node_id = self.fmt.decode_node_id(mark.id_field)
-        return [node_id] if node_id in keystore else []
-
-    def verify_mark_as(
-        self,
-        packet: MarkedPacket,
-        mark_index: int,
-        node_id: int,
-        key: bytes,
-        provider: MacProvider,
-    ) -> bool:
-        # Nothing to verify: any well-formed mark naming a known node is
-        # accepted.  This is precisely the weakness of plain marking.
-        mark = packet.marks[mark_index]
-        return (
-            mark.matches_format(self.fmt)
-            and mark.id_field == self.fmt.encode_node_id(node_id)
-        )
+    def _covered(self, packet: MarkedPacket, upto: int, id_field: bytes) -> None:
+        # No MAC: any well-formed mark naming a known node is accepted.
+        # This is precisely the weakness of plain marking.
+        return None
 
 
 class NoMarking(PPMMarking):

@@ -19,10 +19,7 @@ empirical.
 
 from __future__ import annotations
 
-from repro.crypto.mac import constant_time_equal
-from repro.marking.base import NodeContext
 from repro.marking.nested import NestedMarking
-from repro.packets.marks import Mark
 from repro.packets.packet import MarkedPacket
 
 __all__ = ["PartiallyNestedMarking"]
@@ -33,36 +30,9 @@ class PartiallyNestedMarking(NestedMarking):
 
     name = "partial-nested"
 
-    def _mac_input(self, packet: MarkedPacket, upto: int, id_field: bytes) -> bytes:
+    def _covered(self, packet: MarkedPacket, upto: int, id_field: bytes) -> bytes:
         """Report, previous ID fields only, and the new ID."""
         parts = [packet.report_wire]
         parts.extend(mark.id_field for mark in packet.marks[:upto])
         parts.append(id_field)
         return b"".join(parts)
-
-    def _build_mark(
-        self, ctx: NodeContext, packet: MarkedPacket, written_id: int
-    ) -> Mark:
-        id_field = self.fmt.encode_node_id(written_id)
-        mac = ctx.provider.mac(
-            ctx.key, self._mac_input(packet, len(packet.marks), id_field)
-        )
-        return Mark(id_field=id_field, mac=mac)
-
-    def verify_mark_as(
-        self,
-        packet: MarkedPacket,
-        mark_index: int,
-        node_id: int,
-        key: bytes,
-        provider,
-    ) -> bool:
-        mark = packet.marks[mark_index]
-        if not mark.matches_format(self.fmt):
-            return False
-        if mark.id_field != self.fmt.encode_node_id(node_id):
-            return False
-        expected = provider.mac(
-            key, self._mac_input(packet, mark_index, mark.id_field)
-        )
-        return constant_time_equal(expected, mark.mac)

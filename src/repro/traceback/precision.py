@@ -23,11 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.keys import KeyStore
-from repro.crypto.mac import MacProvider, constant_time_equal
 from repro.marking.base import NodeContext
 from repro.marking.nested import NestedMarking
-from repro.packets.marks import Mark, MarkFormat
+from repro.packets.marks import MarkFormat
 from repro.packets.packet import MarkedPacket
 from repro.traceback.verify import PacketVerification
 
@@ -46,70 +44,26 @@ class PairAwareNestedMarking(NestedMarking):
 
     def __init__(self, id_len: int = 2, mac_len: int = 4):
         super().__init__(id_len=id_len, mac_len=mac_len)
-        self._id_len = id_len
+        self._half = MarkFormat(id_len=id_len, mac_len=mac_len)
         # The wire format sees one opaque ID field of twice the width.
         self.fmt = MarkFormat(id_len=2 * id_len, mac_len=mac_len)
 
-    def _encode_ids(self, node_id: int, prev_hop: int) -> bytes:
-        single = MarkFormat(id_len=self._id_len, mac_len=self.fmt.mac_len)
-        return single.encode_node_id(node_id) + single.encode_node_id(prev_hop)
-
-    def _decode_ids(self, id_field: bytes) -> tuple[int, int]:
-        half = self._id_len
-        return (
-            int.from_bytes(id_field[:half], "big"),
-            int.from_bytes(id_field[half:], "big"),
-        )
-
-    def _build_mark(
-        self, ctx: NodeContext, packet: MarkedPacket, written_id: int
-    ) -> Mark:
+    def _id_field(self, ctx: NodeContext, written_id: int) -> bytes:
         if ctx.prev_hop is None:
             raise ValueError(
                 "pair-aware marking needs ctx.prev_hop (pairwise neighbor "
                 "authentication must be deployed)"
             )
-        id_field = self._encode_ids(written_id, ctx.prev_hop)
-        mac = ctx.provider.mac(ctx.key, packet.wire() + id_field)
-        return Mark(id_field=id_field, mac=mac)
+        half = self._half
+        return half.encode_node_id(written_id) + half.encode_node_id(ctx.prev_hop)
 
-    def candidate_marker_ids(
-        self,
-        packet: MarkedPacket,
-        mark_index: int,
-        keystore: KeyStore,
-        provider: MacProvider,
-        search_ids: list[int] | None = None,
-        table: object | None = None,
-    ) -> list[int]:
-        mark = packet.marks[mark_index]
-        if not mark.matches_format(self.fmt):
-            return []
-        node_id, _prev = self._decode_ids(mark.id_field)
-        return [node_id] if node_id in keystore else []
-
-    def verify_mark_as(
-        self,
-        packet: MarkedPacket,
-        mark_index: int,
-        node_id: int,
-        key: bytes,
-        provider: MacProvider,
-    ) -> bool:
-        mark = packet.marks[mark_index]
-        if not mark.matches_format(self.fmt):
-            return False
-        marked_id, _prev = self._decode_ids(mark.id_field)
-        if marked_id != node_id:
-            return False
-        prefix = packet.prefix_wire(mark_index)
-        expected = provider.mac(key, prefix + mark.id_field)
-        return constant_time_equal(expected, mark.mac)
+    def _marker(self, id_field: bytes) -> int:
+        return self._half.decode_node_id(id_field[: self._half.id_len])
 
     def reported_prev_hop(self, packet: MarkedPacket, mark_index: int) -> int:
         """The previous hop the marker embedded (verified via the MAC)."""
-        _node, prev = self._decode_ids(packet.marks[mark_index].id_field)
-        return prev
+        id_field = packet.marks[mark_index].id_field
+        return self._half.decode_node_id(id_field[self._half.id_len :])
 
 
 @dataclass(frozen=True)
