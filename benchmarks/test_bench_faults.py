@@ -99,7 +99,9 @@ class TestBenchFaultSimulation:
         assert sim.metrics.packets_injected == PACKETS
         assert injector.counts().get("crash", 0) > 0
         # The acceptance gate rides along: churn never frames anyone.
-        report = accusation_report(sink, attribute_drops(metrics, injector))
+        report = accusation_report(
+            sink.evidence(), sink.topology, attribute_drops(metrics, injector)
+        )
         assert report.false_accusation_rate == 0.0
 
 
@@ -112,6 +114,8 @@ class TestBenchAttribution:
     def test_bench_accusation_report(self, benchmark, churned_run):
         _sim, sink, metrics, injector = churned_run
         attribution = attribute_drops(metrics, injector)
-        report = benchmark(accusation_report, sink, attribution)
+        report = benchmark(
+            lambda: accusation_report(sink.evidence(), sink.topology, attribution)
+        )
         assert report.accused == ()
         assert report.false_accusation_rate == 0.0

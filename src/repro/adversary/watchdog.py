@@ -7,7 +7,7 @@ to be survivable:
 * **Framing** (:class:`LyingWatchdog`): a compromised node fabricates
   accusations against an honest neighbor.  Accusations carry no proof --
   they are claims -- so the defense is sink-side: the fusion rule
-  (:func:`repro.faults.attribution.fused_accusation_report`) confirms an
+  (:func:`repro.faults.attribution.accusation_report`) confirms an
   accusation only against nodes PNM evidence independently suspects.  A
   frame against a node with no tamper or drop evidence nearby is
   discarded, keeping the honest false-accusation rate at exactly 0.0.

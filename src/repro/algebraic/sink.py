@@ -122,7 +122,8 @@ def algebraic_verdict(
     Exactly :func:`~repro.traceback.sink.compute_verdict` with the
     algebraic-augmented precedence graph (the plain one when the record
     holds no algebraic evidence); shared by
-    :meth:`AlgebraicTracebackSink.verdict` and the cluster coordinator.
+    :meth:`AlgebraicTracebackSink.verdict`, the cluster coordinator and
+    :func:`repro.faults.attribution.accusation_report`.
     """
     return compute_verdict(
         algebraic_precedence(evidence, topology),

@@ -29,11 +29,7 @@ import json
 import sys
 from collections.abc import Callable
 
-from repro.cluster.coordinator import (
-    ClusterCoordinator,
-    report_json,
-    verdict_json,
-)
+from repro.cluster.coordinator import report_json, verdict_json
 from repro.cluster.harness import ClusterResult, run_cluster
 from repro.cluster.ring import ShardRing, region_shard_key, report_shard_key
 from repro.core.build import deploy
@@ -181,7 +177,6 @@ def _smoke(args: argparse.Namespace) -> int:
     )
     sink_factory = make_sink_factory(topology, keystore)
     attribution = DropAttribution()
-    coordinator = ClusterCoordinator(topology)
 
     # Reference: one plain in-process sink fed the identical stream.
     reference = sink_factory()
@@ -190,7 +185,7 @@ def _smoke(args: argparse.Namespace) -> int:
             reference.receive(packet, delivering)
     expected = (
         verdict_json(reference.verdict()),
-        report_json(accusation_report(reference, attribution)),
+        report_json(accusation_report(reference.evidence(), topology, attribution)),
     )
 
     def cluster(
@@ -218,7 +213,7 @@ def _smoke(args: argparse.Namespace) -> int:
     for name, result in runs.items():
         got = (
             verdict_json(result.verdict),
-            report_json(coordinator.accusation(result.evidence, attribution)),
+            report_json(accusation_report(result.evidence, topology, attribution)),
         )
         if got != expected:
             failures.append(

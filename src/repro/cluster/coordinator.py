@@ -1,12 +1,14 @@
 """The cluster coordinator: N shard summaries -> one global verdict.
 
 Why a merge can be exact: the sink's verdict
-(:func:`repro.traceback.sink.compute_verdict`) is a pure function of
-order-insensitive evidence -- the *union* of precedence edges, the
-*multiset* of tamper-stop nodes, and additive counters.  Shards
-therefore never exchange partial verdicts; they export raw evidence
+(:func:`repro.algebraic.sink.algebraic_verdict`) and its accusation
+report (:func:`repro.faults.attribution.accusation_report`) are pure
+functions of order-insensitive evidence -- the *union* of precedence
+edges, the *multisets* of tamper stops, watchdog claims and algebraic
+observations, and additive counters.  Shards therefore never exchange
+partial verdicts; they export raw evidence
 (:class:`~repro.traceback.sink.SinkEvidence`, over SUMMARY frames) and
-the coordinator unions/sums it, then runs the *same* verdict function a
+the coordinator merges it, then runs the *same* verdict function a
 single sink would.  Equality with the single-sink answer is structural,
 not statistical -- the equivalence tests in ``tests/test_cluster``
 compare canonical bytes.
@@ -24,15 +26,16 @@ from collections.abc import Mapping
 from typing import Any
 
 from repro.algebraic.sink import algebraic_verdict
-from repro.faults.attribution import (
-    AccusationReport,
-    DropAttribution,
-    build_accusation_report,
-)
+from repro.faults.attribution import AccusationReport
 from repro.net.topology import Topology
 from repro.obs.profiling import NoopObsProvider, ObsProvider, resolve_provider
 from repro.obs.spans import SpanContext
-from repro.traceback.sink import SinkEvidence, TracebackVerdict
+from repro.traceback.sink import (
+    EVIDENCE_COUNTERS,
+    EVIDENCE_FIELDS,
+    SinkEvidence,
+    TracebackVerdict,
+)
 
 __all__ = [
     "ClusterCoordinator",
@@ -45,51 +48,33 @@ __all__ = [
 def merge_evidence(per_shard: Mapping[int, SinkEvidence]) -> SinkEvidence:
     """Union/sum shard evidence into one global :class:`SinkEvidence`.
 
-    Nodes and edges union (the precedence graph is idempotent under
-    re-adding a chain); tamper-stop counts and the additive counters sum.
-    Algebraic observations merge as a sorted multiset (concatenate, then
-    sort) so the coordinator replays exactly what one big sink saw.
-    The merged ``delivering_node`` -- a tie-breaker the verdict only
-    consults when route evidence is absent or loops into the sink -- is
-    taken from the shard that saw the most packets (smallest shard ID on
-    ties), which is deterministic regardless of arrival interleaving.
+    Each tuple field merges under its rule in
+    :data:`~repro.traceback.sink.EVIDENCE_FIELDS`: nodes and edges union
+    (the precedence graph is idempotent under re-adding a chain), tamper
+    stops and watchdog claims sum their counts, and algebraic
+    observations merge as a sorted multiset, so the coordinator replays
+    exactly what one big sink saw.  The additive counters sum.  The
+    merged ``delivering_node`` -- a tie-breaker the verdict only consults
+    when route evidence is absent or loops into the sink -- is taken from
+    the shard that saw the most packets (smallest shard ID on ties),
+    which is deterministic regardless of arrival interleaving.
     """
-    nodes: set[int] = set()
-    edges: set[tuple[int, int]] = set()
-    stops: dict[int, int] = {}
-    observations: list[tuple[int, int, int, int, int, int]] = []
-    packets_received = 0
-    tampered_packets = 0
-    chains_with_marks = 0
-    fallback_searches = 0
-    delivering_node: int | None = None
-    best_rank: tuple[int, int] | None = None
-    for shard_id in sorted(per_shard):
-        evidence = per_shard[shard_id]
-        nodes.update(evidence.nodes)
-        edges.update(evidence.edges)
-        observations.extend(evidence.algebraic)
-        for node, count in evidence.tamper_stops:
-            stops[node] = stops.get(node, 0) + count
-        packets_received += evidence.packets_received
-        tampered_packets += evidence.tampered_packets
-        chains_with_marks += evidence.chains_with_marks
-        fallback_searches += evidence.fallback_searches
-        if evidence.delivering_node is not None:
-            rank = (-evidence.packets_received, shard_id)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                delivering_node = evidence.delivering_node
+    shards = [(shard_id, per_shard[shard_id]) for shard_id in sorted(per_shard)]
+    merged: dict[str, Any] = {
+        field.name: field.combine(
+            getattr(evidence, field.name) for _shard_id, evidence in shards
+        )
+        for field in EVIDENCE_FIELDS
+    }
+    for name in EVIDENCE_COUNTERS:
+        merged[name] = sum(getattr(evidence, name) for _shard_id, evidence in shards)
+    speakers = [
+        (-evidence.packets_received, shard_id, evidence.delivering_node)
+        for shard_id, evidence in shards
+        if evidence.delivering_node is not None
+    ]
     return SinkEvidence(
-        nodes=tuple(sorted(nodes)),
-        edges=tuple(sorted(edges)),
-        tamper_stops=tuple((node, stops[node]) for node in sorted(stops)),
-        packets_received=packets_received,
-        tampered_packets=tampered_packets,
-        chains_with_marks=chains_with_marks,
-        fallback_searches=fallback_searches,
-        delivering_node=delivering_node,
-        algebraic=tuple(sorted(observations)),
+        **merged, delivering_node=min(speakers)[2] if speakers else None
     )
 
 
@@ -159,28 +144,6 @@ class ClusterCoordinator:
         )
         return result
 
-    def accusation(
-        self,
-        evidence: SinkEvidence,
-        attribution: DropAttribution,
-        moles: frozenset[int] | set[int] = frozenset(),
-    ) -> AccusationReport:
-        """The global accusation report over merged evidence.
-
-        Same semantics as :func:`repro.faults.accusation_report`: the
-        traceback verdict accuses only when backed by tamper evidence,
-        suspicious drop sites accuse directly, and the honest
-        false-accusation rate quantifies collateral damage.
-        """
-        tamper = evidence.tampered_packets > 0
-        return build_accusation_report(
-            verdict=self.verdict(evidence) if tamper else None,
-            tampered_packets=evidence.tampered_packets,
-            topology=self.topology,
-            attribution=attribution,
-            moles=moles,
-        )
-
     def __repr__(self) -> str:
         return f"ClusterCoordinator(topology={self.topology!r})"
 
@@ -226,5 +189,8 @@ def report_json(report: AccusationReport) -> str:
             "false_accusations": list(report.false_accusations),
             "false_accusation_rate": report.false_accusation_rate,
             "tamper_evidence": report.tamper_evidence,
+            "watchdog_claimed": list(report.watchdog_claimed),
+            "watchdog_confirmed": list(report.watchdog_confirmed),
+            "watchdog_rejected": list(report.watchdog_rejected),
         }
     )

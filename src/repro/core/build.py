@@ -406,7 +406,7 @@ def build_network(
 
     sink_cls = AlgebraicTracebackSink if isinstance(scheme, AlgebraicMarking) else TracebackSink
     sink = sink_cls(scheme, dep.keystore, dep.provider, topology)
-    probe = None if watchdog is None else DetectionProbe(sink, watchdog.sink_log, moles)
+    probe = None if watchdog is None else DetectionProbe(sink, moles)
     sim = NetworkSimulation(
         topology=topology,
         routing=routing,

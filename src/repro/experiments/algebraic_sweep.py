@@ -171,7 +171,10 @@ def _run_once(
         ingest=None if mole else probe_cls,
     )
     report = accusation_report(
-        net.sink, attribute_drops(net.sim.metrics, net.injector), moles=net.moles
+        net.sink.evidence(),
+        net.sink.topology,
+        attribute_drops(net.sim.metrics, net.injector),
+        moles=net.moles,
     )
     probe = net.sim.ingest
     delivered = probe.delivered if probe is not None else 0

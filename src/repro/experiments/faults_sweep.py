@@ -62,7 +62,9 @@ def _run_once(
         churn_rate=churn_rate,
     )
     attribution = attribute_drops(net.sim.metrics, net.injector)
-    report = accusation_report(net.sink, attribution, moles=net.moles)
+    report = accusation_report(
+        net.sink.evidence(), net.sink.topology, attribution, moles=net.moles
+    )
     verdict = net.sink.verdict()
     return {
         "delivery_ratio": net.sim.metrics.delivery_ratio(),

@@ -5,8 +5,10 @@ delivered packets (Section 4); detection latency is bounded by how fast
 tamper-stop statistics converge.  The :mod:`repro.watchdog` overhearing
 layer adds a second, independent evidence stream: neighbors overhear
 each other's forwardings and report inconsistencies, and the sink fuses
-those accusations with PNM evidence
-(:func:`repro.faults.attribution.fused_accusation_report`).
+those accusations with PNM evidence: the sink counts each delivered
+accusation as a claim in its evidence, and
+:func:`repro.faults.attribution.accusation_report` confirms a claim only
+where PNM evidence corroborates it.
 
 This sweep quantifies the trade on the paper's linear-chain deployment
 (the Figure 6 topology) across marking probability and mole position,
@@ -46,7 +48,7 @@ from repro.analysis.overhead import probability_for_target_marks
 from repro.core.build import build_network
 from repro.experiments.presets import QUICK, Preset
 from repro.experiments.tables import FigureResult
-from repro.faults import attribute_drops, fused_accusation_report
+from repro.faults import accusation_report, attribute_drops
 from repro.marking.pnm import PNMMarking
 from repro.net.overhear import OverhearModel
 from repro.net.topology import linear_path_topology
@@ -128,8 +130,11 @@ def _run_once(
         watchdog=layer,
     )
     probe = net.probe
-    fused = fused_accusation_report(
-        net.sink, attribute_drops(net.sim.metrics), layer.sink_log, moles=net.moles
+    fused = accusation_report(
+        net.sink.evidence(),
+        topology,
+        attribute_drops(net.sim.metrics),
+        moles=net.moles,
     )
     honest = set(fused.honest)
     miss = packets + 1  # sentinel: not detected within the budget

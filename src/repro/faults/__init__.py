@@ -28,11 +28,8 @@ discrete-event engine's virtual clock -- no wall-clock reads, no shared
 from repro.faults.attribution import (
     AccusationReport,
     DropAttribution,
-    FusedAccusationReport,
     accusation_report,
     attribute_drops,
-    build_accusation_report,
-    fused_accusation_report,
 )
 from repro.faults.injector import AppliedFault, FaultInjector
 from repro.faults.schedule import FAULT_KINDS, FaultEvent, FaultSchedule
@@ -45,9 +42,6 @@ __all__ = [
     "AppliedFault",
     "DropAttribution",
     "AccusationReport",
-    "FusedAccusationReport",
     "attribute_drops",
     "accusation_report",
-    "build_accusation_report",
-    "fused_accusation_report",
 ]

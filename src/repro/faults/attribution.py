@@ -20,7 +20,8 @@ all kill packets without any adversary.  This module separates the two.
 :func:`accusation_report` then combines the evidence streams the way a
 deployed sink would: *tamper evidence* (invalid MACs, which benign
 faults cannot forge -- crashing a node never breaks a key) activates the
-traceback verdict, and suspicious drop sites add their nodes.  Honest
+traceback verdict, suspicious drop sites add their nodes, and watchdog
+claims join only where that evidence corroborates them.  Honest
 nodes accused by either route are **false accusations**; the report
 quantifies their rate.  With every node honest both streams are
 structurally empty -- no fault schedule forges a MAC and every drop is
@@ -32,20 +33,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.algebraic.sink import algebraic_verdict
 from repro.faults.injector import FaultInjector
 from repro.net.topology import Topology
 from repro.sim.metrics import MetricsCollector
-from repro.traceback.sink import TracebackSink, TracebackVerdict
-from repro.watchdog.fusion import WatchdogSinkLog, tamper_corroboration_zone
+from repro.traceback.sink import SinkEvidence
+from repro.watchdog.fusion import tamper_corroboration_zone
 
 __all__ = [
     "DropAttribution",
     "AccusationReport",
-    "FusedAccusationReport",
     "attribute_drops",
     "accusation_report",
-    "build_accusation_report",
-    "fused_accusation_report",
 ]
 
 #: Default half-width (virtual seconds) of the window around a fault
@@ -104,48 +103,26 @@ class DropAttribution:
 class AccusationReport:
     """Who got accused, and how many accusations hit honest nodes.
 
+    Watchdog claims are not proof (a lying watchdog fabricates them
+    freely), so a claim is **confirmed** only against a node PNM
+    evidence independently suspects -- inside the tamper corroboration
+    zone (:func:`repro.watchdog.fusion.tamper_corroboration_zone`) or at
+    an unexplained drop site.  Everything else is **rejected**.  In any
+    honest deployment both corroboration sources are structurally empty
+    (benign faults forge no MACs and every drop is fault-explained), so
+    no fabrication can raise the false-accusation rate -- the invariant
+    ``tests/test_properties/test_watchdog_fusion.py`` pins.
+
     Attributes:
-        accused: accused node IDs, sorted ascending.
+        accused: accused node IDs (PNM accusations plus confirmed
+            watchdog claims), sorted ascending.
         honest: honest (non-mole) sensor IDs, sorted ascending.
         false_accusations: accused honest nodes, sorted ascending.
         false_accusation_rate: ``|false| / |honest|`` (0.0 when there are
             no honest nodes to accuse).
         tamper_evidence: whether any accusation came from invalid MACs.
-    """
-
-    accused: tuple[int, ...]
-    honest: tuple[int, ...]
-    false_accusations: tuple[int, ...]
-    false_accusation_rate: float
-    tamper_evidence: bool
-
-
-@dataclass(frozen=True)
-class FusedAccusationReport:
-    """An :class:`AccusationReport` extended with watchdog evidence.
-
-    The first five attributes mirror :class:`AccusationReport` exactly;
-    :attr:`accused` is the fused set.  Watchdog accusations are claims,
-    not proof (a lying watchdog fabricates them freely), so a claim is
-    **confirmed** only against a node PNM evidence independently
-    suspects -- inside the tamper corroboration zone
-    (:func:`repro.watchdog.fusion.tamper_corroboration_zone`) or at an
-    unexplained drop site.  Everything else is **rejected**.  In any
-    honest deployment both corroboration sources are structurally empty
-    (benign faults forge no MACs and every drop is fault-explained), so
-    no fabrication can ever raise the false-accusation rate above the
-    PNM-only report's -- the invariant
-    ``tests/test_properties/test_watchdog_fusion.py`` pins.
-
-    Attributes:
-        accused: fused accused set (PNM accusations plus confirmed
-            watchdog claims), sorted ascending.
-        honest: honest (non-mole) sensor IDs, sorted ascending.
-        false_accusations: accused honest nodes, sorted ascending.
-        false_accusation_rate: ``|false| / |honest|``.
-        tamper_evidence: whether any accusation came from invalid MACs.
-        watchdog_claimed: every distinct node a delivered accusation
-            named, sorted ascending.
+        watchdog_claimed: every distinct node a delivered watchdog
+            accusation named, sorted ascending (empty without claims).
         watchdog_confirmed: the corroborated subset that joined
             :attr:`accused`.
         watchdog_rejected: the discarded remainder.
@@ -210,121 +187,59 @@ def attribute_drops(
 
 
 def accusation_report(
-    sink: TracebackSink,
+    evidence: SinkEvidence,
+    topology: Topology,
     attribution: DropAttribution,
     moles: frozenset[int] | set[int] = frozenset(),
 ) -> AccusationReport:
-    """Combine tamper and drop-site evidence into accusations.
+    """Combine tamper, drop-site and watchdog evidence into accusations.
 
-    The sink's traceback verdict only becomes an accusation when backed
-    by *tamper evidence* (at least one invalid MAC): benign faults never
-    forge MACs, so an honest-but-churning network produces none, and a
-    bare route reconstruction -- which always has *some* most upstream
-    node, typically the source -- must not convict anyone on its own.
-    Suspicious (unexplained-excess) drop sites accuse their nodes
-    directly.
+    A pure function of the evidence record, so a single sink
+    (``sink.evidence()``) and a coordinator holding merged shard evidence
+    build byte-identical reports.  The traceback verdict
+    (:func:`~repro.algebraic.sink.algebraic_verdict`) only becomes an
+    accusation when backed by *tamper evidence* (at least one invalid
+    MAC): benign faults never forge MACs, so an honest-but-churning
+    network produces none, and a bare route reconstruction -- which
+    always has *some* most upstream node, typically the source -- must
+    not convict anyone on its own.  Suspicious (unexplained-excess) drop
+    sites accuse their nodes directly.  Watchdog claims only accelerate
+    conviction of nodes PNM independently suspects: a claim is confirmed
+    inside the tamper corroboration zone or at a suspicious drop site,
+    and rejected otherwise.
 
     Args:
-        sink: the run's traceback sink.
+        evidence: the sink's (or the merged shards') evidence.
+        topology: the deployment.
         attribution: the drop classification from :func:`attribute_drops`.
         moles: ground-truth mole IDs; every other sensor is honest.
 
     Returns:
         The accusations and the honest-node false-accusation rate.
     """
-    tamper = sink.tampered_packets > 0
-    return build_accusation_report(
-        verdict=sink.verdict() if tamper else None,
-        tampered_packets=sink.tampered_packets,
-        topology=sink.topology,
-        attribution=attribution,
-        moles=moles,
-    )
-
-
-def build_accusation_report(
-    verdict: TracebackVerdict | None,
-    tampered_packets: int,
-    topology: Topology,
-    attribution: DropAttribution,
-    moles: frozenset[int] | set[int] = frozenset(),
-) -> AccusationReport:
-    """The sink-free core of :func:`accusation_report`.
-
-    Takes an already-computed verdict instead of a live sink, so callers
-    that only hold merged evidence -- the cluster coordinator merging N
-    shards' summaries -- build byte-identical reports through the exact
-    code path the single-sink form uses.  ``verdict`` may be ``None``
-    when ``tampered_packets`` is zero (it is ignored without tamper
-    evidence either way).
-    """
     accused: set[int] = set(attribution.suspicious_drops)
-    tamper = tampered_packets > 0
-    if tamper and verdict is not None:
+    tamper = evidence.tampered_packets > 0
+    if tamper:
+        verdict = algebraic_verdict(evidence, topology)
         if verdict.identified and verdict.suspect is not None:
             accused.add(verdict.suspect.center)
-    honest = sorted(
-        node
-        for node in topology.sensor_nodes()
-        if node not in moles
+    claimed = tuple(node for node, _count in evidence.watchdog_claims)
+    zone = tamper_corroboration_zone(evidence, topology) if claimed else set()
+    zone.update(attribution.suspicious_drops)
+    confirmed = tuple(node for node in claimed if node in zone)
+    accused.update(confirmed)
+    honest = tuple(
+        node for node in sorted(topology.sensor_nodes()) if node not in moles
     )
-    false = [node for node in sorted(accused) if node in set(honest)]
-    rate = len(false) / len(honest) if honest else 0.0
+    honest_set = set(honest)
+    false = tuple(node for node in sorted(accused) if node in honest_set)
     return AccusationReport(
         accused=tuple(sorted(accused)),
-        honest=tuple(honest),
-        false_accusations=tuple(false),
-        false_accusation_rate=rate,
-        tamper_evidence=tamper,
-    )
-
-
-def fused_accusation_report(
-    sink: TracebackSink,
-    attribution: DropAttribution,
-    watchdog_log: WatchdogSinkLog | None,
-    moles: frozenset[int] | set[int] = frozenset(),
-) -> FusedAccusationReport:
-    """Fuse watchdog accusations into the PNM accusation report.
-
-    Watchdog evidence can only *accelerate* conviction of nodes PNM
-    independently suspects, never convict on its own: a delivered
-    accusation is confirmed when its target sits inside the tamper
-    corroboration zone (one hop around any observed tamper stop) or at a
-    suspicious (unexplained-excess) drop site, and is rejected otherwise.
-    With ``watchdog_log`` ``None`` or empty the fused report carries
-    exactly the PNM-only accusations -- the disabled-watchdog parity the
-    property suite pins byte-for-byte.
-
-    Args:
-        sink: the run's traceback sink.
-        attribution: the drop classification from :func:`attribute_drops`.
-        watchdog_log: the watchdog layer's delivered-accusation log, or
-            ``None`` when the layer is disabled.
-        moles: ground-truth mole IDs; every other sensor is honest.
-    """
-    base = accusation_report(sink, attribution, moles=moles)
-    claimed = (
-        tuple(watchdog_log.accused_nodes()) if watchdog_log is not None else ()
-    )
-    if claimed:
-        zone = tamper_corroboration_zone(sink.evidence(), sink.topology)
-        zone.update(attribution.suspicious_drops)
-        confirmed = tuple(node for node in claimed if node in zone)
-    else:
-        confirmed = ()
-    rejected = tuple(node for node in claimed if node not in set(confirmed))
-    accused = sorted(set(base.accused) | set(confirmed))
-    honest_set = set(base.honest)
-    false = tuple(node for node in accused if node in honest_set)
-    rate = len(false) / len(base.honest) if base.honest else 0.0
-    return FusedAccusationReport(
-        accused=tuple(accused),
-        honest=base.honest,
+        honest=honest,
         false_accusations=false,
-        false_accusation_rate=rate,
-        tamper_evidence=base.tamper_evidence,
+        false_accusation_rate=len(false) / len(honest) if honest else 0.0,
+        tamper_evidence=tamper,
         watchdog_claimed=claimed,
         watchdog_confirmed=confirmed,
-        watchdog_rejected=rejected,
+        watchdog_rejected=tuple(node for node in claimed if node not in zone),
     )

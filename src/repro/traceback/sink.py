@@ -13,8 +13,9 @@ filtering (:mod:`repro.filtering`).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import Literal
 
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import MacProvider
@@ -32,6 +33,9 @@ __all__ = [
     "TracebackSink",
     "TracebackVerdict",
     "SinkEvidence",
+    "EvidenceField",
+    "EVIDENCE_FIELDS",
+    "EVIDENCE_COUNTERS",
     "compute_verdict",
     "evidence_precedence",
 ]
@@ -60,18 +64,19 @@ class TracebackVerdict:
 class SinkEvidence:
     """The order-insensitive evidence a sink has accumulated.
 
-    Everything :func:`compute_verdict` needs, in a canonical (sorted)
-    transportable form.  Two key properties make sharded deployments
-    possible (:mod:`repro.cluster`):
+    Everything the verdict and the accusation report need, in a canonical
+    (sorted) transportable form.  Two key properties make sharded
+    deployments possible (:mod:`repro.cluster`):
 
     * **Verdict-sufficiency**: the verdict is a pure function of this
       record plus the topology -- :meth:`TracebackSink.verdict` and a
       coordinator merging shard evidence run the *same* code path, so a
       merged verdict cannot drift from the single-sink one.
-    * **Additivity**: evidence from disjoint packet subsets combines by
-      union (nodes/edges), by summed multiset (tamper stops), and by sum
-      (counters).  Precedence edges are idempotent, so the union over any
-      partition of a packet stream equals the single sink's graph.
+    * **Additivity**: evidence from disjoint packet subsets combines
+      field by field under the rules of :data:`EVIDENCE_FIELDS` (union,
+      count-sum or sorted multiset) and by sum (counters).  Precedence
+      edges are idempotent, so the union over any partition of a packet
+      stream equals the single sink's graph.
 
     Attributes:
         nodes: every verified marker node, ascending.
@@ -89,10 +94,13 @@ class SinkEvidence:
             merged -- see :func:`repro.cluster.merge_evidence`).
         algebraic: canonical (sorted) algebraic observation tuples
             (:meth:`repro.algebraic.solver.AlgebraicObservation.as_tuple`)
-            when the deployed scheme is algebraic; empty otherwise.
-            Additive by sorted multiset union -- raw observations, not
-            solver state, travel between shards, so the verdict stays a
-            pure function of merged evidence.
+            when the deployed scheme is algebraic; empty otherwise.  Raw
+            observations, not solver state, travel between shards, so the
+            verdict stays a pure function of merged evidence.
+        watchdog_claims: ``(accused, count)`` pairs, one per node that
+            delivered watchdog accusations named, sorted by node.  Claims
+            are not proof: the accusation report confirms one only where
+            PNM evidence independently suspects the node.
     """
 
     nodes: tuple[int, ...] = ()
@@ -104,6 +112,71 @@ class SinkEvidence:
     fallback_searches: int = 0
     delivering_node: int | None = None
     algebraic: tuple[tuple[int, int, int, int, int, int], ...] = ()
+    watchdog_claims: tuple[tuple[int, int], ...] = ()
+
+
+@dataclass(frozen=True)
+class EvidenceField:
+    """How one tuple field of :class:`SinkEvidence` travels and merges.
+
+    Attributes:
+        name: the :class:`SinkEvidence` attribute.
+        arity: integers per entry (1: each entry is a bare ``int``).
+        merge: ``"union"`` (sorted, no repeats), ``"count-sum"``
+            (``(key, count)`` pairs, keys sorted and unique, counts
+            positive and summed on merge) or ``"multiset"`` (sorted,
+            repeats kept).
+        flag: the SUMMARY flag bit of an optional section, present only
+            when the field is non-empty; 0 for a section always present.
+    """
+
+    name: str
+    arity: int
+    merge: Literal["union", "count-sum", "multiset"]
+    flag: int = 0
+
+    def canonical(self, entries: Sequence) -> bool:
+        """Whether ``entries`` is in the order this field's rule keeps."""
+        pairs = zip(entries, entries[1:])
+        if self.merge == "multiset":
+            return all(a <= b for a, b in pairs)
+        if self.merge == "count-sum":
+            return all(a[0] < b[0] for a, b in pairs) and all(
+                count > 0 for _key, count in entries
+            )
+        return all(a < b for a, b in pairs)
+
+    def combine(self, parts: Iterable[Sequence]) -> tuple:
+        """Merge this field's entries from several records, canonically."""
+        entries = [entry for part in parts for entry in part]
+        if self.merge == "multiset":
+            return tuple(sorted(entries))
+        if self.merge == "count-sum":
+            counts: dict[int, int] = {}
+            for key, count in entries:
+                counts[key] = counts.get(key, 0) + count
+            return tuple(sorted(counts.items()))
+        return tuple(sorted(set(entries)))
+
+
+#: Every tuple field of :class:`SinkEvidence`, in SUMMARY section order.
+#: The SUMMARY codec (:mod:`repro.wire.messages`) and the shard merge
+#: (:func:`repro.cluster.merge_evidence`) both walk this table.
+EVIDENCE_FIELDS = (
+    EvidenceField("nodes", 1, "union"),
+    EvidenceField("edges", 2, "union"),
+    EvidenceField("tamper_stops", 2, "count-sum"),
+    EvidenceField("algebraic", 6, "multiset", flag=0x02),
+    EvidenceField("watchdog_claims", 2, "count-sum", flag=0x04),
+)
+
+#: The additive counters of :class:`SinkEvidence`, in SUMMARY order.
+EVIDENCE_COUNTERS = (
+    "packets_received",
+    "tampered_packets",
+    "chains_with_marks",
+    "fallback_searches",
+)
 
 
 def evidence_precedence(evidence: SinkEvidence) -> PrecedenceGraph:
@@ -241,6 +314,8 @@ class TracebackSink:
         self.tampered_packets = 0
         self.chains_with_marks = 0
         self._tamper_stop_nodes: dict[int, int] = {}
+        #: accused node -> delivered watchdog accusations naming it.
+        self.watchdog_claims: dict[int, int] = {}
         self._last_verification: PacketVerification | None = None
         self._last_delivering_node: int | None = None
 
@@ -313,6 +388,16 @@ class TracebackSink:
         self._last_delivering_node = delivering_node
         return verification
 
+    def receive_accusation(self, accused: int) -> None:
+        """Count one watchdog accusation the relay delivered.
+
+        The watchdog layer (:mod:`repro.watchdog`) hands over every
+        accusation that reached the sink.  It becomes evidence, not a
+        verdict: :func:`repro.faults.attribution.accusation_report`
+        confirms a claim only against PNM's own suspicion.
+        """
+        self.watchdog_claims[accused] = self.watchdog_claims.get(accused, 0) + 1
+
     def last_packet_suspect(self) -> SuspectNeighborhood | None:
         """Single-packet traceback from the most recent packet.
 
@@ -365,15 +450,13 @@ class TracebackSink:
         return SinkEvidence(
             nodes=tuple(sorted(self.precedence.observed)),
             edges=tuple(sorted(self.precedence.edges())),
-            tamper_stops=tuple(
-                (node, self._tamper_stop_nodes[node])
-                for node in sorted(self._tamper_stop_nodes)
-            ),
+            tamper_stops=tuple(sorted(self._tamper_stop_nodes.items())),
             packets_received=self.packets_received,
             tampered_packets=self.tampered_packets,
             chains_with_marks=self.chains_with_marks,
             fallback_searches=self.fallback_searches,
             delivering_node=self._last_delivering_node,
+            watchdog_claims=tuple(sorted(self.watchdog_claims.items())),
         )
 
     def __repr__(self) -> str:

@@ -20,11 +20,12 @@ This package adds that substrate to the reproduction:
   hop-by-hop to the sink, and hosts the layer's adversaries (lying
   watchdogs, colluding suppressors --
   :mod:`repro.adversary.watchdog`).
-* :class:`~repro.watchdog.fusion.WatchdogSinkLog` and
-  :class:`~repro.watchdog.fusion.DetectionProbe` -- the sink-side log
-  and detection-latency instrumentation.  Accusations alone convict
-  nobody: :func:`repro.faults.attribution.fused_accusation_report`
-  confirms them only against nodes PNM evidence independently suspects,
+* :class:`~repro.watchdog.fusion.DetectionProbe` -- detection-latency
+  instrumentation around the sink.  The layer hands every delivered
+  accusation to the sink, which counts it as a claim in its
+  :class:`~repro.traceback.sink.SinkEvidence`.  Claims alone convict
+  nobody: :func:`repro.faults.attribution.accusation_report` confirms
+  them only against nodes PNM evidence independently suspects,
   preserving the honest false-accusation == 0.0 invariant.
 
 See ``docs/watchdog.md`` for the model and threat discussion.
@@ -35,11 +36,7 @@ from repro.watchdog.accusation import (
     DeliveredAccusation,
     LocalAccusation,
 )
-from repro.watchdog.fusion import (
-    DetectionProbe,
-    WatchdogSinkLog,
-    tamper_corroboration_zone,
-)
+from repro.watchdog.fusion import DetectionProbe, tamper_corroboration_zone
 from repro.watchdog.layer import WatchdogLayer
 from repro.watchdog.monitor import NeighborScore, WatchdogConfig, WatchdogMonitor
 
@@ -51,7 +48,6 @@ __all__ = [
     "WatchdogMonitor",
     "NeighborScore",
     "WatchdogLayer",
-    "WatchdogSinkLog",
     "DetectionProbe",
     "tamper_corroboration_zone",
 ]

@@ -1,19 +1,20 @@
-"""Sink-side watchdog state: the accusation log and detection tracking.
+"""Sink-side watchdog evidence: the corroboration zone and detection tracking.
 
-Two pieces live here:
+Delivered accusations live in the sink's evidence
+(:attr:`~repro.traceback.sink.SinkEvidence.watchdog_claims`, counted by
+:meth:`~repro.traceback.sink.TracebackSink.receive_accusation`).  They
+are deliberately *not* trusted on their own: accusations are
+unauthenticated radio messages an adversary can fabricate (lying
+watchdog) or suppress (colluding relay).  Conviction requires
+corroboration.  Two pieces live here:
 
-* :class:`WatchdogSinkLog` -- the sink's record of every accusation that
-  survived the hop-by-hop relay.  It is deliberately *not* trusted on its
-  own: accusations are unauthenticated radio messages an adversary can
-  fabricate (lying watchdog) or suppress (colluding relay).  Conviction
-  requires corroboration.
 * :func:`tamper_corroboration_zone` -- the set of nodes PNM evidence
   *independently* suspects: every observed tamper stop is, by consecutive
   traceability (Theorem 2), within one hop downstream of a manipulating
   mole, so the union of the stops' closed neighborhoods bounds where a
-  tampering mole can be.  A watchdog accusation is confirmed only inside
+  tampering mole can be.  A watchdog claim is confirmed only inside
   this zone (plus unexplained drop sites, added by
-  :func:`repro.faults.attribution.fused_accusation_report`) -- watchdog
+  :func:`repro.faults.attribution.accusation_report`) -- watchdog
   evidence accelerates PNM conviction but never convicts on its own,
   which keeps the honest false-accusation rate exactly 0.0 even under
   framing.
@@ -22,7 +23,7 @@ Two pieces live here:
   fused path.  "Stable" means the verdict holds from that packet through
   the end of the run: a momentary verdict the sink later recants is not a
   detection.  The fused conviction is monotone by construction (stops and
-  accusations only accumulate), so its first hit is already stable.
+  claims only accumulate), so its first hit is already stable.
 """
 
 from __future__ import annotations
@@ -30,30 +31,8 @@ from __future__ import annotations
 from repro.net.topology import Topology
 from repro.packets.packet import MarkedPacket
 from repro.traceback.sink import SinkEvidence, TracebackSink
-from repro.watchdog.accusation import DeliveredAccusation
 
-__all__ = ["WatchdogSinkLog", "DetectionProbe", "tamper_corroboration_zone"]
-
-
-class WatchdogSinkLog:
-    """Accusations that reached the sink, in delivery order."""
-
-    def __init__(self) -> None:
-        self.delivered: list[DeliveredAccusation] = []
-
-    def receive(self, delivered: DeliveredAccusation) -> None:
-        """Record one accusation the relay handed over."""
-        self.delivered.append(delivered)
-
-    def accused_nodes(self) -> list[int]:
-        """Distinct accused node IDs, sorted ascending."""
-        return sorted({d.accusation.accused for d in self.delivered})
-
-    def __len__(self) -> int:
-        return len(self.delivered)
-
-    def __repr__(self) -> str:
-        return f"WatchdogSinkLog(delivered={len(self.delivered)})"
+__all__ = ["DetectionProbe", "tamper_corroboration_zone"]
 
 
 def tamper_corroboration_zone(
@@ -80,28 +59,26 @@ class DetectionProbe:
 
     Drop-in for the ``sink`` argument of
     :class:`~repro.sim.network.NetworkSimulation` (it only needs
-    ``receive``): delegates every packet to the wrapped sink, then checks
-    both detection conditions against the ground-truth ``moles``:
+    ``receive`` and ``receive_accusation``): delegates every packet and
+    every delivered accusation to the wrapped sink, then, per packet,
+    checks both detection conditions against the ground-truth ``moles``:
 
     * **PNM-only**: the sink's verdict is tamper-backed, identified, and
       its suspect neighborhood contains a true mole.
-    * **Fused**: a delivered watchdog accusation names a true mole inside
-      the current :func:`tamper_corroboration_zone`.
+    * **Fused**: a watchdog claim in the sink's evidence names a true
+      mole inside the current :func:`tamper_corroboration_zone`.
 
     Args:
         sink: the real traceback sink.
-        log: the watchdog layer's sink log (may stay empty).
         moles: ground-truth mole IDs.
     """
 
     def __init__(
         self,
         sink: TracebackSink,
-        log: WatchdogSinkLog,
         moles: frozenset[int] | set[int],
     ):
         self.sink = sink
-        self.log = log
         self.moles = frozenset(moles)
         self.delivered_count = 0
         #: Per delivered packet: did the PNM-only condition hold?
@@ -122,6 +99,10 @@ class DetectionProbe:
         self._check()
         return verification
 
+    def receive_accusation(self, accused: int) -> None:
+        """Hand one delivered watchdog accusation to the sink."""
+        self.sink.receive_accusation(accused)
+
     def _check(self) -> None:
         verdict = self.sink.verdict()
         pnm_hit = (
@@ -131,16 +112,17 @@ class DetectionProbe:
             and bool(verdict.suspect.members & self.moles)
         )
         self.pnm_hits.append(pnm_hit)
-        if self.first_accusation is None and len(self.log):
+        if not self.sink.watchdog_claims:
+            return
+        if self.first_accusation is None:
             self.first_accusation = self.delivered_count
-        if self.corroborated_first is None and len(self.log):
-            zone = tamper_corroboration_zone(
-                self.sink.evidence(), self.sink.topology
-            )
-            confirmed = {
-                node for node in self.log.accused_nodes() if node in zone
-            }
-            if confirmed & self.moles:
+        if self.corroborated_first is None:
+            evidence = self.sink.evidence()
+            zone = tamper_corroboration_zone(evidence, self.sink.topology)
+            if any(
+                node in zone and node in self.moles
+                for node, _count in evidence.watchdog_claims
+            ):
                 self.corroborated_first = self.delivered_count
 
     def pnm_stable_detection(self) -> int | None:

@@ -11,8 +11,10 @@ crossing the accusation threshold emits a
 toward the sink through the routing tree -- with real per-hop
 transmission delays, link-loss draws, dead-node checks, and energy
 accounting (the simulation's transmission listeners fire for every relay
-hop).  Relays are best-effort: a lost or suppressed accusation is simply
-gone, and detection falls back to PNM traceback.
+hop).  A delivered accusation goes to the simulation's sink
+(``receive_accusation``), which counts it as evidence.  Relays are
+best-effort: a lost or suppressed accusation is simply gone, and
+detection falls back to PNM traceback.
 
 The layer draws all its randomness from its **own** RNG, never the
 simulation's: enabling the watchdog consumes no draw the packet path
@@ -39,7 +41,6 @@ from repro.watchdog.accusation import (
     DeliveredAccusation,
     LocalAccusation,
 )
-from repro.watchdog.fusion import WatchdogSinkLog
 from repro.watchdog.monitor import NeighborScore, WatchdogConfig, WatchdogMonitor
 
 __all__ = ["WatchdogLayer"]
@@ -79,7 +80,7 @@ class WatchdogLayer:
         self.rng = rng if rng is not None else random.Random("watchdog")
         self.obs = resolve_provider(obs)
         self.monitors: dict[int, WatchdogMonitor] = {}
-        self.sink_log = WatchdogSinkLog()
+        self.delivered: list[DeliveredAccusation] = []
         self.emitted: list[LocalAccusation] = []
         self.suppressed: list[LocalAccusation] = []
         self.lost: list[LocalAccusation] = []
@@ -561,7 +562,8 @@ class WatchdogLayer:
         delivered = DeliveredAccusation(
             accusation=accusation, delivered_at=sim.sim.now, hops=hops
         )
-        self.sink_log.receive(delivered)
+        self.delivered.append(delivered)
+        sim.sink.receive_accusation(accusation.accused)
         self.obs.inc("watchdog_accusations_delivered_total")
         self.obs.observe("watchdog_accusation_delay_seconds", delivered.latency)
         self.obs.observe("watchdog_accusation_hops", float(hops))
@@ -578,5 +580,5 @@ class WatchdogLayer:
     def __repr__(self) -> str:
         return (
             f"WatchdogLayer(monitors={len(self.monitors)}, "
-            f"emitted={len(self.emitted)}, delivered={len(self.sink_log)})"
+            f"emitted={len(self.emitted)}, delivered={len(self.delivered)})"
         )

@@ -22,7 +22,12 @@ from typing import Any
 from repro.packets.marks import MarkFormat
 from repro.packets.packet import MarkedPacket
 from repro.traceback.localize import SuspectNeighborhood
-from repro.traceback.sink import SinkEvidence, TracebackVerdict
+from repro.traceback.sink import (
+    EVIDENCE_COUNTERS,
+    EVIDENCE_FIELDS,
+    SinkEvidence,
+    TracebackVerdict,
+)
 from repro.wire.codec import (
     decode_mark_format,
     decode_packet,
@@ -250,12 +255,9 @@ def encode_error(info: WireErrorInfo) -> bytes:
 
 
 _SUMMARY_FLAG_DELIVERING = 0x01
-_SUMMARY_FLAG_ALGEBRAIC = 0x02
-_SUMMARY_KNOWN_FLAGS = 0x03
-
-#: Fields per algebraic observation tuple (see
-#: :meth:`repro.algebraic.solver.AlgebraicObservation.as_tuple`).
-_OBSERVATION_FIELDS = 6
+_SUMMARY_KNOWN_FLAGS = _SUMMARY_FLAG_DELIVERING | sum(
+    field.flag for field in EVIDENCE_FIELDS
+)
 
 
 def encode_summary(evidence: SinkEvidence) -> bytes:
@@ -263,66 +265,64 @@ def encode_summary(evidence: SinkEvidence) -> bytes:
 
     Grammar (every integer a varint unless noted)::
 
-        summary := counters flags [delivering] nodes edges stops [algebraic]
+        summary := counters flags [delivering] nodes edges stops
+                   [algebraic] [claims]
         counters := packets_received tampered_packets chains_with_marks
                     fallback_searches
         flags   := u8                      -- bit 0: delivering present
                                            -- bit 1: algebraic section present
+                                           -- bit 2: claims section present
         nodes   := count count x node
         edges   := count count x (upstream downstream)
         stops   := count count x (node stop_count)
         algebraic := count count x (timestamp point hops value delivering
                                     last_hop_plus1)
+        claims  := count count x (accused claim_count)
 
-    Nodes, edges, stops and algebraic observations are written in the
-    canonical sorted order
+    The sections follow :data:`~repro.traceback.sink.EVIDENCE_FIELDS`:
+    each is written in the canonical order
     :meth:`~repro.traceback.sink.TracebackSink.evidence` produces, so two
-    shards with identical evidence encode identical bytes.  Evidence with
-    no algebraic observations encodes byte-identically to the pre-algebraic
-    grammar (the section and its flag bit are simply absent).
+    shards with identical evidence encode identical bytes.  An optional
+    section is present exactly when its field is non-empty, so evidence
+    without it encodes byte-identically to the grammar before it existed.
     """
-    flags = 0
+    present = [
+        field
+        for field in EVIDENCE_FIELDS
+        if not field.flag or getattr(evidence, field.name)
+    ]
+    flags = sum(field.flag for field in present)
     if evidence.delivering_node is not None:
         flags |= _SUMMARY_FLAG_DELIVERING
-    if evidence.algebraic:
-        flags |= _SUMMARY_FLAG_ALGEBRAIC
-    parts = [
-        write_varint(evidence.packets_received),
-        write_varint(evidence.tampered_packets),
-        write_varint(evidence.chains_with_marks),
-        write_varint(evidence.fallback_searches),
-        bytes((flags,)),
-    ]
+    parts = [write_varint(getattr(evidence, name)) for name in EVIDENCE_COUNTERS]
+    parts.append(bytes((flags,)))
     if evidence.delivering_node is not None:
         parts.append(write_varint(evidence.delivering_node))
-    parts.append(write_varint(len(evidence.nodes)))
-    parts.extend(write_varint(node) for node in evidence.nodes)
-    parts.append(write_varint(len(evidence.edges)))
-    for upstream, downstream in evidence.edges:
-        parts.append(write_varint(upstream))
-        parts.append(write_varint(downstream))
-    parts.append(write_varint(len(evidence.tamper_stops)))
-    for node, stop_count in evidence.tamper_stops:
-        parts.append(write_varint(node))
-        parts.append(write_varint(stop_count))
-    if evidence.algebraic:
-        parts.append(write_varint(len(evidence.algebraic)))
-        for observation in evidence.algebraic:
-            if len(observation) != _OBSERVATION_FIELDS:
+    for field in present:
+        entries = getattr(evidence, field.name)
+        parts.append(write_varint(len(entries)))
+        for entry in entries:
+            values = (entry,) if field.arity == 1 else entry
+            if len(values) != field.arity:
                 raise ValueError(
-                    f"algebraic observation has {len(observation)} fields, "
-                    f"expected {_OBSERVATION_FIELDS}"
+                    f"{field.name} entry has {len(values)} fields, "
+                    f"expected {field.arity}"
                 )
-            parts.extend(write_varint(value) for value in observation)
+            parts.extend(write_varint(value) for value in values)
     return b"".join(parts)
 
 
 def decode_summary(payload: bytes) -> SinkEvidence:
-    """Parse a SUMMARY payload; the whole payload must be consumed."""
-    packets_received, offset = read_varint(payload, 0)
-    tampered_packets, offset = read_varint(payload, offset)
-    chains_with_marks, offset = read_varint(payload, offset)
-    fallback_searches, offset = read_varint(payload, offset)
+    """Parse a SUMMARY payload; the whole payload must be consumed.
+
+    Every section must be in its canonical order (sorted; no repeated
+    node, edge, stop or claim; no zero count), because the verdict reads
+    an unmerged record as it stands.
+    """
+    counters: dict[str, Any] = {}
+    offset = 0
+    for name in EVIDENCE_COUNTERS:
+        counters[name], offset = read_varint(payload, offset)
     if len(payload) - offset < 1:
         raise TruncatedError("SUMMARY payload ended before its flags byte")
     flags = payload[offset]
@@ -332,64 +332,34 @@ def decode_summary(payload: bytes) -> SinkEvidence:
     delivering_node: int | None = None
     if flags & _SUMMARY_FLAG_DELIVERING:
         delivering_node, offset = read_varint(payload, offset)
-    node_count, offset = read_varint(payload, offset)
-    if node_count > len(payload):
-        raise BadFrameError(
-            f"node count {node_count} exceeds payload size {len(payload)}"
-        )
-    nodes = []
-    for _ in range(node_count):
-        node, offset = read_varint(payload, offset)
-        nodes.append(node)
-    edge_count, offset = read_varint(payload, offset)
-    if edge_count > len(payload):
-        raise BadFrameError(
-            f"edge count {edge_count} exceeds payload size {len(payload)}"
-        )
-    edges = []
-    for _ in range(edge_count):
-        upstream, offset = read_varint(payload, offset)
-        downstream, offset = read_varint(payload, offset)
-        edges.append((upstream, downstream))
-    stop_count, offset = read_varint(payload, offset)
-    if stop_count > len(payload):
-        raise BadFrameError(
-            f"stop count {stop_count} exceeds payload size {len(payload)}"
-        )
-    stops = []
-    for _ in range(stop_count):
-        node, offset = read_varint(payload, offset)
-        hits, offset = read_varint(payload, offset)
-        stops.append((node, hits))
-    observations = []
-    if flags & _SUMMARY_FLAG_ALGEBRAIC:
-        observation_count, offset = read_varint(payload, offset)
-        if observation_count > len(payload):
+    sections: dict[str, Any] = {}
+    for field in EVIDENCE_FIELDS:
+        if field.flag and not flags & field.flag:
+            continue
+        count, offset = read_varint(payload, offset)
+        if count > len(payload):
             raise BadFrameError(
-                f"algebraic observation count {observation_count} exceeds "
-                f"payload size {len(payload)}"
+                f"{field.name} count {count} exceeds payload size "
+                f"{len(payload)}"
             )
-        if observation_count == 0:
-            raise BadFrameError(
-                "algebraic flag set with zero observations"
-            )
-        for _ in range(observation_count):
-            fields = []
-            for _ in range(_OBSERVATION_FIELDS):
+        if field.flag and count == 0:
+            raise BadFrameError(f"{field.name} flag set with zero entries")
+        entries: list[Any] = []
+        for _ in range(count):
+            values = []
+            for _ in range(field.arity):
                 value, offset = read_varint(payload, offset)
-                fields.append(value)
-            observations.append(tuple(fields))
+                values.append(value)
+            entries.append(values[0] if field.arity == 1 else tuple(values))
+        if not field.canonical(entries):
+            raise BadFrameError(
+                f"{field.name} section is not in canonical order "
+                f"({field.merge})"
+            )
+        sections[field.name] = tuple(entries)
     _require_consumed(payload, offset, "SUMMARY")
     return SinkEvidence(
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        tamper_stops=tuple(stops),
-        packets_received=packets_received,
-        tampered_packets=tampered_packets,
-        chains_with_marks=chains_with_marks,
-        fallback_searches=fallback_searches,
-        delivering_node=delivering_node,
-        algebraic=tuple(observations),
+        **counters, **sections, delivering_node=delivering_node
     )
 
 

@@ -16,12 +16,12 @@ import pytest
 
 from repro.algebraic.marking import AlgebraicMarking
 from repro.algebraic.sink import AlgebraicTracebackSink
-from repro.cluster.coordinator import ClusterCoordinator, report_json, verdict_json
+from repro.cluster.coordinator import report_json, verdict_json
 from repro.cluster.harness import run_cluster
 from repro.cluster.ring import ShardRing, region_shard_key
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import KeyedHashProvider
-from repro.faults.attribution import DropAttribution
+from repro.faults.attribution import DropAttribution, accusation_report
 from repro.faults.schedule import FaultSchedule
 from repro.marking.base import NodeContext
 from repro.net.topology import grid_topology
@@ -194,8 +194,7 @@ class TestChurnEquivalence:
         assert verdict_json(result.verdict) == verdict_json(
             reference.verdict()
         )
-        coordinator = ClusterCoordinator(topology)
-        accusation = coordinator.accusation(result.evidence, DropAttribution())
+        accusation = accusation_report(result.evidence, topology, DropAttribution())
         assert accusation.false_accusation_rate == 0.0
         assert accusation.accused == ()
         assert report_json(accusation)  # canonical form renders

@@ -11,12 +11,21 @@ escalations:
    honest false-accusation rate must stay exactly 0.0;
 3. a tampered stream (mole-style MAC corruption), where the tamper
    verdict itself must survive sharding.
+
+A hypothesis property then covers every verdict source at once: any
+partition of a PNM or algebraic stream plus delivered watchdog claims
+over 1-4 in-process shards merges to the single sink's evidence, verdict
+and report, and every shard's SUMMARY round-trips byte for byte.
 """
 
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.algebraic.marking import AlgebraicMarking
+from repro.algebraic.sink import AlgebraicTracebackSink
 from repro.cluster.coordinator import (
     ClusterCoordinator,
     report_json,
@@ -29,11 +38,16 @@ from repro.experiments.cluster_sweep import (
     build_cluster_workload,
     make_sink_factory,
 )
-from repro.faults.attribution import DropAttribution, build_accusation_report
+from repro.faults.attribution import DropAttribution, accusation_report
+from repro.core.build import deploy
 from repro.faults.schedule import FaultSchedule
 from repro.marking.pnm import PNMMarking
+from repro.net.topology import linear_path_topology
 from repro.packets.marks import Mark
+from repro.packets.packet import MarkedPacket
+from repro.packets.report import Report
 from repro.traceback.sink import TracebackSink
+from repro.wire.messages import decode_summary, encode_summary
 
 GRID_SIDE = 10
 PACKETS = 40
@@ -59,22 +73,14 @@ def serial_reference(topology, keystore, batches) -> TracebackSink:
 
 
 def reference_report(sink, topology) -> str:
-    tamper = sink.tampered_packets > 0
     return report_json(
-        build_accusation_report(
-            verdict=sink.verdict() if tamper else None,
-            tampered_packets=sink.tampered_packets,
-            topology=topology,
-            attribution=DropAttribution(),
-            moles=frozenset(),
-        )
+        accusation_report(sink.evidence(), topology, DropAttribution())
     )
 
 
 def cluster_report(result, topology) -> str:
-    coordinator = ClusterCoordinator(topology)
     return report_json(
-        coordinator.accusation(result.evidence, DropAttribution())
+        accusation_report(result.evidence, topology, DropAttribution())
     )
 
 
@@ -153,9 +159,8 @@ class TestChurnEquivalence:
         report = cluster_report(result, topology)
         assert report == reference_report(reference, topology)
         # Honest stream + churn-only faults: zero false accusations.
-        coordinator = ClusterCoordinator(topology)
-        accusation = coordinator.accusation(
-            result.evidence, DropAttribution()
+        accusation = accusation_report(
+            result.evidence, topology, DropAttribution()
         )
         assert accusation.false_accusation_rate == 0.0
         assert accusation.accused == ()
@@ -237,4 +242,118 @@ class TestTamperedEquivalence:
         )
         assert cluster_report(result, topology) == reference_report(
             reference, topology
+        )
+
+
+# Partition property ---------------------------------------------------------
+#
+# A chain deployment, so every packet has the same delivering node and the
+# merged evidence must equal the single sink's field for field.
+
+CHAIN, CHAIN_SOURCE = linear_path_topology(6)
+CHAIN_PATH = [1, 2, 3, 4, 5, 6]  # the source's forwarders, toward the sink
+CHAIN_DELIVERING = CHAIN_PATH[-1]
+CHAIN_NODES = sorted(CHAIN.sensor_nodes())
+POOL = 12
+
+
+def chain_pool(scheme, label):
+    """``POOL`` honestly marked packets, each also with its first MAC flipped."""
+    dep = deploy(CHAIN, b"partition-property", label)
+    contexts = {node: dep.ctx(node) for node in CHAIN_PATH}
+    pool = []
+    for t in range(POOL):
+        packet = MarkedPacket(
+            report=Report(
+                event=f"{label}:{t}".encode(),
+                location=CHAIN.position(CHAIN_SOURCE),
+                timestamp=t,
+            )
+        )
+        for node in CHAIN_PATH:
+            packet = scheme.on_forward(contexts[node], packet)
+        pool.append(
+            (packet, corrupt_most_upstream_mark(packet) if packet.marks else packet)
+        )
+    return dep, pool
+
+
+def pnm_chain():
+    scheme = PNMMarking(mark_prob=0.4)
+    dep, pool = chain_pool(scheme, "pnm")
+    return (
+        lambda: TracebackSink(scheme, dep.keystore, dep.provider, CHAIN),
+        pool,
+    )
+
+
+def algebraic_chain():
+    scheme = AlgebraicMarking()
+    dep, pool = chain_pool(scheme, "algebraic")
+    return (
+        lambda: AlgebraicTracebackSink(scheme, dep.keystore, dep.provider, CHAIN),
+        pool,
+    )
+
+
+DEPLOYMENTS = {"pnm": pnm_chain(), "algebraic": algebraic_chain()}
+
+streams = st.lists(
+    st.tuples(
+        st.integers(0, POOL - 1),  # packet
+        st.booleans(),  # tampered
+        st.integers(0, 3),  # shard, modulo the shard count
+    ),
+    max_size=24,
+)
+claims = st.lists(
+    st.tuples(st.sampled_from(CHAIN_NODES), st.integers(0, 3)), max_size=8
+)
+
+
+class TestPartitionProperty:
+    @pytest.mark.parametrize("kind", sorted(DEPLOYMENTS))
+    @given(
+        shards=st.integers(1, 4),
+        stream=streams,
+        delivered_claims=claims,
+        suspicious=st.sets(st.sampled_from(CHAIN_NODES), max_size=2),
+        mole=st.sampled_from(CHAIN_NODES),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_any_partition_merges_to_the_single_sink(
+        self, kind, shards, stream, delivered_claims, suspicious, mole
+    ):
+        make_sink, pool = DEPLOYMENTS[kind]
+        single = make_sink()
+        shard_sinks = [make_sink() for _ in range(shards)]
+        for index, tampered, shard in stream:
+            packet = pool[index][tampered]
+            single.receive(packet, CHAIN_DELIVERING)
+            shard_sinks[shard % shards].receive(packet, CHAIN_DELIVERING)
+        for accused, shard in delivered_claims:
+            single.receive_accusation(accused)
+            shard_sinks[shard % shards].receive_accusation(accused)
+
+        summaries = {}
+        for shard_id, sink in enumerate(shard_sinks):
+            payload = encode_summary(sink.evidence())
+            summaries[shard_id] = decode_summary(payload)
+            assert summaries[shard_id] == sink.evidence()
+            assert encode_summary(summaries[shard_id]) == payload
+
+        coordinator = ClusterCoordinator(CHAIN)
+        merged = coordinator.merge(summaries)
+        assert merged == single.evidence()
+        assert verdict_json(coordinator.verdict(merged)) == verdict_json(
+            single.verdict()
+        )
+        attribution = DropAttribution(
+            suspicious_drops={node: 1 for node in sorted(suspicious)}
+        )
+        moles = frozenset({mole})
+        assert report_json(
+            accusation_report(merged, CHAIN, attribution, moles)
+        ) == report_json(
+            accusation_report(single.evidence(), CHAIN, attribution, moles)
         )

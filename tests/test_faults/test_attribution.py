@@ -117,7 +117,9 @@ class TestAccusationReport:
         injector = FaultInjector(sim, schedule)
         injector.arm()
         run_workload(sim, topo)
-        report = accusation_report(sink, attribute_drops(metrics, injector))
+        report = accusation_report(
+            sink.evidence(), topo, attribute_drops(metrics, injector)
+        )
         assert report.accused == ()
         assert report.false_accusations == ()
         assert report.false_accusation_rate == 0.0
@@ -132,7 +134,7 @@ class TestAccusationReport:
         )
         run_workload(sim, topo, count=60)
         report = accusation_report(
-            sink, attribute_drops(metrics), moles=frozenset({mole_id})
+            sink.evidence(), topo, attribute_drops(metrics), moles=frozenset({mole_id})
         )
         assert report.tamper_evidence
         assert len(report.accused) >= 1
@@ -147,7 +149,7 @@ class TestAccusationReport:
         sim, topo, routing, metrics, sink = make_grid_sim()
         run_workload(sim, topo, count=5)
         report = accusation_report(
-            sink, attribute_drops(metrics), moles=frozenset({5})
+            sink.evidence(), topo, attribute_drops(metrics), moles=frozenset({5})
         )
         assert 5 not in report.honest
         assert len(report.honest) == len(topo.sensor_nodes()) - 1

@@ -104,7 +104,7 @@ class TestHonestChurnNeverAccuses:
             side, churn_rate, loss_prob, seed
         )
         attribution = attribute_drops(metrics, injector)
-        report = accusation_report(sink, attribution)
+        report = accusation_report(sink.evidence(), sink.topology, attribution)
         assert report.accused == (), (
             f"honest nodes accused under benign churn: {report.accused} "
             f"(churn={churn_rate:.3f}, loss={loss_prob:.3f}, seed={seed})"

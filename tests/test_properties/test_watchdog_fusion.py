@@ -6,15 +6,17 @@ Two halves of the headline safety claim:
   -- framing by lying watchdogs, collusion, node churn, degraded links --
   a watchdog claim against an *honest* node is never confirmed, so the
   fused false-accusation rate under an honest data plane is exactly 0.0.
-  (:func:`repro.faults.attribution.fused_accusation_report` requires PNM
-  corroboration, and an honest data plane never produces any.)
+  (:func:`repro.faults.attribution.accusation_report` requires PNM
+  corroboration for a claim, and an honest data plane never produces
+  any.)
 * **Disabled parity.**  The watchdog layer draws only from its own RNG,
   so running with the layer attached leaves the data plane bit-identical
-  to running without it, and a fused report over an empty/absent log
+  to running without it, and a report over evidence without claims
   carries exactly the PNM-only accusations.
 """
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,10 +29,9 @@ from repro.crypto.mac import KeyedHashProvider
 from repro.faults import (
     FaultInjector,
     FaultSchedule,
+    accusation_report,
     attribute_drops,
-    fused_accusation_report,
 )
-from repro.faults.attribution import accusation_report
 from repro.marking.base import NodeContext
 from repro.marking.pnm import PNMMarking
 from repro.net.links import LinkModel, LinkTable
@@ -148,8 +149,8 @@ class TestNoWatchdogAddedFalseAccusations:
         _, sink, layer, metrics, _ = run_deployment(
             n, seed, liar=(liar_pos, liar_pos + 1)
         )
-        fused = fused_accusation_report(
-            sink, attribute_drops(metrics), layer.sink_log
+        fused = accusation_report(
+            sink.evidence(), sink.topology, attribute_drops(metrics)
         )
         assert fused.watchdog_confirmed == ()
         assert fused.false_accusation_rate == 0.0
@@ -175,8 +176,8 @@ class TestNoWatchdogAddedFalseAccusations:
             churn_rate=churn_rate,
             degrade=(2, 3),
         )
-        fused = fused_accusation_report(
-            sink, attribute_drops(metrics, injector), layer.sink_log
+        fused = accusation_report(
+            sink.evidence(), sink.topology, attribute_drops(metrics, injector)
         )
         assert fused.watchdog_confirmed == ()
         assert all(node not in fused.honest for node in fused.accused)
@@ -198,8 +199,11 @@ class TestNoWatchdogAddedFalseAccusations:
             mole=mole,
             suppressor=(mole + 1, frozenset({mole})),
         )
-        fused = fused_accusation_report(
-            sink, attribute_drops(metrics), layer.sink_log, moles=frozenset({mole})
+        fused = accusation_report(
+            sink.evidence(),
+            sink.topology,
+            attribute_drops(metrics),
+            moles=frozenset({mole}),
         )
         honest = set(fused.honest)
         assert not honest & set(fused.watchdog_confirmed)
@@ -226,26 +230,41 @@ class TestDisabledParity:
         wires_off = [packet.wire() for packet in sim_off.delivered]
         assert wires_on == wires_off
         assert sink_on.verdict() == sink_off.verdict()
+        # The layer adds claims to the evidence and nothing else.
+        pnm_on = replace(sink_on.evidence(), watchdog_claims=())
+        assert pnm_on == sink_off.evidence()
         moles = frozenset({mole}) if mole is not None else frozenset()
         report_on = accusation_report(
-            sink_on, attribute_drops(metrics_on), moles=moles
+            pnm_on, sink_on.topology, attribute_drops(metrics_on), moles=moles
         )
         report_off = accusation_report(
-            sink_off, attribute_drops(metrics_off), moles=moles
+            sink_off.evidence(),
+            sink_off.topology,
+            attribute_drops(metrics_off),
+            moles=moles,
         )
         assert report_on == report_off
 
     @given(n=st.integers(5, 8), seed=st.integers(0, 10_000))
     @settings(max_examples=8, deadline=None)
     def test_empty_log_fuses_to_exactly_pnm(self, n, seed):
-        """A fused report over an absent or empty log carries exactly the
-        PNM-only accusations, field for field."""
-        _, sink, layer, metrics, _ = run_deployment(n, seed, mole=3)
-        attribution = attribute_drops(metrics)
+        """A report over evidence without claims -- the layer absent, or
+        its claims stripped -- carries exactly the PNM-only accusations,
+        field for field."""
+        _, sink, _, metrics, _ = run_deployment(n, seed, mole=3)
+        _, sink_off, _, metrics_off, _ = run_deployment(
+            n, seed, mole=3, watchdog_on=False
+        )
         moles = frozenset({3})
-        base = accusation_report(sink, attribution, moles=moles)
-        for log in (None, type(layer.sink_log)()):
-            fused = fused_accusation_report(sink, attribution, log, moles=moles)
+        base = accusation_report(
+            sink_off.evidence(), sink.topology, attribute_drops(metrics_off), moles=moles
+        )
+        attribution = attribute_drops(metrics)
+        for evidence in (
+            sink_off.evidence(),
+            replace(sink.evidence(), watchdog_claims=()),
+        ):
+            fused = accusation_report(evidence, sink.topology, attribution, moles=moles)
             assert fused.accused == base.accused
             assert fused.honest == base.honest
             assert fused.false_accusations == base.false_accusations

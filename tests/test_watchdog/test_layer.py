@@ -146,7 +146,7 @@ def layer_outcome(layer: WatchdogLayer) -> dict:
         "emitted": list(layer.emitted),
         "suppressed": list(layer.suppressed),
         "lost": list(layer.lost),
-        "delivered": list(layer.sink_log.delivered),
+        "delivered": list(layer.delivered),
     }
 
 
@@ -228,14 +228,14 @@ class TestWatchdogDetection:
         # chain is reliable enough that missing-evidence stays subcritical.
         assert accused == {4}
         assert any(
-            d.accusation.accused == 4 for d in layer.sink_log.delivered
+            d.accusation.accused == 4 for d in layer.delivered
         )
 
     def test_honest_run_emits_nothing(self):
         sim, layer, _ = build_sim("honest")
         sim.run()
         assert layer.emitted == []
-        assert len(layer.sink_log) == 0
+        assert len(layer.delivered) == 0
 
     def test_suppressor_starves_the_sink(self):
         sim, layer, _ = build_sim("collusion")
@@ -243,7 +243,7 @@ class TestWatchdogDetection:
         assert layer.suppressed, "suppressor never saw an accusation"
         assert all(a.accused == 4 for a in layer.suppressed)
         assert not any(
-            d.accusation.accused == 4 for d in layer.sink_log.delivered
+            d.accusation.accused == 4 for d in layer.delivered
         )
 
     def test_lying_watchdog_frames_its_victim(self):
@@ -270,19 +270,28 @@ class TestAccusationTransport:
         sim, layer, _ = build_sim("honest", n=5)
         layer._emit(self.accusation(watcher=3))
         sim.sim.run()
-        assert len(layer.sink_log) == 1
-        delivered = layer.sink_log.delivered[0]
+        assert len(layer.delivered) == 1
+        delivered = layer.delivered[0]
         # IDs ascend toward the sink: watcher 3 relays 3 -> 4 -> 5 -> sink.
         assert delivered.hops == 3
         assert delivered.latency > 0.0
 
+    def test_delivery_counts_a_claim_in_sink_evidence(self):
+        sim, layer, sink = build_sim("honest", n=5)
+        layer._emit(self.accusation(watcher=3))
+        layer._emit(self.accusation(watcher=4))
+        sim.sim.run()
+        assert len(layer.delivered) == 2
+        assert sink.evidence().watchdog_claims == ((2, 2),)
+
     def test_relay_dies_at_down_node(self):
-        sim, layer, _ = build_sim("honest", n=5)
+        sim, layer, sink = build_sim("honest", n=5)
         sim.fail_node(4)
         layer._emit(self.accusation(watcher=3))
         sim.sim.run()
-        assert len(layer.sink_log) == 0
+        assert len(layer.delivered) == 0
         assert layer.lost
+        assert sink.evidence().watchdog_claims == ()
 
     def test_unattached_layer_refuses_to_relay(self):
         topology, _ = linear_path_topology(4)

@@ -9,6 +9,7 @@ of any cluster harness.
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -119,6 +120,76 @@ class TestSummaryCodec:
         corrupted = bytes(payload[:5]) + huge + bytes(payload[6:])
         with pytest.raises(BadFrameError, match="count"):
             decode_summary(corrupted)
+
+
+class TestSummaryCanonicalOrder:
+    """SUMMARY sections must arrive in the order honest encoders emit.
+
+    The verdict reads an unmerged record as it stands (``dict`` over the
+    tamper stops), so a frame carrying the same node twice would mean one
+    thing to the verdict and another to the merge.
+    """
+
+    def test_repeated_and_unsorted_stops_rejected(self):
+        evidence = dataclasses.replace(
+            sample_evidence(), tamper_stops=((5, 1), (5, 2), (4, 2))
+        )
+        # Read as it stands, the verdict would see {5: 2, 4: 2} while
+        # merge_evidence would see ((4, 2), (5, 3)).
+        with pytest.raises(BadFrameError, match="canonical"):
+            decode_summary(encode_summary(evidence))
+
+    @pytest.mark.parametrize(
+        "field, entries",
+        [
+            ("nodes", (3, 1, 2)),
+            ("nodes", (1, 1, 2)),
+            ("edges", ((2, 3), (1, 2))),
+            ("edges", ((1, 2), (1, 2))),
+            ("tamper_stops", ((2, 0),)),
+            ("watchdog_claims", ((4, 1), (3, 1))),
+            ("watchdog_claims", ((4, 1), (4, 1))),
+            ("watchdog_claims", ((4, 0),)),
+            ("algebraic", ((2, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0))),
+        ],
+    )
+    def test_non_canonical_section_rejected(self, field, entries):
+        evidence = dataclasses.replace(sample_evidence(), **{field: entries})
+        with pytest.raises(BadFrameError, match="canonical"):
+            decode_summary(encode_summary(evidence))
+
+    def test_repeated_algebraic_observations_accepted(self):
+        observation = (1, 2, 3, 4, 5, 6)
+        evidence = dataclasses.replace(
+            sample_evidence(), algebraic=(observation, observation)
+        )
+        assert decode_summary(encode_summary(evidence)) == evidence
+
+
+class TestSummaryClaimsSection:
+    def test_round_trip_sets_flag_bit(self):
+        evidence = dataclasses.replace(
+            sample_evidence(delivering=None), watchdog_claims=((3, 2), (8, 1))
+        )
+        payload = encode_summary(evidence)
+        assert payload[4] == 0x04
+        assert payload.endswith(bytes((2, 3, 2, 8, 1)))
+        assert decode_summary(payload) == evidence
+
+    def test_zero_count_with_flag_rejected(self):
+        payload = bytearray(encode_summary(sample_evidence(delivering=None)))
+        payload[4] = 0x04
+        payload.extend(b"\x00")
+        with pytest.raises(BadFrameError, match="zero"):
+            decode_summary(bytes(payload))
+
+    def test_truncation_every_prefix_raises_cleanly(self):
+        payload = encode_summary(
+            dataclasses.replace(sample_evidence(), watchdog_claims=((3, 2),))
+        )
+        for cut in range(len(payload)):
+            with pytest.raises((TruncatedError, BadFrameError)):
+                decode_summary(payload[:cut])
 
 
 class TestSummaryOverWire:
