@@ -98,7 +98,8 @@ class LocalCluster:
         vnodes: ring points per shard.
         service_kwargs: forwarded to every shard's
             :class:`SinkIngestService` (``capacity``, ``hot_capacity``).
-        obs: observability provider for router/cluster counters.
+        obs: observability provider; the cluster (``cluster_*``) and its
+            router (``cluster_router_*``) register their counts there.
         shard_obs_factory: builds one observability provider per shard id
             (fresh registry/tracer per shard, and per replacement after a
             recover) -- the provider each shard's sink, service and
@@ -145,6 +146,7 @@ class LocalCluster:
             on_shard_down=self._on_shard_down,
             obs=self.obs,
         )
+        self.obs.register_stats("cluster", self._counts)
 
     # Lifecycle ----------------------------------------------------------------
 
@@ -195,7 +197,6 @@ class LocalCluster:
         )
         self.handles[shard_id] = handle
         self.router.clients[shard_id] = client
-        self.obs.set_gauge("cluster_shards_live", len(self.handles))
         return handle
 
     # Churn --------------------------------------------------------------------
@@ -231,7 +232,6 @@ class LocalCluster:
         await self._spawn(shard_id)
         self.ring.add_shard(shard_id)
         self.shards_recovered += 1
-        self.obs.inc("cluster_shards_recovered_total")
         for sid in sorted(self.handles):
             if sid != shard_id:
                 self.handles[sid].service.invalidate_all()
@@ -244,19 +244,16 @@ class LocalCluster:
         through the updated ownership map.
         """
         self.shards_lost += 1
-        self.obs.inc("cluster_shards_lost_total")
         handle = self.handles.pop(shard_id, None)
         if handle is not None:
             self.dead.append(handle)
             await handle.server.abort()
             handle.service.close(drain=False)
-        self.obs.set_gauge("cluster_shards_live", len(self.handles))
         for sid in sorted(self.handles):
             self.handles[sid].service.invalidate_all()
         entries = self.journal.pop(shard_id, [])
         for packets, delivering_node, trace in entries:
             self.replayed_batches += 1
-            self.obs.inc("cluster_replayed_batches_total")
             replies = await self.router.send_batch(
                 packets, delivering_node, trace=trace
             )
@@ -273,11 +270,6 @@ class LocalCluster:
         for reply in replies:
             self.journal.setdefault(reply.shard_id, []).append(
                 (list(reply.packets), delivering_node, trace)
-            )
-        if replies:
-            self.obs.set_gauge(
-                "cluster_journal_batches",
-                sum(len(self.journal[sid]) for sid in sorted(self.journal)),
             )
 
     async def send(
@@ -311,10 +303,9 @@ class LocalCluster:
         Returns:
             The number of journaled sub-batches dropped.
         """
-        dropped = sum(len(self.journal[sid]) for sid in sorted(self.journal))
+        dropped = self.journal_batches
         self.journal.clear()
         self.obs.inc("cluster_journal_checkpoints_total")
-        self.obs.set_gauge("cluster_journal_batches", 0)
         return dropped
 
     async def run_schedule(
@@ -407,6 +398,19 @@ class LocalCluster:
                 shard_id
             ].fetch_telemetry()
         return snapshots
+
+    @property
+    def journal_batches(self) -> int:
+        """Sub-batches the journal retains for replay."""
+        return sum(len(self.journal[sid]) for sid in sorted(self.journal))
+
+    def _counts(self) -> dict[str, object]:
+        """:meth:`stats` plus the levels ``shards_live``/``journal_batches``."""
+        return {
+            **self.stats(),
+            "shards_live": len(self.handles),
+            "journal_batches": self.journal_batches,
+        }
 
     def stats(self) -> dict[str, object]:
         """Routing, churn, and per-shard transport counters."""

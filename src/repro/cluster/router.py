@@ -107,7 +107,7 @@ class ShardRouter:
             removed from the ring and its client closed; the cluster
             harness replays the shard's journal here.  Without a hook a
             dead shard raises :class:`ShardDownError`.
-        obs: observability provider (``cluster_*`` counters).
+        obs: observability provider (:meth:`stats` as ``cluster_router_*``).
     """
 
     def __init__(
@@ -143,6 +143,7 @@ class ShardRouter:
         self.backpressure_retries = 0
         self.wrong_shard_reroutes = 0
         self.failovers = 0
+        self.obs.register_stats("cluster_router", self.stats)
 
     # Partitioning ----------------------------------------------------------
 
@@ -212,7 +213,6 @@ class ShardRouter:
                 if reroutes >= self.max_wrong_shard_reroutes:
                     raise
                 self.wrong_shard_reroutes += 1
-                self.obs.inc("cluster_wrong_shard_reroutes_total")
                 self._trace_event(
                     trace,
                     "wrong_shard_reroute",
@@ -243,7 +243,6 @@ class ShardRouter:
                 continue
             replies.append(ShardReply(shard_id, sub_batch, verdict))
         self.batches_routed += 1
-        self.obs.inc("cluster_batches_routed_total")
         return replies
 
     async def _send_to_shard(
@@ -266,7 +265,6 @@ class ShardRouter:
                     raise
                 attempt += 1
                 self.backpressure_retries += 1
-                self.obs.inc("cluster_backpressure_retries_total")
                 await asyncio.sleep(exc.retry_after_ms / 1000.0)
 
     def _client(self, shard_id: int) -> SinkClient:
@@ -290,7 +288,6 @@ class ShardRouter:
                 ``on_shard_down`` hook is installed to absorb the event.
         """
         self.failovers += 1
-        self.obs.inc("cluster_failovers_total")
         if shard_id in self.ring:
             self.ring.remove_shard(shard_id)
         client = self.clients.pop(shard_id, None)

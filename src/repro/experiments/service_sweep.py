@@ -58,7 +58,6 @@ def _time_service(
         service.flush()
         elapsed = time.perf_counter() - start
         hot_rate = service.stats().cache["hot_hit_rate"]
-        service.publish_stats()
         return elapsed, sink, hot_rate
     finally:
         service.close(drain=False)

@@ -87,25 +87,21 @@ class _Instrument:
         return tuple(str(labels[name]) for name in self.label_names)
 
 
-class Counter(_Instrument):
-    """A monotonically increasing sum, optionally split by labels."""
-
-    kind = "counter"
+class _Scalar(_Instrument):
+    """One float per series: the storage counters and gauges share."""
 
     def __init__(self, name: str, help: str = "", label_names: tuple[str, ...] = ()):
         super().__init__(name, help, label_names)
         self._values: dict[LabelValues, float] = {}  # guarded-by: _lock
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        """Add ``amount`` (must be >= 0) to the series selected by ``labels``."""
-        if amount < 0:
-            raise ValueError(f"counters only go up; got increment {amount}")
+        """Add ``amount`` to the series selected by ``labels``."""
         key = self._label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
     def get(self, **labels: Any) -> float:
-        """Current value of one series (0.0 if never incremented)."""
+        """Current value of one series (0.0 if never written)."""
         key = self._label_key(labels)
         with self._lock:
             return self._values.get(key, 0.0)
@@ -121,42 +117,29 @@ class Counter(_Instrument):
             self._values[key] = value
 
 
-class Gauge(_Instrument):
-    """A value that can go up and down (queue depth, cache size...)."""
+class Counter(_Scalar):
+    """A monotonically increasing sum, optionally split by labels."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: Any) -> None:
+        """Add ``amount`` (must be >= 0) to the series selected by ``labels``."""
+        if amount < 0:
+            raise ValueError(f"counters only go up; got increment {amount}")
+        super().inc(amount, **labels)
+
+
+class Gauge(_Scalar):
+    """A value that can go up and down (queue depth, cache size...);
+    :meth:`inc` may add a negative amount."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = "", label_names: tuple[str, ...] = ()):
-        super().__init__(name, help, label_names)
-        self._values: dict[LabelValues, float] = {}  # guarded-by: _lock
 
     def set(self, value: float, **labels: Any) -> None:
         """Set the series selected by ``labels`` to ``value``."""
         key = self._label_key(labels)
         with self._lock:
             self._values[key] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        """Add ``amount`` (may be negative) to the selected series."""
-        key = self._label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def get(self, **labels: Any) -> float:
-        """Current value of one series (0.0 if never set)."""
-        key = self._label_key(labels)
-        with self._lock:
-            return self._values.get(key, 0.0)
-
-    def series(self) -> list[tuple[LabelValues, float]]:
-        """Every series as ``(label_values, value)``, sorted by labels."""
-        with self._lock:
-            items = list(self._values.items())
-        return sorted(items)
-
-    def _restore(self, key: LabelValues, value: float) -> None:
-        with self._lock:
-            self._values[key] = value
 
 
 class HistogramSeries:

@@ -2,7 +2,8 @@
 
 Instrumented code never touches the registry or tracer directly; it holds
 an :class:`ObsProvider` (or the :data:`NOOP` singleton) and calls
-``obs.timer("verify_packet_seconds")``, ``obs.inc(...)``, and friends.
+``obs.timer("verify_packet_seconds")``, ``obs.inc(...)``, and friends
+(or registers its own counters once, ``obs.register_stats``).
 Two properties make this safe to leave in hot paths:
 
 * the :class:`NoopObsProvider` reduces every hook to an attribute lookup
@@ -28,7 +29,7 @@ from contextlib import contextmanager
 from typing import Any
 
 from repro.obs.instruments import Counter, HistogramSeries
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, StatsSource
 from repro.obs.spans import Tracer
 
 __all__ = [
@@ -130,6 +131,10 @@ class ObsProvider:
         """Observe into the histogram ``name`` (created on first use)."""
         self._series(name, labels).observe(value, times=times)
 
+    def register_stats(self, prefix: str, stats: StatsSource) -> None:
+        """See :meth:`MetricsRegistry.register_stats`."""
+        self.registry.register_stats(prefix, stats)
+
     def timer(self, name: str, **labels: Any) -> _Timer:
         """A context manager timing its block into histogram ``name``."""
         return _Timer(self._series(name, labels), self.clock)
@@ -169,6 +174,9 @@ class NoopObsProvider:
         """Do nothing."""
 
     def observe(self, name: str, value: float, times: int = 1, **labels: Any) -> None:
+        """Do nothing."""
+
+    def register_stats(self, prefix: str, stats: StatsSource) -> None:
         """Do nothing."""
 
     def timer(self, name: str, **labels: Any) -> _NoopTimer:

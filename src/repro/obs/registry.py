@@ -8,6 +8,10 @@ label_names=("kind",))`` and land on the same series -- which is the
 point: the paper's cross-layer numbers (marks per packet, brute-force
 cost, delivery ratio under churn) become queryable from one place.
 
+A component that keeps its own counters registers its ``stats()`` once
+(:meth:`MetricsRegistry.register_stats`) instead of copying them in, so
+each count lives once, where it is counted, and every read sums it.
+
 Snapshots are plain JSON-ready dicts with all keys sorted, so equal runs
 serialize byte-identically; :meth:`MetricsRegistry.load_snapshot`
 reconstructs a registry whose counts equal the snapshot's (the exporter
@@ -17,6 +21,7 @@ round-trip contract tested in ``tests/test_obs``).
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable, Mapping
 from typing import Any
 
 from repro.obs.instruments import (
@@ -27,7 +32,10 @@ from repro.obs.instruments import (
     Histogram,
 )
 
-__all__ = ["MetricsRegistry"]
+__all__ = ["MetricsRegistry", "StatsSource"]
+
+#: A component's ``stats()``: a zero-argument read of its flat counters.
+StatsSource = Callable[[], Mapping[str, Any]]
 
 
 class MetricsRegistry:
@@ -41,6 +49,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[str, Any] = {}  # guarded-by: _lock
+        # (prefix, stats) keys: registering a bound method twice is a no-op.
+        self._sources: dict[tuple[str, StatsSource], None] = {}  # guarded-by: _lock
         self._lock = threading.Lock()
 
     # Get-or-create -----------------------------------------------------------
@@ -54,7 +64,8 @@ class MetricsRegistry:
     def gauge(
         self, name: str, help: str = "", label_names: tuple[str, ...] = ()
     ) -> Gauge:
-        """Get or create the :class:`Gauge` called ``name``."""
+        """Get or create the :class:`Gauge` called ``name`` (sources read first)."""
+        self._read_sources()
         return self._get_or_create(Gauge, name, help, label_names)
 
     def histogram(
@@ -105,31 +116,58 @@ class MetricsRegistry:
             )
         return existing
 
+    # Component sources -------------------------------------------------------
+
+    def register_stats(self, prefix: str, stats: StatsSource) -> None:
+        """Read every ``int`` (not ``bool``) of ``stats()`` as the gauge
+        ``<prefix>_<key>``, summed over all components registered under
+        that name, on every registry read.  Floats (ratios do not sum) and
+        nested dicts (nested components register themselves) are skipped;
+        the registry keeps its sources for its own lifetime."""
+        with self._lock:
+            self._sources[(prefix, stats)] = None
+
+    def _read_sources(self) -> None:
+        """Set every source-backed gauge to its current total."""
+        with self._lock:
+            sources = list(self._sources)
+        if not sources:
+            return
+        totals: dict[str, int] = {}
+        for prefix, stats in sources:
+            for key, value in stats().items():
+                if isinstance(value, int) and not isinstance(value, bool):
+                    name = f"{prefix}_{key}"
+                    totals[name] = totals.get(name, 0) + value
+        for name in sorted(totals):
+            self._get_or_create(Gauge, name, "", ()).set(totals[name])
+
     # Introspection -----------------------------------------------------------
 
     def get(self, name: str) -> Any | None:
         """The instrument called ``name``, or ``None``."""
+        self._read_sources()
         with self._lock:
             return self._instruments.get(name)
 
     def names(self) -> list[str]:
         """Every registered metric name, sorted."""
+        self._read_sources()
         with self._lock:
             return sorted(self._instruments)
 
     def instruments(self) -> list[Any]:
         """Every instrument, sorted by name (deterministic export order)."""
+        self._read_sources()
         with self._lock:
             items = sorted(self._instruments.items())
         return [instrument for _, instrument in items]
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._instruments)
+        return len(self.names())
 
     def __contains__(self, name: str) -> bool:
-        with self._lock:
-            return name in self._instruments
+        return name in self.names()
 
     # Snapshots ---------------------------------------------------------------
 

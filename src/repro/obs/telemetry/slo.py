@@ -170,8 +170,8 @@ def compute_cluster_slo(
     """
     ingested = _by_shard(federated, "sink_packets_ingested_total")
     depth = _by_shard(federated, "ingest_queue_depth")
-    shed = _by_shard(federated, "wire_batches_shed_total")
-    wrong = _by_shard(federated, "wire_batches_wrong_shard_total")
+    shed = _by_shard(federated, "wire_server_batches_shed")
+    wrong = _by_shard(federated, "wire_server_batches_wrong_shard")
     bytes_rx = _by_shard(federated, "wire_bytes_rx_total")
     verdicts_tx = _by_shard(federated, "wire_frames_tx_total")
 

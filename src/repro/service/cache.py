@@ -53,6 +53,8 @@ class ResolverCache:
     injector may invalidate from another.  Table construction happens
     outside the lock, so two callers racing on the same new report may
     both build the (identical) table -- wasted work, never wrong results.
+    Its counters are the one store of these counts; the owning service
+    registers :meth:`stats` with its obs provider (``resolver_cache_*``).
 
     Args:
         scheme: the deployed marking scheme.
@@ -88,7 +90,7 @@ class ResolverCache:
         # one stale search set, which the exhaustive fallback covers.
         self.epoch = 0  # guarded-by: _lock
         self._lock = threading.Lock()
-        # Counters (read without the lock for display only).
+        # Counters (read under the lock by stats()).
         self.table_hits = 0  # guarded-by: _lock
         self.table_misses = 0  # guarded-by: _lock
         self.table_evictions = 0  # guarded-by: _lock
@@ -190,42 +192,26 @@ class ResolverCache:
             self.epoch += 1
 
     def stats(self) -> dict[str, Any]:
-        """The cache's counters as a JSON-ready dict."""
+        """The cache's counters as a JSON-ready dict, read under one lock."""
         with self._lock:
-            tables = len(self._tables)
-            hot = len(self._hot)
-        lookups = self.table_hits + self.table_misses
+            tables, hot = len(self._tables), len(self._hot)
+            hits, misses = self.table_hits, self.table_misses
+            evictions, invalidations = self.table_evictions, self.invalidations
+            searches, hot_misses = self.hot_searches, self.hot_misses
         return {
             "table_capacity": self.table_capacity,
             "tables_cached": tables,
-            "table_hits": self.table_hits,
-            "table_misses": self.table_misses,
-            "table_evictions": self.table_evictions,
-            "table_hit_rate": self.table_hits / lookups if lookups else 0.0,
+            "table_hits": hits,
+            "table_misses": misses,
+            "table_evictions": evictions,
+            "table_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
             "hot_capacity": self.hot_capacity,
             "hot_size": hot,
-            "hot_searches": self.hot_searches,
-            "hot_misses": self.hot_misses,
-            "hot_hit_rate": (
-                1.0 - self.hot_misses / self.hot_searches
-                if self.hot_searches
-                else 0.0
-            ),
-            "invalidations": self.invalidations,
+            "hot_searches": searches,
+            "hot_misses": hot_misses,
+            "hot_hit_rate": 1.0 - hot_misses / searches if searches else 0.0,
+            "invalidations": invalidations,
         }
-
-    def publish(self, obs: Any) -> None:
-        """Mirror the cache counters into an obs provider's registry.
-
-        Gauges, not counters: a publish reflects current totals and must
-        overwrite what the previous publish wrote.  Called at snapshot
-        time (not per lookup) so the memoization hot path stays untouched.
-        """
-        stats = self.stats()
-        for name in sorted(stats):
-            value = stats[name]
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                obs.set_gauge(f"resolver_cache_{name}", value)
 
     def __repr__(self) -> str:
         return (

@@ -52,10 +52,11 @@ class SinkIngestService:
         revocations: when given, the service subscribes to it and
             invalidates cached state for every newly revoked node.
         obs: observability provider; ``None`` inherits the sink's, so the
-            whole pipeline reports into one registry/tracer.  Adds intake
-            counters, a queue-depth gauge, per-packet ``queue`` spans
-            (opened at submit, closed when the batch takes the packet),
-            and a registry mirror of the verify-latency histogram.
+            whole pipeline reports into one registry/tracer.  Registers
+            :meth:`stats` (``ingest_*``) and its queue's and cache's
+            (``ingest_queue_*``, ``resolver_cache_*``); adds per-packet
+            ``queue`` spans (opened at submit, closed when the batch takes
+            the packet) and the ``ingest_verify_seconds`` histogram.
     """
 
     def __init__(
@@ -98,6 +99,9 @@ class SinkIngestService:
         self.processed = 0
         self.batches = 0
         self._closed = False
+        self.obs.register_stats("ingest", lambda: vars(self.stats()))
+        self.obs.register_stats("ingest_queue", self.queue.stats)
+        self.obs.register_stats("resolver_cache", self.cache.stats)
         if revocations is not None:
             revocations.subscribe(self._on_revoked)
 
@@ -141,10 +145,6 @@ class SinkIngestService:
         accepted = self.queue.offer_all(
             [(packet, delivering_node) for packet in packets]
         )
-        self.obs.inc("ingest_submitted_total", len(packets))
-        if not accepted:
-            self.obs.inc("ingest_dropped_total", len(packets))
-        self.obs.set_gauge("ingest_queue_depth", self.queue.depth)
         tracer = self.obs.tracer
         if tracer is not None and accepted:
             depth = self.queue.depth
@@ -170,7 +170,6 @@ class SinkIngestService:
         if not items:
             return 0
         total = len(items)
-        self.obs.set_gauge("ingest_queue_depth", self.queue.depth)
         if self.obs.tracer is not None:
             for packet, _ in items:
                 self._close_queue_span(packet)
@@ -183,7 +182,6 @@ class SinkIngestService:
         elapsed = time.perf_counter() - start
         self.verify_latency.observe(elapsed / total, times=total)
         self.obs.observe("ingest_verify_seconds", elapsed / total, times=total)
-        self.obs.inc("ingest_processed_total", total)
         self.processed += total
         self.batches += 1
         return total
@@ -301,20 +299,6 @@ class SinkIngestService:
             cache=self.cache.stats(),
             verify_latency=self.verify_latency.as_dict(),
         )
-
-    def publish_stats(self) -> None:
-        """Mirror the pipeline's snapshot counters into the obs registry.
-
-        Run-end companion to the live counters the pipeline already
-        maintains: queue and cache totals become gauges named
-        ``ingest_queue_*`` / ``resolver_cache_*``.
-        """
-        queue_stats = self.queue.stats()
-        for name in sorted(queue_stats):
-            value = queue_stats[name]
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                self.obs.set_gauge(f"ingest_queue_{name}", value)
-        self.cache.publish(self.obs)
 
     def __repr__(self) -> str:
         return (

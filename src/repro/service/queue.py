@@ -95,19 +95,18 @@ class IngestQueue(Generic[T]):
             self._closed = True
 
     def stats(self) -> dict[str, Any]:
-        """The queue's counters as a JSON-ready dict."""
+        """The queue's counters as a JSON-ready dict, read under one lock."""
         with self._lock:
-            depth = len(self._items)
-        return {
-            "capacity": self.capacity,
-            "depth": depth,
-            "high_water": self.high_water,
-            "offered": self.offered,
-            "accepted": self.accepted,
-            "dropped": self.dropped,
-            "taken": self.taken,
-            "closed": self._closed,
-        }
+            return {
+                "capacity": self.capacity,
+                "depth": len(self._items),
+                "high_water": self.high_water,
+                "offered": self.offered,
+                "accepted": self.accepted,
+                "dropped": self.dropped,
+                "taken": self.taken,
+                "closed": self._closed,
+            }
 
     def __len__(self) -> int:
         return self.depth

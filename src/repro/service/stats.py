@@ -2,7 +2,8 @@
 
 Every component of the pipeline keeps its own counters; the service
 assembles them into a single :class:`ServiceStats` snapshot for tests and
-the throughput bench.  Dashboards read the obs registry instead
+the throughput bench.  Dashboards read the same counters through the obs
+registry, which sums them over the components registered with it
 (:func:`~repro.obs.registry_to_json`,
 :func:`~repro.obs.to_prometheus_text`).  Per-packet verify latency is a
 :class:`repro.obs.HistogramSeries` summary (seconds).
@@ -19,6 +20,9 @@ __all__ = ["ServiceStats"]
 @dataclass(frozen=True)
 class ServiceStats:
     """One observability snapshot of the whole ingest pipeline.
+
+    Per instance; the registry's ``ingest_*`` gauges sum its integer
+    fields over every service registered with one provider.
 
     Attributes:
         submitted: packets offered to the service.

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any
 
 __all__ = ["MetricsCollector", "EnergyModel"]
 
@@ -196,7 +195,8 @@ class MetricsCollector:
         return sum(self.delivery_delays) / len(self.delivery_delays)
 
     def summary(self) -> dict[str, float]:
-        """A flat dict of headline numbers for printing/logging."""
+        """A flat dict of headline numbers for printing/logging (its
+        integer counts are the obs registry's ``sim_*`` gauges)."""
         return {
             "packets_injected": self.packets_injected,
             "packets_delivered": self.packets_delivered,
@@ -209,13 +209,3 @@ class MetricsCollector:
             "energy_joules": self.energy_spent(),
             "mean_delivery_delay_s": self.mean_delivery_delay(),
         }
-
-    def publish(self, obs: Any) -> None:
-        """Mirror the headline counters into an obs provider's registry.
-
-        Called once at the end of a run (per-event mirroring would double
-        the hot path for no benefit); gauges are used because a fresh
-        publish must overwrite, not accumulate.
-        """
-        for name, value in sorted(self.summary().items()):
-            obs.set_gauge(f"sim_{name}", value)

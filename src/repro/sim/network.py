@@ -65,8 +65,8 @@ class NetworkSimulation:
         repair: retry/backoff policy for dead-next-hop detection; the
             default :class:`~repro.routing.repair.RepairPolicy` applies.
         obs: observability provider; ``None`` resolves to the process
-            default.  :meth:`run` publishes the run's metrics summary into
-            its registry once the event queue drains.  When the provider
+            default; the metrics collector's summary registers as
+            ``sim_*``.  When the provider
             carries a span tracer, every packet lifecycle event
             (``inject``, ``forward``, ``drop``, ``loss``, ``deliver``,
             ``fault``, ``repair``) becomes a zero-duration span at its
@@ -109,6 +109,7 @@ class NetworkSimulation:
         self.suspicious = suspicious if suspicious is not None else (lambda _: True)
         self.ingest = ingest
         self.obs = resolve_provider(obs)
+        self.obs.register_stats("sim", self.metrics.summary)
         self.repair_policy = repair if repair is not None else RepairPolicy()
         self.sim = Simulator()
         self.delivered: list[MarkedPacket] = []
@@ -378,8 +379,6 @@ class NetworkSimulation:
             flush = getattr(self.ingest, "flush", None)
             if flush is not None:
                 flush()
-        if self.obs.enabled:
-            self.metrics.publish(self.obs)
 
     def __repr__(self) -> str:
         return (

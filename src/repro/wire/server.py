@@ -76,10 +76,11 @@ class SinkServer:
             double-count packets after the resend.
         obs: observability provider; ``None`` inherits the service's, so
             wire counters land in the same registry as ingest counters.
-            Adds ``wire_frames_rx/tx_total`` (labeled by frame type),
-            byte counters, a ``wire_decode_seconds`` histogram, and --
-            when tracing -- a ``wire_rx`` span per packet chained into
-            the packet's existing trace via its report key.
+            Registers :meth:`stats` (``wire_server_*``); adds
+            ``wire_frames_rx/tx_total`` (labeled by frame type), byte
+            counters, a ``wire_decode_seconds`` histogram, and -- when
+            tracing -- a ``wire_rx`` span per packet chained into the
+            packet's existing trace via its report key.
     """
 
     def __init__(
@@ -107,8 +108,10 @@ class SinkServer:
         self.batches_ok = 0
         self.batches_rejected = 0
         self.batches_wrong_shard = 0
+        self.batches_shed = 0
         self.packets_shed = 0
         self.decode_errors = 0
+        self.obs.register_stats("wire_server", self.stats)
 
     # Lifecycle ---------------------------------------------------------------
 
@@ -195,8 +198,6 @@ class SinkServer:
         self._conn_writers[conn_id] = writer
         self.connections_total += 1
         self.connections_active += 1
-        self.obs.inc("wire_connections_total")
-        self.obs.set_gauge("wire_connections_active", self.connections_active)
         tracer = self.obs.tracer
         conn_span = (
             tracer.start("wire_connection", conn=conn_id)
@@ -219,7 +220,6 @@ class SinkServer:
         finally:
             self._conn_writers.pop(conn_id, None)
             self.connections_active -= 1
-            self.obs.set_gauge("wire_connections_active", self.connections_active)
             if tracer is not None and conn_span is not None:
                 tracer.finish(conn_span)
             writer.close()
@@ -257,10 +257,9 @@ class SinkServer:
             await stream.send(FrameType.SUMMARY, encode_summary(evidence))
             return True
         if frame.frame_type is FrameType.TELEMETRY:
-            # Metrics snapshot: refresh derived gauges, then ship the
-            # registry (an empty snapshot when observability is off).
-            # A pure read of the obs side -- never touches sink state.
-            self.service.publish_stats()
+            # Metrics snapshot: ship the registry (an empty snapshot
+            # when observability is off).  A pure read of the obs side
+            # and the counters it reads -- never touches sink state.
             registry = self.obs.registry
             snapshot = (
                 registry.snapshot()
@@ -301,7 +300,6 @@ class SinkServer:
             )
             if foreign:
                 self.batches_wrong_shard += 1
-                self.obs.inc("wire_batches_wrong_shard_total")
                 return await self._reject(
                     stream,
                     ErrorCode.WRONG_SHARD,
@@ -332,8 +330,8 @@ class SinkServer:
         # verbatim -- any accepted prefix left queued here would be
         # ingested a second time by the resend.
         if not self.service.submit_batch(batch.packets, batch.delivering_node):
+            self.batches_shed += 1
             self.packets_shed += len(batch.packets)
-            self.obs.inc("wire_batches_shed_total")
             return await self._reject(
                 stream,
                 ErrorCode.BACKPRESSURE,
@@ -378,6 +376,7 @@ class SinkServer:
             "batches_ok": self.batches_ok,
             "batches_rejected": self.batches_rejected,
             "batches_wrong_shard": self.batches_wrong_shard,
+            "batches_shed": self.batches_shed,
             "packets_shed": self.packets_shed,
             "decode_errors": self.decode_errors,
         }

@@ -108,13 +108,13 @@ class TestTracePropagation:
         registry = obs.registry
         names = registry.names()
         for name in (
-            "ingest_submitted_total",
+            "ingest_submitted",
             "marks_verified_total",
             "sink_packets_ingested_total",
             "verify_packet_seconds",
-            "sim_delivery_ratio",
+            "sim_packets_delivered",
         ):
             assert name in names, f"missing {name}"
-        submitted = registry.counter("ingest_submitted_total").get()
+        submitted = registry.get("ingest_submitted").get()
         ingested = registry.counter("sink_packets_ingested_total").get()
         assert submitted == ingested > 0

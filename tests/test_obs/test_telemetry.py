@@ -51,9 +51,9 @@ def slo_snapshot(
     if errors:
         frames.inc(errors, frame="ERROR")
     if shed:
-        registry.counter("wire_batches_shed_total").inc(shed)
+        registry.gauge("wire_server_batches_shed").set(shed)
     if wrong:
-        registry.counter("wire_batches_wrong_shard_total").inc(wrong)
+        registry.gauge("wire_server_batches_wrong_shard").set(wrong)
     if bytes_rx:
         registry.counter(
             "wire_bytes_rx_total", label_names=("frame",)
