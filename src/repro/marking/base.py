@@ -7,13 +7,16 @@ A marking scheme defines three things:
    (possibly probabilistically);
 3. the *sink side*: how a single mark is verified, i.e. which real node IDs
    could have produced a given mark and whether a candidate's key validates
-   it over the exact received bytes.
+   it over the exact received bytes, and the backward scan over a packet's
+   marks (:meth:`MarkingScheme.verify_marks`).
 
-The traceback engine (:mod:`repro.traceback`) is scheme-agnostic: it scans
-marks backwards, asks the scheme's per-packet mark checker
-(:meth:`MarkingScheme.mark_checker`) about each one, and builds routes
-from the verified chains.  Adversaries (:mod:`repro.adversary`) also go
-through this interface when they forge or replicate marks using
+The traceback engine (:mod:`repro.traceback`) is scheme-agnostic: it asks
+the resolver for a packet's search sets, hands them to the scheme's
+backward scan, and builds routes from the verified chains.  The default
+scan composes :meth:`MarkingScheme.candidate_marker_ids` and
+:meth:`MarkingScheme.verify_mark_as` mark by mark; PNM verifies a whole
+packet in one loop of its own.  Adversaries (:mod:`repro.adversary`) also
+go through this interface when they forge or replicate marks using
 compromised keys.
 """
 
@@ -23,6 +26,7 @@ import abc
 import random
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import MacProvider, constant_time_equal
@@ -33,13 +37,8 @@ __all__ = [
     "NodeContext",
     "MarkingScheme",
     "PlainIdMarking",
-    "MarkCheck",
     "PacketResolution",
 ]
-
-#: ``check(index, search) -> valid node IDs``, see
-#: :meth:`MarkingScheme.mark_checker`.
-MarkCheck = Callable[[int, list[int] | None], list[int]]
 
 #: ``PacketResolution`` table before it is built.
 _UNBUILT = object()
@@ -68,26 +67,53 @@ class NodeContext:
 
 
 class PacketResolution:
-    """Anonymous-ID resolution work one packet's marks share.
+    """How one packet's marks are resolved, and what resolving them cost.
 
     The verifier makes one per packet and hands it to
-    :meth:`MarkingScheme.mark_checker`.  :meth:`table` builds the
-    exhaustive resolution table at most once, through ``build``.  When
-    ``clock`` is set, the table's build time and the checkers' bounded
-    searches add to ``seconds``; with ``None`` nothing reads a clock.
+    :meth:`MarkingScheme.verify_marks`.
+
+    Attributes:
+        sets: the resolver's search sets for the packet, subscripted with
+            the previously verified node (``None`` for the most downstream
+            mark) to get the IDs to search; ``None`` searches every key
+            for every mark.
+        fallback: whether a bounded search that validates nothing retries
+            with every key.
+        notify_miss: called when that retry validated the mark, or
+            ``None``.
+        clock: when set, table builds and bounded searches add to
+            ``seconds``; with ``None`` nothing reads a clock.
+        seconds: resolution time so far (not table lookups or MAC checks).
+        searches: marks that searched a bounded set, set by the scan.
+        fallbacks: bounded searches retried with every key, set by the
+            scan.
+
+    :meth:`table` builds the exhaustive resolution table at most once,
+    through ``build``.
     """
 
-    __slots__ = ("_build", "_table", "clock", "seconds")
+    __slots__ = (
+        "sets", "_build", "_table", "fallback", "notify_miss", "clock",
+        "seconds", "searches", "fallbacks",
+    )
 
     def __init__(
         self,
+        sets: Any,
         build: Callable[[], object | None],
+        fallback: bool = True,
+        notify_miss: Callable[[], None] | None = None,
         clock: Callable[[], float] | None = None,
     ):
+        self.sets = sets
         self._build = build
         self._table: object | None = _UNBUILT
+        self.fallback = fallback
+        self.notify_miss = notify_miss
         self.clock = clock
         self.seconds = 0.0
+        self.searches = 0
+        self.fallbacks = 0
 
     def table(self) -> object | None:
         """The packet's exhaustive resolution table, built on first use."""
@@ -245,29 +271,32 @@ class MarkingScheme(abc.ABC):
         as received (over the exact wire prefix the mark claims to protect).
         """
 
-    def mark_checker(
+    def verify_marks(
         self,
         packet: MarkedPacket,
         keystore: KeyStore,
         provider: MacProvider,
         resolution: PacketResolution,
-    ) -> MarkCheck:
-        """The sink's check for the marks of one received packet.
+        record: Callable[[tuple[int, int, bool]], Any],
+    ) -> tuple[list[Any], list[int]]:
+        """Verify ``packet``'s marks backwards, most downstream first.
 
-        Returns ``check(index, search)``: every node ID in ``search``
-        (``None``: every key, through ``resolution.table()``) whose key
-        validates mark ``index`` over the exact received bytes, in
-        candidate order.  More than one ID means a truncation collision;
-        the verifier marks the attribution ambiguous.  The verifier calls
-        it mark by mark, most downstream first, and owns the fallback and
-        stopping rules.
+        Each mark is searched in ``resolution.sets[previously verified
+        node]`` (every key when the set is ``None``); its valid marker IDs
+        are those of :meth:`candidate_marker_ids` whose key validates it
+        through :meth:`verify_mark_as`.  A bounded search that validates
+        nothing retries with every key when ``resolution.fallback`` is
+        set, calling ``resolution.notify_miss`` if the retry validates it.
+        Several valid IDs mean a truncation collision: the smallest is
+        kept and marked ambiguous.  Under the ``"suffix"`` policy the scan
+        stops at the first invalid mark.
 
-        This default composes :meth:`candidate_marker_ids` and
-        :meth:`verify_mark_as`.  Schemes override it to bind per-packet
-        state once instead of once per mark.  Resolution time (table
-        builds, bounded candidate search; not table lookups or MAC
-        checks) goes to ``resolution.seconds`` when ``resolution.clock``
-        is set.
+        Returns:
+            ``record((index, node_id, ambiguous))`` for every verified mark
+            and the invalid mark indices, both in wire order.  The scan
+            sets ``resolution.searches`` and ``resolution.fallbacks``; table
+            builds and bounded candidate searches add to
+            ``resolution.seconds`` when ``resolution.clock`` is set.
         """
         clock = resolution.clock
 
@@ -291,7 +320,39 @@ class MarkingScheme(abc.ABC):
                 )
             ]
 
-        return check
+        sets = resolution.sets
+        notify_miss = resolution.notify_miss
+        fallback = resolution.fallback
+        suffix = self.verification_policy == "suffix"
+        verified: list[Any] = []
+        invalid: list[int] = []
+        prev_verified: int | None = None
+        for index in range(len(packet.marks) - 1, -1, -1):
+            search = None if sets is None else sets[prev_verified]
+            valid_ids = check(index, search)
+            if search is not None:
+                resolution.searches += 1
+                if not valid_ids and fallback:
+                    resolution.fallbacks += 1
+                    valid_ids = check(index, None)
+                    # The bounded search missed a mark the exhaustive one
+                    # found: adaptive resolvers widen their ball.
+                    if valid_ids and notify_miss is not None:
+                        notify_miss()
+            if valid_ids:
+                prev_verified = min(valid_ids)
+                verified.append(record((index, prev_verified, len(valid_ids) > 1)))
+            else:
+                invalid.append(index)
+                if suffix:
+                    break
+                # "independent": skip this mark, keep scanning.  The next
+                # bounded search should still anchor on the last *verified*
+                # marker, which prev_verified already holds.
+        # Scanned backwards; both lists are reported in wire order.
+        verified.reverse()
+        invalid.reverse()
+        return verified, invalid
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(p={self.mark_prob}, fmt={self.fmt})"

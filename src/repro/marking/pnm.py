@@ -22,16 +22,13 @@ collisions from truncation cannot cause misattribution.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from hmac import compare_digest
+from typing import Any
 
 from repro.crypto.keys import NODE_ID_BYTES, KeyStore
 from repro.crypto.mac import MacProvider, constant_time_equal
-from repro.marking.base import (
-    MarkCheck,
-    MarkingScheme,
-    NodeContext,
-    PacketResolution,
-)
+from repro.marking.base import MarkingScheme, NodeContext, PacketResolution
 from repro.packets.marks import Mark, MarkFormat
 from repro.packets.packet import MarkedPacket
 
@@ -155,23 +152,27 @@ class PNMMarking(MarkingScheme):
         expected_mac = provider.mac(key, prefix + mark.id_field)
         return constant_time_equal(expected_mac, mark.mac)
 
-    def mark_checker(
+    def verify_marks(
         self,
         packet: MarkedPacket,
         keystore: KeyStore,
         provider: MacProvider,
         resolution: PacketResolution,
-    ) -> MarkCheck:
-        """:meth:`verify_mark_as` over every candidate, one call per mark.
+        record: Callable[[tuple[int, int, bool]], Any],
+    ) -> tuple[list[Any], list[int]]:
+        """The base class's backward scan under the suffix policy, in one
+        loop.
 
         Binds the packet's wire bytes and prefix ends, the report bytes,
         the keys, the provider's two PRFs and the constant-time compare
-        once.  Per mark: the format check; the anonymous-ID match, against
-        the exhaustive table or against a per-packet ``node -> anonymous
-        ID`` memo that hashes each searched node at most once per packet;
-        then the MAC of each match over the received prefix, directly when
-        the match is a single node.  A candidate is never accepted on its
-        MAC alone.
+        once per packet.  Per mark: the format check; the anonymous-ID
+        match, against the exhaustive table or against a per-packet
+        ``node -> anonymous ID`` memo that hashes each searched node at
+        most once per packet; then the MAC of each match over
+        ``wire[:ends[index] + id_len]``, the received prefix plus the ID
+        field, directly when the match is a single node.  A candidate is
+        never accepted on its MAC alone, and a keyless node in a search
+        set matches nothing.
         """
         marks = packet.marks
         wire, ends = packet.layout
@@ -182,20 +183,33 @@ class PNMMarking(MarkingScheme):
         anon_id = provider.anon_id
         equal = compare_digest
         id_len, mac_len = self.fmt.id_len, self.fmt.mac_len
+        sets = resolution.sets
+        fallback = resolution.fallback
+        notify_miss = resolution.notify_miss
         clock = resolution.clock
         memo: dict[int, bytes] = {}
-
-        def check(index: int, search: list[int] | None) -> list[int]:
+        table: dict[bytes, list[int]] | None = None
+        verified: list[Any] = []
+        invalid: list[int] = []
+        prev_verified: int | None = None
+        searches = fallbacks = 0
+        for index in range(len(marks) - 1, -1, -1):
             id_field, mark_mac = marks[index]
+            search = None if sets is None else sets[prev_verified]
             if len(id_field) != id_len or len(mark_mac) != mac_len:
-                return []
-            if search is None:
-                table = resolution.table()
-                assert isinstance(table, dict)
-                matches = table.get(id_field, ())
-            else:
+                # A malformed mark matches no key, bounded or not.
+                if search is not None:
+                    searches += 1
+                    if fallback:
+                        fallbacks += 1
+                invalid.append(index)
+                break
+            signed = wire[: ends[index] + id_len]
+            missed = False
+            if search is not None:
+                searches += 1
                 start = clock() if clock is not None else 0.0
-                matches = []
+                valid = []
                 for node_id in search:
                     anon = memo.get(node_id)
                     if anon is None:
@@ -208,26 +222,59 @@ class PNMMarking(MarkingScheme):
                             if key is None
                             else anon_id(
                                 key,
-                                report_wire
-                                + node_id.to_bytes(NODE_ID_BYTES, "big"),
+                                report_wire + node_id.to_bytes(NODE_ID_BYTES, "big"),
                             )
                         )
                     if anon == id_field:
-                        matches.append(node_id)
+                        valid.append(node_id)
                 if clock is not None:
                     resolution.seconds += clock() - start
-            if not matches:
-                return []
-            signed = wire[: ends[index]] + id_field
-            if len(matches) == 1:
-                node_id = matches[0]
-                if equal(mac(keys[node_id], signed), mark_mac):
-                    return [node_id]
-                return []
-            return [
-                node_id
-                for node_id in matches
-                if equal(mac(keys[node_id], signed), mark_mac)
-            ]
-
-        return check
+                if len(valid) == 1:
+                    node_id = valid[0]
+                    if equal(mac(keys[node_id], signed), mark_mac):
+                        prev_verified = node_id
+                        verified.append(record((index, node_id, False)))
+                        continue
+                    valid = []
+                elif valid:
+                    valid = [
+                        node_id
+                        for node_id in valid
+                        if equal(mac(keys[node_id], signed), mark_mac)
+                    ]
+                # The bounded search validated nothing: retry every key.
+                missed = not valid and fallback
+                if missed:
+                    fallbacks += 1
+            if search is None or missed:
+                if table is None:
+                    built = resolution.table()
+                    assert isinstance(built, dict)
+                    table = built
+                valid = table.get(id_field, [])
+                if len(valid) == 1:
+                    if not equal(mac(keys[valid[0]], signed), mark_mac):
+                        valid = []
+                elif valid:
+                    valid = [
+                        node_id
+                        for node_id in valid
+                        if equal(mac(keys[node_id], signed), mark_mac)
+                    ]
+                # The bounded search missed a mark the exhaustive one
+                # found: adaptive resolvers widen their ball.
+                if missed and valid and notify_miss is not None:
+                    notify_miss()
+            if not valid:
+                invalid.append(index)
+                break
+            if len(valid) == 1:
+                prev_verified = valid[0]
+                verified.append(record((index, prev_verified, False)))
+            else:
+                prev_verified = min(valid)
+                verified.append(record((index, prev_verified, True)))
+        resolution.searches = searches
+        resolution.fallbacks = fallbacks
+        verified.reverse()
+        return verified, invalid

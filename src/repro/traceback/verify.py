@@ -1,12 +1,15 @@
 """Per-packet backward mark verification (Section 4.1's procedure).
 
-The sink verifies marks from the most downstream one backwards, in one
-scan that serves every scheme.  For each mark the scheme's per-packet
-checker (:meth:`MarkingScheme.mark_checker`) resolves candidate marker IDs
-(trivially for plain-ID schemes, via key search for anonymous IDs) and
-checks the MAC against each candidate's key over the exact received bytes.
-The key search space comes from the resolver, which answers once per
-packet with a ``previous verified node -> search set`` mapping.
+The sink verifies marks from the most downstream one backwards.  The
+verifier asks the resolver once per packet for its search sets (a
+``previous verified node -> search set`` mapping) and hands them to the
+scheme's backward scan (:meth:`MarkingScheme.verify_marks`), which
+resolves candidate marker IDs (trivially for plain-ID schemes, via key
+search for anonymous IDs), checks each candidate's MAC over the exact
+received bytes and applies the fallback and stopping rules.  Every scheme
+but PNM runs the base class's scan, one candidate search and one
+``verify_mark_as`` per candidate; PNM verifies the whole packet in one
+loop of its own.  The verifier times and traces each packet.
 
 Two policies, selected by the scheme:
 
@@ -57,8 +60,8 @@ class VerifiedMark(NamedTuple):
 
 
 #: ``VerifiedMark._make`` in one C call, without its Python frame and
-#: field-count check: :meth:`PacketVerifier._verify` passes it only
-#: literal ``(index, real_id, ambiguous)`` triples.
+#: field-count check: the schemes' backward scans pass it only literal
+#: ``(index, real_id, ambiguous)`` triples.
 _verified_mark = partial(tuple.__new__, VerifiedMark)
 
 
@@ -176,8 +179,10 @@ class PacketVerifier:
         return result
 
     def _verify(self, packet: MarkedPacket) -> PacketVerification:
+        resolver = self.resolver
         table_factory = self.table_factory
         resolution = PacketResolution(
+            resolver.search_sets(packet),
             partial(table_factory, packet)
             if table_factory is not None
             else partial(
@@ -186,55 +191,16 @@ class PacketVerifier:
                 self.keystore,
                 self.provider,
             ),
+            self.exhaustive_fallback,
+            getattr(resolver, "notify_miss", None),
             self.obs.clock if isinstance(self.obs, ObsProvider) else None,
         )
-        check = self.scheme.mark_checker(
-            packet, self.keystore, self.provider, resolution
+        verified, invalid = self.scheme.verify_marks(
+            packet, self.keystore, self.provider, resolution, _verified_mark
         )
-        resolver = self.resolver
-        sets = resolver.search_sets(packet)
-        notify_miss = getattr(resolver, "notify_miss", None)
-        fallback = self.exhaustive_fallback
-        suffix = self.scheme.verification_policy == "suffix"
-        make = _verified_mark
-        result = PacketVerification(packet=packet)
-        verified, invalid = result.verified, result.invalid_indices
-        prev_verified: int | None = None
-        searches = 0
-        for index in range(len(packet.marks) - 1, -1, -1):
-            if sets is None:
-                valid_ids = check(index, None)
-            else:
-                search = sets[prev_verified]
-                valid_ids = check(index, search)
-                if search is not None:
-                    searches += 1
-                    if not valid_ids and fallback:
-                        result.fallback_searches += 1
-                        valid_ids = check(index, None)
-                        # The bounded search missed a mark the exhaustive
-                        # one found: adaptive resolvers widen their ball.
-                        if valid_ids and notify_miss is not None:
-                            notify_miss()
-            if len(valid_ids) == 1:
-                prev_verified = valid_ids[0]
-                verified.append(make((index, prev_verified, False)))
-            elif valid_ids:
-                prev_verified = min(valid_ids)
-                verified.append(make((index, prev_verified, True)))
-            else:
-                invalid.append(index)
-                if suffix:
-                    break
-                # "independent": skip this mark, keep scanning.  The next
-                # bounded search should still anchor on the last *verified*
-                # marker, which prev_verified already holds.
         done = getattr(resolver, "notify_packet_done", None)
         if done is not None:
-            done(searches)
-        # Scanned backwards; both lists are reported in wire order.
-        verified.reverse()
-        invalid.reverse()
+            done(resolution.searches)
         if resolution.seconds:
             self.obs.observe("resolution_table_seconds", resolution.seconds)
-        return result
+        return PacketVerification(packet, verified, invalid, resolution.fallbacks)

@@ -295,7 +295,8 @@ class FrameDecoder:
             raise self._error
         self._buffer.extend(chunk)
         frames: list[Frame] = []
-        while True:
+        # A feed that ends on a frame boundary leaves nothing to decode.
+        while self._buffer:
             try:
                 frame, consumed = decode_frame(bytes(self._buffer))
             except TruncatedError as exc:
@@ -311,6 +312,7 @@ class FrameDecoder:
                 raise
             del self._buffer[:consumed]
             frames.append(frame)
+        return frames
 
     def finish(self) -> None:
         """Assert the stream ended on a frame boundary.

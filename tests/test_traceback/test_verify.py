@@ -218,7 +218,7 @@ class TestBallMemo:
             assert resolver.search_sets(packet)[7] is sets[7]
 
     def test_adaptive_miss_widens_the_next_mark_of_the_packet(
-        self, keystore, provider, packet, monkeypatch
+        self, keystore, provider, packet
     ):
         from repro.net.topology import linear_path_topology
         from repro.traceback.resolver import AdaptiveBoundedResolver
@@ -227,27 +227,29 @@ class TestBallMemo:
         topo, _source = linear_path_topology(12)
         resolver = AdaptiveBoundedResolver(topo, initial_radius=1)
         offered = []
-        checker = scheme.mark_checker
 
-        def recording(*args):
-            check = checker(*args)
+        class RecordingSets:
+            """The resolver's mapping, recording each set it offers."""
 
-            def recorded(index, search):
-                offered.append((index, search))
-                return check(index, search)
+            def __init__(self, sets):
+                self.sets = sets
 
-            return recorded
+            def __getitem__(self, prev_verified):
+                search = self.sets[prev_verified]
+                offered.append((prev_verified, list(search)))
+                return search
 
-        monkeypatch.setattr(scheme, "mark_checker", recording)
+        search_sets = resolver.search_sets
+        resolver.search_sets = lambda p: RecordingSets(search_sets(p))
         marked = mark_through_path(scheme, keystore, provider, [3, 9], packet)
         result = PacketVerifier(scheme, keystore, provider, resolver).verify(marked)
         assert result.chain_ids == [3, 9]
         # Mark 1 (node 9) misses the radius-1 ball around the sink and is
         # found exhaustively; mark 0 (node 3) is then offered the radius-2
-        # ball around node 9, within the same packet.
-        assert offered[:3] == [
-            (1, brute_force_ball(topo, topo.sink, 1)),
-            (1, None),
-            (0, brute_force_ball(topo, 9, 2)),
+        # ball around node 9, within the same packet, and misses it too.
+        assert offered == [
+            (None, brute_force_ball(topo, topo.sink, 1)),
+            (9, brute_force_ball(topo, 9, 2)),
         ]
+        assert result.fallback_searches == 2
         assert resolver.radius == 4  # node 3 missed the radius-2 ball too

@@ -1,15 +1,17 @@
-"""The verifier's per-packet mark checkers change no result.
+"""The schemes' backward scans change no result.
 
-``PacketVerifier`` asks ``scheme.mark_checker`` for one ``check(index,
-search)`` per packet.  PNM's checker binds the packet's wire bytes once,
-matches anonymous IDs against the exhaustive table or a per-packet
-``node -> anonymous ID`` memo, and MACs the received prefix directly.  A
-reference verifier whose checker finds candidates with tables of its own
-and confirms each with the scheme's full ``scheme.verify_mark_as`` must
-reach the same ``PacketVerification`` on every packet the security matrix
-delivers -- every scheme, every attack -- with inline tables, with
-:class:`ResolverCache` tables, and under a topology-bounded resolver with
-exhaustive fallback.
+``PacketVerifier`` hands each packet to ``scheme.verify_marks``.  PNM's
+scan verifies the whole packet in one loop: it binds the packet's wire
+bytes once, matches anonymous IDs against the exhaustive table or a
+per-packet ``node -> anonymous ID`` memo, and MACs the received prefix
+directly.  A reference verifier running the base class's generic scan,
+with tables of its own and the scheme's full ``scheme.verify_mark_as``
+for every candidate, must reach the same ``PacketVerification`` on every
+packet the security matrix delivers -- every scheme, every attack -- with
+inline tables, with :class:`ResolverCache` tables, and under a
+topology-bounded resolver with exhaustive fallback.  A seeded property
+draws offered search sets, keyless nodes, key-blind collisions and
+tampered or wrong-length marks against both scans.
 
 The ingest service's learned-route search is checked the same way, on
 packets that crossed the wire codec: every cell streamed through
@@ -19,18 +21,24 @@ the in-process packets.
 """
 
 import hashlib
+from functools import partial
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.cluster.coordinator import verdict_json
 from repro.core.build import build_scenario
 from repro.core.scenario import Scenario
+from repro.crypto.keys import KeyStore
+from repro.crypto.mac import KeyedHashProvider
 from repro.experiments.presets import CI
 from repro.experiments.security_matrix import ATTACKS, SCHEMES
-from repro.marking.base import PacketResolution
+from repro.marking.base import MarkingScheme, PacketResolution
 from repro.marking.pnm import PNMMarking
 from repro.packets.marks import Mark
 from repro.packets.packet import MarkedPacket
+from repro.packets.report import Report
 from repro.service import ResolverCache, SinkIngestService
 from repro.traceback.resolver import TopologyBoundedResolver
 from repro.traceback.sink import TracebackSink
@@ -42,9 +50,9 @@ PACKETS_PER_CELL = 40
 
 
 class FullCheckScheme:
-    """A scheme whose mark checker finds candidates with tables of its
-    own, ignoring the verifier's per-packet resolution state, and
-    confirms each with the wrapped scheme's full mark check."""
+    """A scheme that runs the base class's generic backward scan with
+    tables of its own, ignoring the verifier's table source, so every
+    candidate goes through the wrapped scheme's full mark check."""
 
     def __init__(self, scheme):
         self._scheme = scheme
@@ -52,33 +60,16 @@ class FullCheckScheme:
     def __getattr__(self, name):
         return getattr(self._scheme, name)
 
-    def mark_checker(self, packet, keystore, provider, resolution):
-        scheme = self._scheme
-        tables = {}
-
-        def check(index, search):
-            key = None if search is None else tuple(search)
-            if key not in tables:
-                tables[key] = scheme.build_resolution_table(
-                    packet, keystore, provider, search_ids=search
-                )
-            candidates = scheme.candidate_marker_ids(
-                packet,
-                index,
-                keystore,
-                provider,
-                search_ids=search,
-                table=tables[key],
-            )
-            return [
-                node_id
-                for node_id in candidates
-                if scheme.verify_mark_as(
-                    packet, index, node_id, keystore[node_id], provider
-                )
-            ]
-
-        return check
+    def verify_marks(self, packet, keystore, provider, resolution, record):
+        own = PacketResolution(
+            resolution.sets,
+            partial(self._scheme.build_resolution_table, packet, keystore, provider),
+            resolution.fallback,
+            resolution.notify_miss,
+        )
+        found = MarkingScheme.verify_marks(self, packet, keystore, provider, own, record)
+        resolution.searches, resolution.fallbacks = own.searches, own.fallbacks
+        return found
 
 
 class ReferenceVerifier(PacketVerifier):
@@ -226,25 +217,29 @@ class TestPNMFullCheck:
         self, keystore, provider, packet
     ):
         # The bounded twin: a search set that offers node 3 (and node 4,
-        # whose anonymous ID the field carries) still verifies nothing.
+        # whose anonymous ID the field carries) still verifies nothing,
+        # while the honest mark below it verifies from a set offering its
+        # marker next to node 3.
         scheme = PNMMarking(mark_prob=1.0)
         forged = forge_as_node_4(scheme, keystore, provider, packet)
-        check = scheme.mark_checker(
-            forged, keystore, provider, PacketResolution(lambda: None)
-        )
-        assert check(2, [3]) == []
-        assert check(2, [3, 4]) == []
-        assert check(1, [2, 3]) == [2]
-        for fallback in (False, True):
-            result = PacketVerifier(
-                scheme,
-                keystore,
-                provider,
-                resolver=OfferResolver([2, 3, 4]),
-                exhaustive_fallback=fallback,
-            ).verify(forged)
-            assert result.invalid_indices == [2]
-            assert result.verified == []
+        for offered in ([3], [3, 4], [2, 3, 4]):
+            for fallback in (False, True):
+                result = PacketVerifier(
+                    scheme,
+                    keystore,
+                    provider,
+                    resolver=OfferResolver(offered),
+                    exhaustive_fallback=fallback,
+                ).verify(forged)
+                assert result.invalid_indices == [2]
+                assert result.verified == []
+                assert result.fallback_searches == int(fallback)
+        honest = forged.with_marks(forged.marks[:2])
+        result = PacketVerifier(
+            scheme, keystore, provider, resolver=OfferResolver([2, 3]),
+            exhaustive_fallback=False,
+        ).verify(honest)
+        assert result.verified[-1] == VerifiedMark(1, 2)
 
     def test_verify_mark_as_accepts_honest_mark(self, keystore, provider, packet):
         scheme = PNMMarking(mark_prob=1.0)
@@ -318,13 +313,105 @@ class TestAmbiguousAttribution:
                     "index": position, "real_id": real_id, "ambiguous": ambiguous
                 }
 
-    def test_checker_returns_every_validating_id_in_candidate_order(
-        self, keystore, marked
-    ):
-        check = PNMMarking(mark_prob=1.0).mark_checker(
-            marked, keystore, KeyBlindProvider(), PacketResolution(lambda: None)
+    def test_learned_set_collisions(self, keystore, marked):
+        # Every offered ID that validates makes the mark ambiguous; the
+        # smallest one is named.
+        for offered, real_id, ambiguous in (
+            ([14, 7, 3], 3, True),
+            ([14], 14, False),
+            # A keyless node in the set matches nothing.
+            ([0, 14], 14, False),
+        ):
+            result = self.verify(keystore, marked, OfferResolver(offered))
+            assert result.verified == [
+                VerifiedMark(i, real_id, ambiguous) for i in range(3)
+            ]
+            assert result.fallback_searches == 0
+
+
+class DrawnSets:
+    """Search sets drawn per previously verified node; records the
+    verifier's feedback."""
+
+    def __init__(self, sets):
+        self.sets = sets
+        self.calls = []
+
+    def search_sets(self, packet):
+        return None if self.sets is None else self
+
+    def __getitem__(self, prev_verified):
+        return self.sets.get(prev_verified)
+
+    def notify_miss(self):
+        self.calls.append("miss")
+
+    def notify_packet_done(self, searches):
+        self.calls.append(("done", searches))
+
+
+PROPERTY_KEYS = KeyStore.from_master_secret(b"scan-property", range(1, 13))
+PROPERTY_PROVIDERS = (KeyedHashProvider(mac_len=4, anon_id_len=4), KeyBlindProvider())
+
+
+@st.composite
+def scan_cases(draw):
+    """A marked packet, possibly tampered, plus offered sets and policy."""
+    provider = draw(st.sampled_from(PROPERTY_PROVIDERS))
+    scheme = PNMMarking(mark_prob=1.0)
+    path = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6, unique=True))
+    packet = MarkedPacket(
+        report=Report(event=b"scan", location=(1.0, 2.0), timestamp=draw(st.integers(0, 9)))
+    )
+    marked = mark_through_path(scheme, PROPERTY_KEYS, provider, path, packet)
+    marks = list(marked.marks)
+    at = draw(st.integers(0, len(marks) - 1))
+    id_field, mac = marks[at]
+    tamper = draw(st.sampled_from(("none", "mac", "id", "short-id", "long-mac")))
+    if tamper == "mac":
+        marks[at] = Mark(id_field, bytes([mac[0] ^ 0x5A]) + mac[1:])
+    elif tamper == "id":
+        marks[at] = Mark(bytes([id_field[0] ^ 0x01]) + id_field[1:], mac)
+    elif tamper == "short-id":
+        marks[at] = Mark(id_field[:-1], mac)
+    elif tamper == "long-mac":
+        marks[at] = Mark(id_field, mac + b"\x00")
+    if tamper != "none":
+        marked = marked.with_marks(tuple(marks))
+    # Offered sets may hold keyless node 0, duplicates and nodes that
+    # never marked; None offers every key.
+    offered = st.one_of(
+        st.none(), st.lists(st.integers(0, 12), min_size=1, max_size=4)
+    )
+    sets = draw(
+        st.one_of(
+            st.none(),
+            st.fixed_dictionaries(
+                {prev: offered for prev in [None, *range(1, 13)]}
+            ),
         )
-        assert check(2, [14, 7, 3]) == [14, 7, 3]
-        assert check(2, [14]) == [14]
-        # A keyless node in the set matches nothing.
-        assert check(2, [0, 14]) == [14]
+    )
+    return scheme, provider, marked, sets, draw(st.booleans())
+
+
+class TestScanProperty:
+    """PNM's one-loop scan against the generic reference scan."""
+
+    @seed(20261020)
+    @settings(max_examples=150, deadline=None)
+    @given(scan_cases())
+    def test_pnm_loop_matches_reference_scan(self, case):
+        scheme, provider, marked, sets, fallback = case
+        fast_sets, reference_sets = DrawnSets(sets), DrawnSets(sets)
+        fast = PacketVerifier(
+            scheme, PROPERTY_KEYS, provider, fast_sets, exhaustive_fallback=fallback
+        ).verify(marked)
+        reference = ReferenceVerifier(
+            scheme,
+            PROPERTY_KEYS,
+            provider,
+            reference_sets,
+            exhaustive_fallback=fallback,
+        ).verify(marked)
+        assert fast == reference
+        assert fast_sets.calls == reference_sets.calls
