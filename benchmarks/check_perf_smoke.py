@@ -6,13 +6,18 @@ outcome as ``"correct"`` in the JSON object that ends each workload's
 output, but it exits 0 either way.  This smoke run fails unless the run
 exits 0 and every workload declared in ``BENCHMARK.json`` printed a JSON
 line with ``"correct": true``.  Its timings are too short to mean
-anything and are not checked, but one count is: the traced
-``cluster-stream`` run must report ``traceback.hmacs_per_pkt`` of exactly
-:data:`CLUSTER_HMACS_PER_PKT`.  The ledger counts a hash only when it
-goes through the provider's ``mac``/``anon_id`` attributes, so a sink
-that hashed some other way (a bound method cached before the ledger
-patched the provider) would read fewer hashes than it does; so would one
-that skipped a check.
+anything and are not checked, but two counts are: the traced
+``cluster-stream`` run must report exactly the :data:`CLUSTER_COUNTS`.
+
+* ``traceback.hmacs_per_pkt``: the ledger counts a hash only when it
+  goes through the provider's ``mac``/``anon_id`` attributes, so a sink
+  that hashed some other way (a bound method cached before the ledger
+  patched the provider) would read fewer hashes than it does; so would
+  one that skipped a check.
+* ``traceback.fallbacks_per_pkt``: the honest stream's only exhaustive
+  fallbacks are the 10 warm-up misses before the learned routes cover
+  its sources, so a scan that counts a fallback it did not take, or
+  takes one it should not, reads more.
 
 Run as ``make perf-smoke`` (or ``python3 benchmarks/check_perf_smoke.py``)
 from the repository root.
@@ -21,15 +26,21 @@ from the repository root.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
 COMMAND = ["perfbench/run.py", "--workload", "all", "--seconds", "1", "--trace", "1"]
-#: Honest ``cluster-stream`` sink hashes per verified packet (seed 1).
-CLUSTER_HMACS_PER_PKT = 74.095
-HMACS = "traceback.hmacs_per_pkt"
+#: Packets the traced ``cluster-stream`` run verifies.
+CLUSTER_PACKETS = 1200
+#: Honest ``cluster-stream`` per-packet counts (seed 1), as totals over
+#: :data:`CLUSTER_PACKETS`: sink hashes and exhaustive fallbacks.
+CLUSTER_COUNTS = {
+    "traceback.hmacs_per_pkt": 88_914,
+    "traceback.fallbacks_per_pkt": 10,
+}
 
 
 def results(output: str) -> list[tuple[str | None, dict]]:
@@ -47,20 +58,24 @@ def results(output: str) -> list[tuple[str | None, dict]]:
     return found
 
 
-def hash_count_failures(found: list[tuple[str | None, dict]]) -> list[str]:
-    """Why the traced ``cluster-stream`` line's hash count is off, if it is."""
+def count_failures(found: list[tuple[str | None, dict]]) -> list[str]:
+    """Why the traced ``cluster-stream`` line's pinned counts are off, if
+    they are."""
     lines = [obj for workload, obj in found if workload == "cluster-stream"]
     if not lines:
         return ["no cluster-stream result line"]
-    metric = lines[0].get("metrics", {}).get(HMACS)
-    if metric is None:
-        return [f"cluster-stream reports no {HMACS}"]
-    if round(metric["value"], 3) != CLUSTER_HMACS_PER_PKT:
-        return [
-            f"cluster-stream {HMACS} {metric['value']:.6g}, "
-            f"expected {CLUSTER_HMACS_PER_PKT}"
-        ]
-    return []
+    metrics = lines[0].get("metrics", {})
+    failures = []
+    for name, total in CLUSTER_COUNTS.items():
+        expected = total / CLUSTER_PACKETS
+        metric = metrics.get(name)
+        if metric is None:
+            failures.append(f"cluster-stream reports no {name}")
+        elif not math.isclose(metric["value"], expected, rel_tol=0.0, abs_tol=1e-9):
+            failures.append(
+                f"cluster-stream {name} {metric['value']:.6g}, expected {expected:.6g}"
+            )
+    return failures
 
 
 def main() -> int:
@@ -81,15 +96,15 @@ def main() -> int:
         for i, (_workload, obj) in enumerate(found, start=1)
         if obj["correct"] is not True
     ]
-    failures += hash_count_failures(found)
+    failures += count_failures(found)
     for failure in failures:
         print(f"perf-smoke: FAIL: {failure}", file=sys.stderr)
     if failures:
         return 1
-    print(
-        f"perf-smoke: OK: {len(found)} workloads correct, cluster-stream "
-        f"{HMACS} {CLUSTER_HMACS_PER_PKT}"
+    pinned = ", ".join(
+        f"{name} {total / CLUSTER_PACKETS:.6g}" for name, total in CLUSTER_COUNTS.items()
     )
+    print(f"perf-smoke: OK: {len(found)} workloads correct, cluster-stream {pinned}")
     return 0
 
 

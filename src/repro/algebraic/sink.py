@@ -77,8 +77,8 @@ def observation_from(
     except MalformedAccumulatorError:
         return None
     last_hop = None
-    if verification.verified and not verification.invalid_indices:
-        last_hop = verification.verified[-1].real_id
+    if verification.chain_ids and not verification.invalid_indices:
+        last_hop = verification.chain_ids[-1]
     return AlgebraicObservation(
         timestamp=packet.report.timestamp,
         point=evaluation_point(packet.report_wire),

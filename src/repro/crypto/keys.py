@@ -92,28 +92,29 @@ class KeyStore(Mapping[int, bytes]):
         """
         return self._keys[node_id]
 
-    @property
-    def mapping(self) -> Mapping[int, bytes]:
-        """A read-only view of the table with ``dict``-speed lookups, for
-        the sink's per-mark loops."""
-        return MappingProxyType(self._keys)
-
     def node_ids(self) -> list[int]:
         """All known node IDs, sorted ascending."""
         return sorted(self._keys)
 
     @cached_property
-    def id_entries(self) -> tuple[tuple[int, bytes, bytes], ...]:
-        """Every node as ``(node_id, key, id_bytes)``, sorted by ID.
+    def node_table(self) -> Mapping[int, tuple[bytes, bytes]]:
+        """Every node as ``node_id -> (key, id_bytes)``, in ascending ID
+        order.
 
-        ``id_bytes`` is the ID as :data:`NODE_ID_BYTES` big-endian bytes.
-        Built once (the store is immutable) for the sink's exhaustive
-        anonymous-ID table, which walks every key for every report.
+        ``id_bytes`` is the ID as :data:`NODE_ID_BYTES` big-endian bytes,
+        the ``i`` of PNM's anonymous-ID input ``M | i``.  Built on first
+        read and kept (the store is immutable) for the sink's per-mark
+        loops: a learned search looks a node up here, and the exhaustive
+        anonymous-ID table walks every entry for every report.  It holds
+        keys and ID bytes only, so every hash still goes through the
+        ``MacProvider``.  A read-only view.
         """
         keys = self._keys
-        return tuple(
-            (node_id, keys[node_id], node_id.to_bytes(NODE_ID_BYTES, "big"))
-            for node_id in sorted(keys)
+        return MappingProxyType(
+            {
+                node_id: (keys[node_id], node_id.to_bytes(NODE_ID_BYTES, "big"))
+                for node_id in sorted(keys)
+            }
         )
 
     # Mapping interface -----------------------------------------------------

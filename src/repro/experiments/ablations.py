@@ -224,7 +224,7 @@ def mark_length_ablation(preset: Preset = QUICK, n: int = 10) -> FigureResult:
         def counting_receive(packet, delivering_node):
             nonlocal ambiguous
             verification = original_receive(packet, delivering_node)
-            ambiguous += sum(1 for vm in verification.verified if vm.ambiguous)
+            ambiguous += len(verification.ambiguous_indices)
             return verification
 
         built.sink.receive = counting_receive  # type: ignore[method-assign]

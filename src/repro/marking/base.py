@@ -8,7 +8,8 @@ A marking scheme defines three things:
 3. the *sink side*: how a single mark is verified, i.e. which real node IDs
    could have produced a given mark and whether a candidate's key validates
    it over the exact received bytes, and the backward scan over a packet's
-   marks (:meth:`MarkingScheme.verify_marks`).
+   marks (:meth:`MarkingScheme.verify_marks`), which reports the verified
+   marker IDs and mark indices as plain lists.
 
 The traceback engine (:mod:`repro.traceback`) is scheme-agnostic: it asks
 the resolver for a packet's search sets, hands them to the scheme's
@@ -277,8 +278,7 @@ class MarkingScheme(abc.ABC):
         keystore: KeyStore,
         provider: MacProvider,
         resolution: PacketResolution,
-        record: Callable[[tuple[int, int, bool]], Any],
-    ) -> tuple[list[Any], list[int]]:
+    ) -> tuple[list[int], list[int], list[int], list[int]]:
         """Verify ``packet``'s marks backwards, most downstream first.
 
         Each mark is searched in ``resolution.sets[previously verified
@@ -288,13 +288,14 @@ class MarkingScheme(abc.ABC):
         nothing retries with every key when ``resolution.fallback`` is
         set, calling ``resolution.notify_miss`` if the retry validates it.
         Several valid IDs mean a truncation collision: the smallest is
-        kept and marked ambiguous.  Under the ``"suffix"`` policy the scan
-        stops at the first invalid mark.
+        kept and its mark is ambiguous.  Under the ``"suffix"`` policy the
+        scan stops at the first invalid mark.
 
         Returns:
-            ``record((index, node_id, ambiguous))`` for every verified mark
-            and the invalid mark indices, both in wire order.  The scan
-            sets ``resolution.searches`` and ``resolution.fallbacks``; table
+            Four lists in wire order: the verified marks' marker IDs,
+            their mark indices, the indices of the ambiguous ones among
+            them, and the invalid mark indices.  The scan sets
+            ``resolution.searches`` and ``resolution.fallbacks``; table
             builds and bounded candidate searches add to
             ``resolution.seconds`` when ``resolution.clock`` is set.
         """
@@ -324,7 +325,9 @@ class MarkingScheme(abc.ABC):
         notify_miss = resolution.notify_miss
         fallback = resolution.fallback
         suffix = self.verification_policy == "suffix"
-        verified: list[Any] = []
+        ids: list[int] = []
+        indices: list[int] = []
+        ambiguous: list[int] = []
         invalid: list[int] = []
         prev_verified: int | None = None
         for index in range(len(packet.marks) - 1, -1, -1):
@@ -341,7 +344,10 @@ class MarkingScheme(abc.ABC):
                         notify_miss()
             if valid_ids:
                 prev_verified = min(valid_ids)
-                verified.append(record((index, prev_verified, len(valid_ids) > 1)))
+                ids.append(prev_verified)
+                indices.append(index)
+                if len(valid_ids) > 1:
+                    ambiguous.append(index)
             else:
                 invalid.append(index)
                 if suffix:
@@ -349,10 +355,10 @@ class MarkingScheme(abc.ABC):
                 # "independent": skip this mark, keep scanning.  The next
                 # bounded search should still anchor on the last *verified*
                 # marker, which prev_verified already holds.
-        # Scanned backwards; both lists are reported in wire order.
-        verified.reverse()
-        invalid.reverse()
-        return verified, invalid
+        # Scanned backwards; every list is reported in wire order.
+        for found in (ids, indices, ambiguous, invalid):
+            found.reverse()
+        return ids, indices, ambiguous, invalid
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(p={self.mark_prob}, fmt={self.fmt})"

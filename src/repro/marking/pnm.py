@@ -22,9 +22,7 @@ collisions from truncation cannot cause misattribution.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from hmac import compare_digest
-from typing import Any
 
 from repro.crypto.keys import NODE_ID_BYTES, KeyStore
 from repro.crypto.mac import MacProvider, constant_time_equal
@@ -89,14 +87,15 @@ class PNMMarking(MarkingScheme):
         Truncated anonymous IDs can collide, so a table entry may hold
         several candidate real IDs, in ascending ID order for the
         exhaustive table; MAC verification disambiguates.  The exhaustive
-        table walks :attr:`KeyStore.id_entries` and still calls
+        table walks :attr:`KeyStore.node_table` and still calls
         ``provider.anon_id`` once per key.
         """
         report_wire = packet.report_wire
         anon_id = provider.anon_id
+        nodes = keystore.node_table
         table: dict[bytes, list[int]] = {}
         if search_ids is None:
-            for node_id, key, id_bytes in keystore.id_entries:
+            for node_id, (key, id_bytes) in nodes.items():
                 anon = anon_id(key, report_wire + id_bytes)
                 if anon in table:
                     table[anon].append(node_id)
@@ -104,12 +103,12 @@ class PNMMarking(MarkingScheme):
                     table[anon] = [node_id]
             return table
         for node_id in search_ids:
-            key = keystore.get(node_id)
-            if key is None:
+            entry = nodes.get(node_id)
+            if entry is None:
                 # The search space may include keyless nodes (e.g. the sink
                 # when a topology-bounded ball touches it); skip them.
                 continue
-            anon = anon_id(key, _anon_input(report_wire, node_id))
+            anon = anon_id(entry[0], report_wire + entry[1])
             table.setdefault(anon, []).append(node_id)
         return table
 
@@ -158,27 +157,26 @@ class PNMMarking(MarkingScheme):
         keystore: KeyStore,
         provider: MacProvider,
         resolution: PacketResolution,
-        record: Callable[[tuple[int, int, bool]], Any],
-    ) -> tuple[list[Any], list[int]]:
+    ) -> tuple[list[int], list[int], list[int], list[int]]:
         """The base class's backward scan under the suffix policy, in one
         loop.
 
         Binds the packet's wire bytes and prefix ends, the report bytes,
-        the keys, the provider's two PRFs and the constant-time compare
-        once per packet.  Per mark: the format check; the anonymous-ID
-        match, against the exhaustive table or against a per-packet
-        ``node -> anonymous ID`` memo that hashes each searched node at
-        most once per packet; then the MAC of each match over
-        ``wire[:ends[index] + id_len]``, the received prefix plus the ID
-        field, directly when the match is a single node.  A candidate is
-        never accepted on its MAC alone, and a keyless node in a search
-        set matches nothing.
+        the keystore's :attr:`~KeyStore.node_table`, the provider's two
+        PRFs and the constant-time compare once per packet.  Per mark: the
+        format check; the anonymous-ID match, against the exhaustive table
+        or against a per-packet ``node -> anonymous ID`` memo that hashes
+        each searched node at most once per packet; then the MAC of each
+        match over ``wire[:ends[index] + id_len]``, the received prefix
+        plus the ID field.  A one-node search set is checked directly,
+        with no candidate list.  A candidate is never accepted on its MAC
+        alone, and a keyless node in a search set matches nothing.
         """
         marks = packet.marks
         wire, ends = packet.layout
         report_wire = packet.report_wire
-        keys = keystore.mapping
-        get_key = keys.get
+        nodes = keystore.node_table
+        node_entry = nodes.get
         mac = provider.mac
         anon_id = provider.anon_id
         equal = compare_digest
@@ -189,7 +187,9 @@ class PNMMarking(MarkingScheme):
         clock = resolution.clock
         memo: dict[int, bytes] = {}
         table: dict[bytes, list[int]] | None = None
-        verified: list[Any] = []
+        ids: list[int] = []
+        indices: list[int] = []
+        ambiguous: list[int] = []
         invalid: list[int] = []
         prev_verified: int | None = None
         searches = fallbacks = 0
@@ -209,39 +209,46 @@ class PNMMarking(MarkingScheme):
             if search is not None:
                 searches += 1
                 start = clock() if clock is not None else 0.0
-                valid = []
-                for node_id in search:
+                if len(search) == 1:
+                    node_id = search[0]
+                    entry = node_entry(node_id)
                     anon = memo.get(node_id)
                     if anon is None:
-                        key = get_key(node_id)
-                        # A keyless node (see build_resolution_table)
-                        # matches nothing.  The input is _anon_input's,
-                        # inlined.
+                        # A keyless node matches nothing (ID fields are
+                        # never empty).  The input is _anon_input's.
                         anon = memo[node_id] = (
-                            b""
-                            if key is None
-                            else anon_id(
-                                key,
-                                report_wire + node_id.to_bytes(NODE_ID_BYTES, "big"),
-                            )
+                            b"" if entry is None else anon_id(entry[0], report_wire + entry[1])
                         )
-                    if anon == id_field:
-                        valid.append(node_id)
-                if clock is not None:
-                    resolution.seconds += clock() - start
-                if len(valid) == 1:
-                    node_id = valid[0]
-                    if equal(mac(keys[node_id], signed), mark_mac):
+                    if clock is not None:
+                        resolution.seconds += clock() - start
+                    if anon == id_field and equal(mac(entry[0], signed), mark_mac):
                         prev_verified = node_id
-                        verified.append(record((index, node_id, False)))
+                        ids.append(node_id)
+                        indices.append(index)
                         continue
                     valid = []
-                elif valid:
-                    valid = [
-                        node_id
-                        for node_id in valid
-                        if equal(mac(keys[node_id], signed), mark_mac)
-                    ]
+                else:
+                    valid = []
+                    for node_id in search:
+                        anon = memo.get(node_id)
+                        if anon is None:
+                            entry = node_entry(node_id)
+                            anon = memo[node_id] = (
+                                b"" if entry is None else anon_id(entry[0], report_wire + entry[1])
+                            )
+                        if anon == id_field:
+                            valid.append(node_id)
+                    if clock is not None:
+                        resolution.seconds += clock() - start
+                    if len(valid) == 1:
+                        if not equal(mac(nodes[valid[0]][0], signed), mark_mac):
+                            valid = []
+                    elif valid:
+                        valid = [
+                            node_id
+                            for node_id in valid
+                            if equal(mac(nodes[node_id][0], signed), mark_mac)
+                        ]
                 # The bounded search validated nothing: retry every key.
                 missed = not valid and fallback
                 if missed:
@@ -253,13 +260,13 @@ class PNMMarking(MarkingScheme):
                     table = built
                 valid = table.get(id_field, [])
                 if len(valid) == 1:
-                    if not equal(mac(keys[valid[0]], signed), mark_mac):
+                    if not equal(mac(nodes[valid[0]][0], signed), mark_mac):
                         valid = []
                 elif valid:
                     valid = [
                         node_id
                         for node_id in valid
-                        if equal(mac(keys[node_id], signed), mark_mac)
+                        if equal(mac(nodes[node_id][0], signed), mark_mac)
                     ]
                 # The bounded search missed a mark the exhaustive one
                 # found: adaptive resolvers widen their ball.
@@ -268,13 +275,16 @@ class PNMMarking(MarkingScheme):
             if not valid:
                 invalid.append(index)
                 break
+            indices.append(index)
             if len(valid) == 1:
                 prev_verified = valid[0]
-                verified.append(record((index, prev_verified, False)))
             else:
                 prev_verified = min(valid)
-                verified.append(record((index, prev_verified, True)))
+                ambiguous.append(index)
+            ids.append(prev_verified)
         resolution.searches = searches
         resolution.fallbacks = fallbacks
-        verified.reverse()
-        return verified, invalid
+        ids.reverse()
+        indices.reverse()
+        ambiguous.reverse()
+        return ids, indices, ambiguous, invalid

@@ -97,12 +97,12 @@ def refine_to_pair(
     Returns ``None`` when no mark verified (the caller falls back to the
     delivering neighbor, as usual).
     """
-    if not verification.verified:
+    if not verification.chain_ids:
         return None
-    stop = verification.verified[0]
-    prev = scheme.reported_prev_hop(verification.packet, stop.index)
+    stop = verification.chain_ids[0]
+    prev = scheme.reported_prev_hop(verification.packet, verification.mark_indices[0])
     return SuspectPair(
-        stop_node=stop.real_id,
+        stop_node=stop,
         reported_prev=prev,
-        members=frozenset({stop.real_id, prev}),
+        members=frozenset({stop, prev}),
     )

@@ -9,7 +9,12 @@ search for anonymous IDs), checks each candidate's MAC over the exact
 received bytes and applies the fallback and stopping rules.  Every scheme
 but PNM runs the base class's scan, one candidate search and one
 ``verify_mark_as`` per candidate; PNM verifies the whole packet in one
-loop of its own.  The verifier times and traces each packet.
+loop of its own.  Either scan reports plain lists -- the verified marker
+IDs, their mark indices, the ambiguous and the invalid indices -- and the
+verifier keeps them as the :class:`PacketVerification`, timing and
+tracing each packet.  The sink's ingest path reads ``chain_ids`` and the
+list lengths; per-mark :class:`VerifiedMark` records are built only for
+readers that ask for them.
 
 Two policies, selected by the scheme:
 
@@ -42,8 +47,9 @@ __all__ = ["VerifiedMark", "PacketVerification", "PacketVerifier"]
 class VerifiedMark(NamedTuple):
     """A mark successfully attributed to a real node.
 
-    An immutable named tuple, built once per verified mark; like any tuple
-    it also compares equal to (and hashes like) a bare
+    An immutable named tuple, built per verified mark when
+    :attr:`PacketVerification.verified` is first read; like any tuple it
+    also compares equal to (and hashes like) a bare
     ``(index, real_id, ambiguous)`` tuple.
 
     Attributes:
@@ -59,21 +65,26 @@ class VerifiedMark(NamedTuple):
     ambiguous: bool = False
 
 
-#: ``VerifiedMark._make`` in one C call, without its Python frame and
-#: field-count check: the schemes' backward scans pass it only literal
-#: ``(index, real_id, ambiguous)`` triples.
-_verified_mark = partial(tuple.__new__, VerifiedMark)
-
-
 @dataclass
 class PacketVerification:
     """Outcome of verifying one packet's marks.
 
+    The backward scan reports plain integers; the per-mark
+    :class:`VerifiedMark` records are derived from them only when
+    :attr:`verified` is first read, which nothing on the sink's ingest
+    path does.
+
     Attributes:
         packet: the packet verified.
-        verified: attributed marks in wire order (most upstream first).
-            Under the ``"suffix"`` policy this is a contiguous suffix of
-            the mark list; under ``"independent"`` it may have gaps.
+        chain_ids: verified marker IDs in wire order (most upstream
+            first).  Under the ``"suffix"`` policy they belong to a
+            contiguous suffix of the mark list; under ``"independent"``
+            there may be gaps.
+        mark_indices: the mark position of each entry of ``chain_ids``.
+        ambiguous_indices: the positions among ``mark_indices`` whose mark
+            more than one key of the searched set validated (possible only
+            through truncation collisions; the smallest validating ID is
+            named), in wire order.
         invalid_indices: mark positions that failed verification.  Under
             ``"suffix"`` this holds at most the single index where the
             backward scan stopped; marks upstream of it were not examined.
@@ -82,23 +93,30 @@ class PacketVerification:
     """
 
     packet: MarkedPacket
-    verified: list[VerifiedMark] = field(default_factory=list)
+    chain_ids: list[int] = field(default_factory=list)
+    mark_indices: list[int] = field(default_factory=list)
+    ambiguous_indices: list[int] = field(default_factory=list)
     invalid_indices: list[int] = field(default_factory=list)
     fallback_searches: int = 0
 
     @cached_property
-    def chain_ids(self) -> list[int]:
-        """Verified marker IDs, most upstream first.
+    def verified(self) -> list[VerifiedMark]:
+        """The attributed marks as records, in wire order.
 
-        Computed on first read and kept, so ``verified`` must not change
-        after that; :class:`PacketVerifier` returns it complete.
+        Built on first read and kept, so the lists it is built from must
+        not change after that; :class:`PacketVerifier` returns them
+        complete.
         """
-        return [vm.real_id for vm in self.verified]
+        ambiguous = self.ambiguous_indices
+        return [
+            VerifiedMark(index, real_id, index in ambiguous)
+            for index, real_id in zip(self.mark_indices, self.chain_ids, strict=True)
+        ]
 
     @property
     def all_valid(self) -> bool:
         """Whether every mark present verified."""
-        return not self.invalid_indices and len(self.verified) == len(
+        return not self.invalid_indices and len(self.chain_ids) == len(
             self.packet.marks
         )
 
@@ -109,8 +127,8 @@ class PacketVerification:
         that physically delivered the packet to the sink (always known to
         the sink -- it is its own radio neighbor).
         """
-        if self.verified:
-            return self.verified[0].real_id
+        if self.chain_ids:
+            return self.chain_ids[0]
         return delivering_node
 
 
@@ -164,7 +182,7 @@ class PacketVerifier:
         """Verify all marks of ``packet`` backwards."""
         with self.obs.timer("verify_packet_seconds"):
             result = self._verify(packet)
-        self.obs.inc("marks_verified_total", len(result.verified))
+        self.obs.inc("marks_verified_total", len(result.chain_ids))
         self.obs.inc("marks_invalid_total", len(result.invalid_indices))
         if result.fallback_searches:
             self.obs.inc("resolver_fallbacks_total", result.fallback_searches)
@@ -174,7 +192,7 @@ class PacketVerifier:
                 report_key(packet.report),
                 "verify",
                 marks=len(packet.marks),
-                verified=len(result.verified),
+                verified=len(result.chain_ids),
             )
         return result
 
@@ -195,12 +213,14 @@ class PacketVerifier:
             getattr(resolver, "notify_miss", None),
             self.obs.clock if isinstance(self.obs, ObsProvider) else None,
         )
-        verified, invalid = self.scheme.verify_marks(
-            packet, self.keystore, self.provider, resolution, _verified_mark
+        ids, indices, ambiguous, invalid = self.scheme.verify_marks(
+            packet, self.keystore, self.provider, resolution
         )
         done = getattr(resolver, "notify_packet_done", None)
         if done is not None:
             done(resolution.searches)
         if resolution.seconds:
             self.obs.observe("resolution_table_seconds", resolution.seconds)
-        return PacketVerification(packet, verified, invalid, resolution.fallbacks)
+        return PacketVerification(
+            packet, ids, indices, ambiguous, invalid, resolution.fallbacks
+        )

@@ -294,24 +294,27 @@ class FrameDecoder:
         if self._error is not None:
             raise self._error
         self._buffer.extend(chunk)
+        # Every complete frame decodes from one snapshot; the consumed
+        # prefix is dropped once, after the last of them.
+        data = bytes(self._buffer)
         frames: list[Frame] = []
-        # A feed that ends on a frame boundary leaves nothing to decode.
-        while self._buffer:
+        offset = 0
+        while offset < len(data):
             try:
-                frame, consumed = decode_frame(bytes(self._buffer))
+                frame, offset = decode_frame(data, offset)
             except TruncatedError as exc:
                 # Genuinely incomplete input waits for more bytes -- but a
                 # "truncated" header longer than any legal header means the
                 # length varint itself is malformed, not short.
-                if len(self._buffer) > _MAX_HEADER_LEN + MAX_PAYLOAD_LEN + _CRC.size:
+                if len(data) - offset > _MAX_HEADER_LEN + MAX_PAYLOAD_LEN + _CRC.size:
                     self._error = exc
                     raise
-                return frames
+                break
             except Exception as exc:
                 self._error = exc
                 raise
-            del self._buffer[:consumed]
             frames.append(frame)
+        del self._buffer[:offset]
         return frames
 
     def finish(self) -> None:

@@ -104,6 +104,9 @@ class SinkServer:
         self._conn_seq = 0
         self._conn_writers: dict[int, asyncio.StreamWriter] = {}
         self.connections_active = 0
+        # Set whenever no connection handler is live (see wait_idle).
+        self._idle = asyncio.Event()
+        self._idle.set()
         self.connections_total = 0
         self.batches_ok = 0
         self.batches_rejected = 0
@@ -138,18 +141,20 @@ class SinkServer:
         async with self._server:
             await self._server.serve_forever()
 
-    async def wait_idle(self, polls: int = 1000) -> bool:
-        """Yield until every connection handler has finished.
+    async def wait_idle(self, timeout: float = 1.0) -> bool:
+        """Wait until every connection handler has finished.
 
         Returns:
             True when idle; False if handlers were still live after
-            ``polls`` scheduling turns (shutdown proceeds regardless).
+            ``timeout`` seconds (shutdown proceeds regardless).
         """
-        for _ in range(polls):
-            if self.connections_active == 0:
-                return True
-            await asyncio.sleep(0.001)
-        return self.connections_active == 0
+        if self.connections_active == 0:
+            return True
+        try:
+            await asyncio.wait_for(self._idle.wait(), timeout)
+        except asyncio.TimeoutError:
+            return False
+        return True
 
     async def close(self) -> None:
         """Stop accepting connections and close the listener."""
@@ -198,6 +203,7 @@ class SinkServer:
         self._conn_writers[conn_id] = writer
         self.connections_total += 1
         self.connections_active += 1
+        self._idle.clear()
         tracer = self.obs.tracer
         conn_span = (
             tracer.start("wire_connection", conn=conn_id)
@@ -220,6 +226,8 @@ class SinkServer:
         finally:
             self._conn_writers.pop(conn_id, None)
             self.connections_active -= 1
+            if self.connections_active == 0:
+                self._idle.set()
             if tracer is not None and conn_span is not None:
                 tracer.finish(conn_span)
             writer.close()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto.keys import KEY_LEN, KeyStore, derive_node_key
+from repro.crypto.keys import KEY_LEN, NODE_ID_BYTES, KeyStore, derive_node_key
 
 
 class TestDeriveNodeKey:
@@ -65,3 +65,12 @@ class TestKeyStore:
         store = KeyStore(src)
         src[2] = b"b"
         assert 2 not in store
+
+    def test_node_table_in_ascending_id_order(self):
+        store = KeyStore({9: b"x", 1: b"y", 4: b"z"})
+        table = store.node_table
+        assert list(table) == [1, 4, 9]
+        assert table[4] == (b"z", (4).to_bytes(NODE_ID_BYTES, "big"))
+        assert store.node_table is table  # built once
+        with pytest.raises(TypeError):
+            table[5] = (b"w", b"")  # type: ignore[index]

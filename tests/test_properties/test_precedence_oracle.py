@@ -32,7 +32,7 @@ from repro.traceback.sink import (
     compute_verdict,
     evidence_precedence,
 )
-from repro.traceback.verify import PacketVerification, VerifiedMark
+from repro.traceback.verify import PacketVerification
 
 N_FORWARDERS = 6
 TOPOLOGY, _SOURCE = linear_path_topology(N_FORWARDERS)
@@ -278,7 +278,8 @@ class TestVerdictOracle:
             report = Report(event=bytes([i]), location=(0.0, 0.0), timestamp=i)
             verification = PacketVerification(
                 packet=MarkedPacket(report=report),
-                verified=[VerifiedMark(index=j, real_id=n) for j, n in enumerate(chain)],
+                chain_ids=list(chain),
+                mark_indices=list(range(len(chain))),
                 invalid_indices=[0] if tampered else [],
             )
             sink.ingest(verification, deliverer)
@@ -330,9 +331,8 @@ class TestTamperStops:
             sink.ingest(
                 PacketVerification(
                     packet=MarkedPacket(report=report),
-                    verified=[
-                        VerifiedMark(index=j, real_id=n) for j, n in enumerate(chain)
-                    ],
+                    chain_ids=list(chain),
+                    mark_indices=list(range(len(chain))),
                     invalid_indices=[0] if tampered else [],
                 ),
                 deliverer,

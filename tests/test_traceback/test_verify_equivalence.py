@@ -3,15 +3,18 @@
 ``PacketVerifier`` hands each packet to ``scheme.verify_marks``.  PNM's
 scan verifies the whole packet in one loop: it binds the packet's wire
 bytes once, matches anonymous IDs against the exhaustive table or a
-per-packet ``node -> anonymous ID`` memo, and MACs the received prefix
-directly.  A reference verifier running the base class's generic scan,
-with tables of its own and the scheme's full ``scheme.verify_mark_as``
-for every candidate, must reach the same ``PacketVerification`` on every
-packet the security matrix delivers -- every scheme, every attack -- with
-inline tables, with :class:`ResolverCache` tables, and under a
+per-packet ``node -> anonymous ID`` memo over the keystore's node table,
+and MACs the received prefix directly.  Both scans report plain lists
+(marker IDs, mark indices, ambiguous and invalid indices).  A reference
+verifier running the base class's generic scan, with tables of its own
+and the scheme's full ``scheme.verify_mark_as`` for every candidate, must
+reach the same ``PacketVerification`` and the same derived records on
+every packet the security matrix delivers -- every scheme, every attack
+-- with inline tables, with :class:`ResolverCache` tables, and under a
 topology-bounded resolver with exhaustive fallback.  A seeded property
 draws offered search sets, keyless nodes, key-blind collisions and
-tampered or wrong-length marks against both scans.
+tampered or wrong-length marks against both scans.  On the sink's ingest
+path no verification builds its records at all.
 
 The ingest service's learned-route search is checked the same way, on
 packets that crossed the wire codec: every cell streamed through
@@ -32,6 +35,7 @@ from repro.core.build import build_scenario
 from repro.core.scenario import Scenario
 from repro.crypto.keys import KeyStore
 from repro.crypto.mac import KeyedHashProvider
+from repro.experiments.cluster_sweep import build_cluster_workload
 from repro.experiments.presets import CI
 from repro.experiments.security_matrix import ATTACKS, SCHEMES
 from repro.marking.base import MarkingScheme, PacketResolution
@@ -60,14 +64,14 @@ class FullCheckScheme:
     def __getattr__(self, name):
         return getattr(self._scheme, name)
 
-    def verify_marks(self, packet, keystore, provider, resolution, record):
+    def verify_marks(self, packet, keystore, provider, resolution):
         own = PacketResolution(
             resolution.sets,
             partial(self._scheme.build_resolution_table, packet, keystore, provider),
             resolution.fallback,
             resolution.notify_miss,
         )
-        found = MarkingScheme.verify_marks(self, packet, keystore, provider, own, record)
+        found = MarkingScheme.verify_marks(self, packet, keystore, provider, own)
         resolution.searches, resolution.fallbacks = own.searches, own.fallbacks
         return found
 
@@ -80,8 +84,16 @@ class ReferenceVerifier(PacketVerifier):
 
 
 def outcome(result: PacketVerification) -> tuple:
-    # VerifiedMark equality covers index, real_id and ambiguous.
-    return result.verified, result.invalid_indices, result.fallback_searches
+    """Everything the scan reports, plus the records derived from it
+    (``VerifiedMark`` equality covers index, real_id and ambiguous)."""
+    return (
+        result.chain_ids,
+        result.mark_indices,
+        result.ambiguous_indices,
+        result.invalid_indices,
+        result.fallback_searches,
+        result.verified,
+    )
 
 
 def delivered_packets(
@@ -413,5 +425,94 @@ class TestScanProperty:
             reference_sets,
             exhaustive_fallback=fallback,
         ).verify(marked)
-        assert fast == reference
+        assert outcome(fast) == outcome(reference)
         assert fast_sets.calls == reference_sets.calls
+
+
+def with_flipped_mac(packet: MarkedPacket) -> MarkedPacket:
+    """``packet`` with its middle mark's MAC bits flipped."""
+    marks = list(packet.marks)
+    middle = len(marks) // 2
+    id_field, mac = marks[middle]
+    marks[middle] = Mark(id_field, bytes(b ^ 1 for b in mac))
+    return packet.with_marks(tuple(marks))
+
+
+def assert_records_unbuilt(verifications, scheme, keystore, provider):
+    """No verification built its records on the sink path, and the
+    records read afterwards equal the reference scan's."""
+    assert all("verified" not in vars(v) for v in verifications)
+    reference = ReferenceVerifier(scheme, keystore, provider)
+    for verification in verifications:
+        assert verification.verified == reference.verify(verification.packet).verified
+
+
+class TestSinkPathBuildsNoRecords:
+    """The sink's ingest path reads chain IDs and lengths only, so a
+    verification's per-mark records are never built there."""
+
+    def test_ingest_service(self):
+        # A hot-set too small for the routes' union keeps learned misses
+        # and fallbacks in the stream; every 20th packet is tampered.
+        topology, keystore, batches, _sources = build_cluster_workload(
+            12, 96, sources=4, mixed_batches=True
+        )
+        scheme, provider = PNMMarking(mark_prob=1.0), KeyedHashProvider()
+        service = SinkIngestService(
+            TracebackSink(scheme, keystore, provider, topology), hot_capacity=24
+        )
+        verifications: list[PacketVerification] = []
+        ingest = service.sink.ingest
+
+        def record(verification, delivering_node):
+            verifications.append(verification)
+            return ingest(verification, delivering_node)
+
+        service.sink.ingest = record
+        submitted = 0
+        for packets, delivering_node in batches:
+            stream = []
+            for packet in packets:
+                submitted += 1
+                stream.append(with_flipped_mac(packet) if submitted % 20 == 0 else packet)
+            service.submit_batch(stream, delivering_node)
+            service.process_batch()
+        service.verdict()
+        assert len(verifications) == 96
+        assert any(v.invalid_indices for v in verifications)
+        assert any(v.fallback_searches for v in verifications)
+        assert_records_unbuilt(verifications, scheme, keystore, provider)
+
+    def test_traceback_sink_receive(self):
+        # An identity-swap run delivers only honest-looking packets; a
+        # tampered copy of every fifth marked one joins them.
+        built = build_scenario(
+            Scenario(
+                n_forwarders=CI.matrix_n,
+                scheme="pnm",
+                attack="identity-swap",
+                seed=CI.seed,
+                crypto="real",
+            )
+        )
+        sink = built.sink
+        received: list[tuple[PacketVerification, int]] = []
+        receive = sink.receive
+
+        def record(packet, delivering_node):
+            received.append((receive(packet, delivering_node), delivering_node))
+            return received[-1][0]
+
+        sink.receive = record
+        built.pipeline.push_many(PACKETS_PER_CELL)
+        for verification, delivering_node in received[::5]:
+            if verification.packet.marks:
+                sink.receive(with_flipped_mac(verification.packet), delivering_node)
+        sink.verdict()
+        sink.last_packet_suspect()
+        verifications = [verification for verification, _node in received]
+        assert any(v.invalid_indices for v in verifications)
+        assert any(v.chain_ids and not v.invalid_indices for v in verifications)
+        assert_records_unbuilt(
+            verifications, built.scheme, built.keystore, built.provider
+        )

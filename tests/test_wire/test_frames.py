@@ -248,6 +248,34 @@ class TestFrameDecoder:
         with pytest.raises(BadCrcError):
             decoder.feed(valid_frame())
 
+    def test_one_chunk_of_many_frames_matches_byte_at_a_time(self):
+        # 500 frames and the first half of a 501st in one chunk decode
+        # like the same bytes fed one at a time; the partial frame waits.
+        whole = [encode_frame(FrameType.PING, i.to_bytes(2, "big")) for i in range(501)]
+        stream = b"".join(whole[:500]) + whole[500][:5]
+        chunked = FrameDecoder()
+        frames = chunked.feed(stream)
+        trickled = FrameDecoder()
+        one_at_a_time = []
+        for i in range(len(stream)):
+            one_at_a_time.extend(trickled.feed(stream[i : i + 1]))
+        assert len(frames) == 500
+        assert frames == one_at_a_time
+        assert [f.payload for f in frames] == [i.to_bytes(2, "big") for i in range(500)]
+        assert chunked.feed(whole[500][5:])[0].payload == (500).to_bytes(2, "big")
+        chunked.finish()
+        with pytest.raises(TruncatedError):
+            trickled.finish()
+
+    def test_bad_crc_after_good_frames_is_sticky(self):
+        bad = bytearray(valid_frame())
+        bad[-1] ^= 0x01
+        decoder = FrameDecoder()
+        with pytest.raises(BadCrcError):
+            decoder.feed(valid_frame(b"a") + valid_frame(b"b") + bytes(bad))
+        with pytest.raises(BadCrcError):
+            decoder.feed(valid_frame())
+
     def test_finish_flags_partial_frame(self):
         decoder = FrameDecoder()
         assert decoder.feed(valid_frame()[:3]) == []

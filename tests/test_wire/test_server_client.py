@@ -67,6 +67,19 @@ class TestPing:
 
         assert asyncio.run(scenario()) == b"version-probe"
 
+    def test_wait_idle_waits_for_live_handlers(self, workload):
+        # Not idle while a client is connected; idle once it has gone.
+        async def scenario():
+            with make_service(workload) as service:
+                async with SinkServer(service, FMT) as server:
+                    async with SinkClient("127.0.0.1", server.port) as client:
+                        await client.ping()
+                        busy = await server.wait_idle(timeout=0.01)
+                    idle = await server.wait_idle()
+            return busy, idle
+
+        assert asyncio.run(scenario()) == (False, True)
+
 
 class TestBatchIngest:
     def test_verdict_matches_in_process(self, workload):
